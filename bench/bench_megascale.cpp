@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "net/domain_grid.hpp"
 #include "net/topology.hpp"
 #include "obs/report.hpp"
 #include "sim/mac.hpp"
@@ -97,38 +96,28 @@ class RoundRobinMac final : public sim::MacProtocol {
   std::vector<util::SlotSet> members_;
 };
 
-struct World {
-  net::Positions pos;
-  net::DomainGrid grid;
-  net::Graph graph;
-};
-
-World make_world(std::size_t n) {
+net::Graph make_world(std::size_t n) {
   util::Xoshiro256 rng(0xC170 ^ static_cast<std::uint64_t>(n));
-  net::Positions pos = net::random_positions(n, rng);
+  const net::Positions pos = net::random_positions(n, rng);
   const double radius = std::min(0.4, std::sqrt(10.0 / static_cast<double>(n)));
-  net::DomainGrid grid(pos, radius);
-  net::Graph graph = net::unit_disk_graph(pos, radius, kMaxDegree, grid);
-  return {std::move(pos), std::move(grid), std::move(graph)};
+  return net::unit_disk_graph(pos, radius, kMaxDegree);
 }
 
-sim::SimConfig base_config(const World& world, bool hybrid, int shard_workers) {
+sim::SimConfig base_config(bool hybrid) {
   sim::SimConfig cfg;
   cfg.seed = 11;
   cfg.drop_unroutable = true;  // islands shed load instead of accumulating
   cfg.queue_capacity = kQueueCap;
   cfg.hybrid_pipeline = hybrid;
-  cfg.shard_workers = shard_workers;
-  cfg.domains = &world.grid;
   return cfg;
 }
 
-double slot_rate_once(const World& world, bool hybrid, int shard_workers,
-                      std::size_t frame, std::uint64_t timed) {
-  const std::size_t n = world.graph.num_nodes();
+double slot_rate_once(const net::Graph& world, bool hybrid, std::size_t frame,
+                      std::uint64_t timed) {
+  const std::size_t n = world.num_nodes();
   RoundRobinMac mac(n, frame);
   sim::BatchArrivalTraffic traffic(n, /*sink=*/0, kBatch);
-  sim::Simulator sim(world.graph, mac, traffic, base_config(world, hybrid, shard_workers));
+  sim::Simulator sim(world, mac, traffic, base_config(hybrid));
   sim.run(kWarmup);
   util::Timer timer;
   sim.run(timed);
@@ -137,12 +126,12 @@ double slot_rate_once(const World& world, bool hybrid, int shard_workers,
 
 /// Equality tripwire before timing anything: the two pipelines must count
 /// the same world. (The thorough matrix is tests/test_megascale.cpp.)
-bool stats_agree(const World& world) {
+bool stats_agree(const net::Graph& world) {
   const auto run = [&](bool hybrid) {
-    const std::size_t n = world.graph.num_nodes();
+    const std::size_t n = world.num_nodes();
     RoundRobinMac mac(n, kFrame);
     sim::BatchArrivalTraffic traffic(n, 0, kBatch);
-    sim::Simulator sim(world.graph, mac, traffic, base_config(world, hybrid, hybrid ? 4 : 0));
+    sim::Simulator sim(world, mac, traffic, base_config(hybrid));
     sim.run(2000);
     return sim.stats();
   };
@@ -189,11 +178,11 @@ int main(int argc, char** argv) {
   // tops out at). The second gate asks the hybrid pipeline to beat this
   // rate at 12.5x the n and 1/200th the duty.
   {
-    const World world = make_world(kReferenceN);
+    const net::Graph world = make_world(kReferenceN);
     std::vector<double> rates;
     for (int rep = 0; rep < pairs; ++rep) {
-      rates.push_back(slot_rate_once(world, false, 0, kReferenceFrame,
-                                     timed_slots(kReferenceN, smoke)));
+      rates.push_back(
+          slot_rate_once(world, false, kReferenceFrame, timed_slots(kReferenceN, smoke)));
     }
     reference_dense_rate = *std::max_element(rates.begin(), rates.end());
     std::cout << "dense reference @ n=" << kReferenceN << " (frame " << kReferenceFrame
@@ -206,7 +195,7 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sizes = smoke ? std::vector<std::size_t>{1000, 10000}
                                          : std::vector<std::size_t>{1000, 10000, 100000};
   for (const std::size_t n : sizes) {
-    const World world = make_world(n);
+    const net::Graph world = make_world(n);
     if (!stats_agree(world)) {
       std::cout << "  n=" << n << ": PIPELINE MISMATCH (dense vs hybrid stats differ)\n";
       ok = false;
@@ -214,10 +203,10 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t timed = timed_slots(n, smoke);
     std::vector<double> dense_rates, hybrid_rates;
-    slot_rate_once(world, true, 0, kFrame, timed);  // warm caches, untimed
+    slot_rate_once(world, true, kFrame, timed);  // warm caches, untimed
     for (int rep = 0; rep < pairs; ++rep) {
-      dense_rates.push_back(slot_rate_once(world, false, 0, kFrame, timed));
-      hybrid_rates.push_back(slot_rate_once(world, true, 0, kFrame, timed));
+      dense_rates.push_back(slot_rate_once(world, false, kFrame, timed));
+      hybrid_rates.push_back(slot_rate_once(world, true, kFrame, timed));
     }
     const double dense = *std::max_element(dense_rates.begin(), dense_rates.end());
     const double hybrid = *std::max_element(hybrid_rates.begin(), hybrid_rates.end());
@@ -234,13 +223,6 @@ int main(int argc, char** argv) {
     if (n == kGateN) {
       gate_speedup = speedup;
       gate_hybrid_rate = hybrid;
-    }
-    if (n == 100000 && !smoke) {
-      // Sharded phase 2 on top of the hybrid sets, informational (absolute
-      // rate depends on how loaded the machine is, so never gated).
-      const double sharded = slot_rate_once(world, true, 4, kFrame, timed);
-      std::cout << "  n=" << n << " sharded(4 workers): " << sharded << " slots/s\n";
-      report.metric("n100000_sharded_slots_per_sec", sharded);
     }
   }
 

@@ -1,17 +1,26 @@
 // Slot-rate regression harness for the word-parallel simulator hot path
-// (DESIGN.md §8): measures scalar-vs-batched slots/sec for
+// (DESIGN.md §8): measures per-node-reference vs batched slots/sec for
 // n in {50, 100, 200, 400, 800, 1600, 3200} under DutyCycledScheduleMac
-// with tracing off, and gates on a >= 3x speedup at n = 400. The 1600 and
-// 3200 rows ride along informationally (slots_per_sec metrics only, no
-// gated *_speedup — the scalar pipeline is far outside its design envelope
-// there and the ratio is too noisy to gate; the metropolitan sizes proper
-// are bench_megascale's job). Emits BENCH_sim_hotpath.json (consumed by
-// scripts/run_benches.sh --perf-check for regression tracking against the
-// committed baseline).
+// with tracing off, and gates on a >= 3x speedup at n = 400. The reference
+// side is the same MAC behind ScalarOnlyMac (tests/support/), which hides
+// its slot sets so the simulator drives it node by node. The 1600 and 3200
+// rows ride along informationally (slots_per_sec metrics only, no gated
+// *_speedup — the per-node path is far outside its design envelope there
+// and the ratio is too noisy to gate; the metropolitan sizes proper are
+// bench_megascale's job).
+//
+// Two informational ladders record where the hybrid sparse/dense pipeline
+// (SimConfig::hybrid_pipeline) overtakes the dense one: n<N>_hybrid_*
+// under the gated Bernoulli workload, and n<N>_saturated_{batched,hybrid}_*
+// under SaturatedFlows (every node backlogged toward a neighbour). Emits
+// BENCH_sim_hotpath.json (consumed by scripts/run_benches.sh --perf-check
+// for regression tracking against the committed baseline).
 #include <algorithm>
 #include <cstddef>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
@@ -22,6 +31,7 @@
 #include "obs/report.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/scalar_only_mac.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -30,18 +40,45 @@ using namespace ttdc;
 
 constexpr std::uint64_t kWarmup = 2000;
 constexpr int kPairs = 9;
+constexpr int kSaturatedPairs = 5;
 constexpr double kGateN = 400;
 constexpr double kGateSpeedup = 3.0;
 
 // Timed slots scale down with n so every row costs comparable wall time.
 std::uint64_t timed_slots(std::size_t n) { return 4'000'000 / n; }
 
-double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool force_scalar) {
+enum class Pipeline { kScalarOnly, kDense, kHybrid };
+
+/// Every node backlogged toward one random neighbour (the worst case of
+/// Theorems 2-4).
+std::vector<std::pair<std::size_t, std::size_t>> saturated_flows(const net::Graph& g) {
+  std::vector<std::pair<std::size_t, std::size_t>> flows;
+  util::Xoshiro256 rng(5);
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const std::vector<std::size_t> neighbors = g.neighbor_list(v);
+    if (!neighbors.empty()) flows.emplace_back(v, neighbors[rng.below(neighbors.size())]);
+  }
+  return flows;
+}
+
+double slot_rate_once(const net::Graph& g, const core::Schedule& duty, Pipeline pipeline,
+                      bool saturated) {
   sim::DutyCycledScheduleMac mac(duty);
-  sim::BernoulliTraffic traffic(g.num_nodes(), 0.01);
+  sim::ScalarOnlyMac scalar_mac(mac);
+  sim::Simulator* running = nullptr;
+  std::unique_ptr<sim::TrafficSource> traffic;
+  if (saturated) {
+    traffic = std::make_unique<sim::SaturatedFlows>(
+        saturated_flows(g), [&running](std::size_t v) { return running->queue_size(v); });
+  } else {
+    traffic = std::make_unique<sim::BernoulliTraffic>(g.num_nodes(), 0.01);
+  }
   sim::SimConfig config{.seed = 7};
-  config.force_scalar_pipeline = force_scalar;
-  sim::Simulator sim(g, mac, traffic, config);
+  config.hybrid_pipeline = pipeline == Pipeline::kHybrid;
+  sim::MacProtocol& driven =
+      pipeline == Pipeline::kScalarOnly ? static_cast<sim::MacProtocol&>(scalar_mac) : mac;
+  sim::Simulator sim(g, driven, *traffic, config);
+  running = &sim;
   sim.run(kWarmup);
   const std::uint64_t timed = timed_slots(g.num_nodes());
   util::Timer timer;
@@ -49,21 +86,26 @@ double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool forc
   return static_cast<double>(timed) / timer.seconds();
 }
 
+double max_of(const std::vector<double>& v) { return *std::max_element(v.begin(), v.end()); }
+
 }  // namespace
 
 int main() {
   obs::BenchReport report("sim_hotpath");
   report.param("mac", "DutyCycledScheduleMac");
+  report.param("reference", "scalar_only_mac");
   report.param("traffic", "bernoulli_0.01");
   report.param("pairs", static_cast<std::int64_t>(kPairs));
+  report.param("saturated_pairs", static_cast<std::int64_t>(kSaturatedPairs));
   report.param("warmup_slots", static_cast<std::int64_t>(kWarmup));
   report.param("gate_n", static_cast<std::int64_t>(kGateN));
   report.param("gate_speedup", kGateSpeedup);
 
   bool gate_ok = false;
   double gate_speedup = 0.0;
-  std::cout << "simulator hot path: scalar vs batched pipeline (slots/sec)\n"
-            << "    n     scalar/s    batched/s  speedup\n";
+  std::cout << "simulator hot path (slots/sec; scalar = MAC behind ScalarOnlyMac)\n"
+            << "    n     scalar/s    batched/s     hybrid/s  speedup"
+            << "  sat.batched/s   sat.hybrid/s\n";
   for (std::size_t n : {50, 100, 200, 400, 800, 1600, 3200}) {
     util::Xoshiro256 rng(3);
     const net::Graph g = net::random_bounded_degree_graph(n, 4, 2 * n, rng);
@@ -72,26 +114,40 @@ int main() {
         n / 3);
     // Back-to-back scalar/batched pairs scored by the median per-pair
     // ratio: pairing cancels clock drift, the median discards load spikes
-    // (same methodology as the ring-sink budget in bench_scalability).
-    std::vector<double> ratios, scalar_rates, batched_rates;
-    slot_rate_once(g, duty, false);  // shared warmup rep, untimed
+    // (same methodology as the ring-sink budget in bench_scalability). The
+    // hybrid rep rides in the same round so all three see the same load.
+    std::vector<double> ratios, scalar_rates, batched_rates, hybrid_rates;
+    slot_rate_once(g, duty, Pipeline::kDense, false);  // shared warmup rep, untimed
     for (int rep = 0; rep < kPairs; ++rep) {
-      const double s = slot_rate_once(g, duty, true);
-      const double b = slot_rate_once(g, duty, false);
+      const double s = slot_rate_once(g, duty, Pipeline::kScalarOnly, false);
+      const double b = slot_rate_once(g, duty, Pipeline::kDense, false);
       scalar_rates.push_back(s);
       batched_rates.push_back(b);
+      hybrid_rates.push_back(slot_rate_once(g, duty, Pipeline::kHybrid, false));
       ratios.push_back(b / s);
     }
     std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
     const double speedup = ratios[kPairs / 2];
-    const double scalar = *std::max_element(scalar_rates.begin(), scalar_rates.end());
-    const double batched = *std::max_element(batched_rates.begin(), batched_rates.end());
-    std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << speedup
-              << "x\n";
+    // Saturated rows: dense vs hybrid only (max over interleaved reps).
+    std::vector<double> sat_batched_rates, sat_hybrid_rates;
+    for (int rep = 0; rep < kSaturatedPairs; ++rep) {
+      sat_batched_rates.push_back(slot_rate_once(g, duty, Pipeline::kDense, true));
+      sat_hybrid_rates.push_back(slot_rate_once(g, duty, Pipeline::kHybrid, true));
+    }
+    const double scalar = max_of(scalar_rates);
+    const double batched = max_of(batched_rates);
+    const double hybrid = max_of(hybrid_rates);
+    const double sat_batched = max_of(sat_batched_rates);
+    const double sat_hybrid = max_of(sat_hybrid_rates);
+    std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << hybrid << "  "
+              << speedup << "x  " << sat_batched << "  " << sat_hybrid << "\n";
     std::string key = "n";
     key += std::to_string(n);
     report.metric(key + "_scalar_slots_per_sec", scalar);
     report.metric(key + "_batched_slots_per_sec", batched);
+    report.metric(key + "_hybrid_slots_per_sec", hybrid);
+    report.metric(key + "_saturated_batched_slots_per_sec", sat_batched);
+    report.metric(key + "_saturated_hybrid_slots_per_sec", sat_hybrid);
     // The extended ladder rows (n > 800) are informational only: no
     // *_speedup key, so --perf-check never gates them.
     if (n <= 800) report.metric(key + "_speedup", speedup);

@@ -1,8 +1,8 @@
 // Spatial collision domains over unit-square node positions.
 //
 // A DomainGrid buckets nodes into square cells of side >= the transmission
-// radius. That choice gives the invariant the sharded phase-2 kernel and
-// the grid-accelerated unit-disk builder both lean on (DESIGN.md §13):
+// radius. That choice gives the invariant the grid-accelerated unit-disk
+// builder leans on (DESIGN.md §13):
 //
 //   any two nodes within `radius` of each other — hence any interfering
 //   pair in a unit-disk topology — lie in the same cell or in cells that
@@ -12,8 +12,7 @@
 // Buckets update incrementally: MobilityModel calls move() per node per
 // epoch, which re-buckets only the nodes that actually crossed a cell
 // boundary instead of rebuilding the grid. audit_edges() checks the
-// invariant against a concrete Graph (used by tests and the simulator's
-// audit path).
+// invariant against a concrete Graph (used by tests).
 #pragma once
 
 #include <cstddef>

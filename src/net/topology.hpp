@@ -56,8 +56,7 @@ Positions random_positions(std::size_t n, util::Xoshiro256& rng);
 Graph unit_disk_graph(const Positions& pos, double radius, std::size_t max_degree);
 
 /// Same, but reusing an already-bucketed grid over `pos` (the mobility
-/// model's incremental grid, or a grid the caller also feeds to the
-/// simulator as its collision-domain map).
+/// model's incremental grid).
 Graph unit_disk_graph(const Positions& pos, double radius, std::size_t max_degree,
                       const DomainGrid& grid);
 
@@ -78,8 +77,8 @@ class MobilityModel {
   [[nodiscard]] const Positions& positions() const { return pos_; }
 
   /// The incrementally-maintained collision-domain grid over positions().
-  /// Valid for the topology returned by the latest step(); hand it to
-  /// SimConfig::domains to shard the collision kernel spatially.
+  /// Valid for the topology returned by the latest step(); step() builds
+  /// the next unit-disk graph through it.
   [[nodiscard]] const DomainGrid& grid() const { return grid_; }
 
  private:

@@ -22,13 +22,6 @@
 // The determinism contract is what makes the parallelism trustworthy: a
 // campaign's numbers can be compared across machines and worker counts, and
 // bench_campaign's --perf-check gate enforces exactly that equality.
-//
-// Cells may themselves run sharded simulators (SimConfig::shard_workers,
-// DESIGN.md §13): the sharded phase-2 kernel follows the same
-// precompute-parallel / fold-serial discipline as the campaign barrier, so
-// it is bit-identical at any worker count — and inside a campaign worker it
-// degrades to serial automatically (util::in_parallel_region), so nesting
-// a sharded cell under a parallel campaign is safe, just not faster.
 #pragma once
 
 #include <cstddef>

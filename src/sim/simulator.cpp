@@ -1,15 +1,12 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
-#include "net/domain_grid.hpp"
 #include "obs/profile.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
-#include "util/parallel.hpp"
 
 namespace ttdc::sim {
 
@@ -19,14 +16,6 @@ constexpr auto kTransmitIdx = static_cast<std::size_t>(RadioState::kTransmit);
 constexpr auto kReceiveIdx = static_cast<std::size_t>(RadioState::kReceive);
 constexpr auto kListenIdx = static_cast<std::size_t>(RadioState::kListen);
 constexpr auto kSleepIdx = static_cast<std::size_t>(RadioState::kSleep);
-
-// Phase-2 verdict codes (compute_reception_verdicts / resolve_receptions).
-enum : std::uint8_t { kVerdictClear = 0, kVerdictAsleep = 1, kVerdictCollision = 2 };
-
-// Work-queue granularity for the sharded verdict kernel: big enough that a
-// chunk amortizes its fetch_add, small enough that uneven collision domains
-// still balance across the team.
-constexpr std::size_t kVerdictChunk = 64;
 }  // namespace
 
 Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
@@ -55,8 +44,7 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   battery_.assign(n, to_units(config_.battery_mj));
   dead_ = util::SlotSet(n);
   death_slot_.assign(n, kNeverDied);
-  hybrid_ = config_.hybrid_pipeline && !config_.force_scalar_pipeline;
-  if (!hybrid_) {
+  if (!config_.hybrid_pipeline) {
     // Dense mode: every per-slot set frozen dense, so the pipeline's cost
     // profile (and its perf baselines) is exactly the pre-hybrid one.
     for (util::SlotSet* set :
@@ -64,10 +52,6 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
           &prev_awake_, &listen_, &awake_now_, &woke_, &scratch_, &dead_}) {
       set->pin_dense();
     }
-  } else {
-    verdicts_.reserve(n);
-    shard_order_.reserve(n);
-    shard_keys_.reserve(n);
   }
   routing_view_ = config_.shared_routing != nullptr ? config_.shared_routing : &routing_;
   if (config_.shared_routing != nullptr) {
@@ -98,7 +82,7 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
     jamming_ = util::SlotSet(n);
     jam_active_ = util::SlotSet(n);
     fault_out_ = util::SlotSet(n);
-    if (!hybrid_) {
+    if (!config_.hybrid_pipeline) {
       for (util::SlotSet* set : {&down_, &jamming_, &jam_active_, &fault_out_}) {
         set->pin_dense();
       }
@@ -136,12 +120,12 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
     }
   }
   // Fast-forward arming (see the SimConfig knob). Beyond the explicit
-  // opt-in, every per-slot randomness source must be absent: the scalar
-  // pipeline and channel imperfections draw from rng_ on paths a replay
-  // would skip, a tracing hook expects per-slot events, and an opaque
-  // traffic source cannot prove a frame silent. Randomized MACs disarm
-  // dynamically instead — fast_forward_period() == 0 keeps run() stepping.
-  if (config_.fast_forward && !config_.force_scalar_pipeline && !tracing_ &&
+  // opt-in, every per-slot randomness source must be absent: channel
+  // imperfections draw from rng_ on paths a replay would skip, a tracing
+  // hook expects per-slot events, and an opaque traffic source cannot prove
+  // a frame silent. Randomized MACs disarm dynamically instead —
+  // fast_forward_period() == 0 keeps run() stepping.
+  if (config_.fast_forward && !tracing_ &&
       config_.packet_error_rate == 0.0 && config_.sync_miss_rate == 0.0 &&
       traffic_.supports_lookahead()) {
     ff_ = std::make_unique<FastForwardState>();
@@ -357,83 +341,33 @@ void Simulator::step() {
     mac_.begin_slot(now_, rng_);
   }
 
-  if (config_.force_scalar_pipeline) {
-    collect_transmissions_scalar();
-    // Jammers join the transmitter set AFTER collection (they carry no
-    // packet, so they never enter tx_nodes_) and BEFORE resolution, where
-    // they collide with any reception in their neighborhood — identically
-    // on both pipelines.
-    if (fault_world_) transmitting_ |= jam_active_;
-    resolve_receptions(/*batched=*/false);
-    account_energy_scalar(/*receivers=*/nullptr);
+  // One virtual call per slot replaces the O(n) per-node queries: the MAC
+  // publishes its slot as two sets (or falls back to per-node queries for
+  // phases 1 and 3 while phase 2 stays word-parallel).
+  const bool mac_batched = mac_.fill_slot_sets(receivers_, eligible_);
+  collect_transmissions(mac_batched);
+  // Jammers join the transmitter set AFTER collection (they carry no
+  // packet, so they never enter tx_nodes_) and BEFORE resolution, where
+  // they collide with any reception in their neighborhood.
+  if (fault_world_) transmitting_ |= jam_active_;
+  resolve_receptions();
+  if (mac_batched) {
+    account_energy_batched();
   } else {
-    // One virtual call per slot replaces the O(n) per-node queries: the MAC
-    // publishes its slot as two bitsets (or falls back to scalar queries
-    // for phases 1 and 3 while phase 2 stays word-parallel).
-    const bool mac_batched = mac_.fill_slot_sets(receivers_, eligible_);
-    collect_transmissions_batched(mac_batched);
-    if (fault_world_) transmitting_ |= jam_active_;
-    if (hybrid_ && config_.shard_workers > 1) compute_reception_verdicts();
-    resolve_receptions(/*batched=*/true);
-    if (mac_batched) {
-      account_energy_batched();
-    } else {
-      account_energy_scalar(&receivers_);
-    }
+    account_energy_scalar();
   }
 
   ++now_;
   ++stats_.slots_run;
 }
 
-// Phase 1 (legacy): walk every node, querying the MAC per node.
-void Simulator::collect_transmissions_scalar() {
-  TTDC_PROF_SCOPE("sim.step.collect");
-  const std::size_t n = graph_.num_nodes();
-  tx_nodes_.clear();
-  tx_targets_.clear();
-  transmitting_.reset_all();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (dead_.test(v)) continue;
-    if (fault_world_ && fault_out_.test(v)) continue;  // down or jamming
-    auto& q = queues_[v];
-    while (!q.empty()) {
-      const std::size_t hop = routing_view_->next_hop(v, q.front().destination);
-      if (hop == kNoHop) {
-        if (config_.drop_unroutable) {
-          ++stats_.queue_drops;
-          if (hot_.queue_drops) hot_.queue_drops->inc();
-          trace(TraceEvent::Kind::kQueueDrop, v, q.front().origin, q.front().id);
-          if (recording_) {
-            record_flight(obs::FlightEvent::Kind::kExpired, v, q.front().origin,
-                          q.front().id);
-          }
-          queue_pop(v);
-          continue;  // look at the next packet
-        }
-        break;  // stall
-      }
-      if (mac_.wants_transmit(v, hop)) {
-        tx_nodes_.push_back(v);
-        tx_targets_.push_back(hop);
-        transmitting_.set(v);
-        trace(TraceEvent::Kind::kTransmit, v, hop, q.front().id);
-        if (recording_) {
-          record_flight(obs::FlightEvent::Kind::kTxAttempt, v, hop, q.front().id);
-        }
-      }
-      break;
-    }
-  }
-}
-
-// Phase 1 (batched): word-parallel selection of the nodes that can matter
-// this slot. With a batched MAC only an eligible transmitter can send and
-// only an unroutable queue head can be dropped, so the visit set shrinks
-// from every backlogged node to backlogged ∩ (eligible ∪ unroutable-head) —
-// under a duty-cycled schedule that is a duty-cycle fraction of n. The
-// transmit decision is two bit tests instead of a virtual call.
-void Simulator::collect_transmissions_batched(bool mac_batched) {
+// Phase 1: word-parallel selection of the nodes that can matter this slot.
+// With a batched MAC only an eligible transmitter can send and only an
+// unroutable queue head can be dropped, so the visit set shrinks from every
+// backlogged node to backlogged ∩ (eligible ∪ unroutable-head) — under a
+// duty-cycled schedule that is a duty-cycle fraction of n. The transmit
+// decision is two bit tests instead of a virtual call.
+void Simulator::collect_transmissions(bool mac_batched) {
   TTDC_PROF_SCOPE("sim.step.collect");
   tx_nodes_.clear();
   tx_targets_.clear();
@@ -493,87 +427,16 @@ void Simulator::collect_transmissions_batched(bool mac_batched) {
   });
 }
 
-// Sharded phase-2 precompute (DESIGN.md §13): every pending transmission's
-// verdict — receiver asleep, collided, or clear — is a pure function of the
-// slot's frozen sets (dead_/down_/receivers_/transmitting_/graph_; nothing
-// phase 2 mutates), so the verdicts compute in parallel and the stateful
-// fold in resolve_receptions() — queue mutations, stats, channel-noise rng
-// draws — replays them serially in transmitter-index order. That makes the
-// result bit-identical at ANY worker count, the same determinism discipline
-// as the campaign barrier. Work is grouped by the receiver's collision
-// domain when SimConfig::domains is set, so a worker's chunk touches one
-// spatial region of the adjacency structure.
-void Simulator::compute_reception_verdicts() {
-  TTDC_PROF_SCOPE("sim.step.verdicts");
-  const std::size_t m = tx_nodes_.size();
-  verdicts_.resize(m);
-  use_verdicts_ = m > 0;
-  const auto verdict_of = [&](std::size_t i) -> std::uint8_t {
-    const std::size_t y = tx_targets_[i];
-    if (dead_.test(y) || (fault_world_ && down_.test(y)) || !receivers_.test(y) ||
-        transmitting_.test(y)) {
-      return kVerdictAsleep;
-    }
-    // x is a transmitting neighbor of y, so collision iff the transmitting-
-    // neighbor count exceeds one (see resolve_receptions).
-    return graph_.neighbors(y).intersection_count(transmitting_) > 1 ? kVerdictCollision
-                                                                     : kVerdictClear;
-  };
-  const int workers = config_.shard_workers;
-  if (workers <= 1 || m < config_.shard_min_items || util::in_parallel_region()) {
-    for (std::size_t i = 0; i < m; ++i) verdicts_[i] = verdict_of(i);
-    return;
-  }
-  shard_order_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) shard_order_[i] = static_cast<std::uint32_t>(i);
-  if (config_.domains != nullptr) {
-    shard_keys_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      shard_keys_[i] = config_.domains->cell_of(tx_targets_[i]);
-    }
-    // (cell, index) order: domain-grouped, deterministic, and within a cell
-    // still index-ordered so chunks stream the tx arrays forward.
-    std::sort(shard_order_.begin(), shard_order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (shard_keys_[a] != shard_keys_[b]) return shard_keys_[a] < shard_keys_[b];
-                return a < b;
-              });
-  }
-  std::atomic<std::size_t> next{0};
-  util::parallel_workers(workers, [&](int) {
-    // Shared-queue pull: the runtime may grant fewer threads than asked, so
-    // every worker drains chunks until the queue is empty.
-    for (;;) {
-      const std::size_t begin = next.fetch_add(kVerdictChunk, std::memory_order_relaxed);
-      if (begin >= m) return;
-      const std::size_t end = std::min(begin + kVerdictChunk, m);
-      for (std::size_t j = begin; j < end; ++j) {
-        const std::size_t i = shard_order_[j];
-        verdicts_[i] = verdict_of(i);
-      }
-    }
-  });
-}
-
 // Phase 2: resolve receptions under the collision-at-receiver model.
-void Simulator::resolve_receptions(bool batched) {
+void Simulator::resolve_receptions() {
   TTDC_PROF_SCOPE("sim.step.resolve");
   stats_.transmissions += tx_nodes_.size();
   if (hot_.transmissions) hot_.transmissions->inc(tx_nodes_.size());
-  const std::uint8_t* verdicts = use_verdicts_ ? verdicts_.data() : nullptr;
-  use_verdicts_ = false;
   for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
     const std::size_t x = tx_nodes_[i];
     const std::size_t y = tx_targets_[i];
-    bool asleep;
-    if (verdicts != nullptr) {
-      asleep = verdicts[i] == kVerdictAsleep;
-    } else {
-      const bool receiver_ok = batched ? receivers_.test(y) : mac_.can_receive(y);
-      asleep = dead_.test(y) || (fault_world_ && down_.test(y)) || !receiver_ok ||
-               transmitting_.test(y);
-    }
-    if (asleep) {
+    if (dead_.test(y) || (fault_world_ && down_.test(y)) || !receivers_.test(y) ||
+        transmitting_.test(y)) {
       ++stats_.receiver_asleep;
       if (hot_.receiver_asleep) hot_.receiver_asleep->inc();
       trace(TraceEvent::Kind::kReceiverAsleep, y, x, queues_[x].front().id);
@@ -586,21 +449,7 @@ void Simulator::resolve_receptions(bool batched) {
     // transmitting neighbor of y (next hops are neighbors), so counting
     // transmitting neighbors word-parallel — no materialized intersection,
     // no allocation — gives: collision iff the count exceeds one.
-    bool collision;
-    if (verdicts != nullptr) {
-      collision = verdicts[i] == kVerdictCollision;
-    } else if (batched) {
-      collision = graph_.neighbors(y).intersection_count(transmitting_) > 1;
-    } else {
-      // Legacy formulation, kept as the differential reference (and kept
-      // allocating: the zero-allocation test pins the batched pipeline by
-      // differencing against this one).
-      util::DynamicBitset interferers = graph_.neighbors(y).to_dense_bitset();
-      interferers &= transmitting_.as_dense();
-      interferers.reset(x);
-      collision = interferers.any();
-    }
-    if (collision) {
+    if (graph_.neighbors(y).intersection_count(transmitting_) > 1) {
       ++stats_.collisions;
       if (hot_.collisions) hot_.collisions->inc();
       trace(TraceEvent::Kind::kCollision, y, x, queues_[x].front().id);
@@ -825,11 +674,11 @@ bool Simulator::ge_lost(std::size_t x, std::size_t y) {
   return loss > 0.0 && link.rng.uniform01() < loss;
 }
 
-// Phase 3 (scalar): per-node energy accounting (dead nodes draw nothing and
-// stay dead). Runs for the legacy pipeline (receivers == nullptr, virtual
-// can_receive per node) and for batched runs of scalar-only MACs
-// (receivers == &receivers_, idle_state still queried per idle node).
-void Simulator::account_energy_scalar(const util::SlotSet* receivers) {
+// Phase 3 (per node): energy accounting for a MAC without slot sets (dead
+// nodes draw nothing and stay dead). Receivers come from the receivers_ set
+// the base fill_slot_sets() filled; idle_state() is queried per idle node.
+// Like the batched phase 3, sleep slots are left to finalize_sleep_counts().
+void Simulator::account_energy_scalar() {
   TTDC_PROF_SCOPE("sim.step.energy");
   const std::size_t n = graph_.num_nodes();
   for (std::size_t v = 0; v < n; ++v) {
@@ -839,14 +688,14 @@ void Simulator::account_energy_scalar(const util::SlotSet* receivers) {
       state = RadioState::kSleep;  // a crashed radio is off (sleep-rate drain)
     } else if (transmitting_.test(v)) {
       state = RadioState::kTransmit;
-    } else if (receivers != nullptr ? receivers->test(v) : mac_.can_receive(v)) {
+    } else if (receivers_.test(v)) {
       state = RadioState::kListen;  // eligible receiver: awake whether or
                                     // not a packet actually arrived
     } else {
       state = mac_.idle_state(v);
     }
-    ++stats_.state_slots[v][static_cast<std::size_t>(state)];
     const bool asleep = state == RadioState::kSleep;
+    if (!asleep) ++stats_.state_slots[v][static_cast<std::size_t>(state)];
     const bool woke = !prev_awake_.test(v) && !asleep;
     if (woke) ++stats_.wake_transitions[v];
     if (asleep) {
@@ -891,7 +740,7 @@ void Simulator::account_energy_batched() {
   woke_.for_each([&](std::size_t v) { ++stats_.wake_transitions[v]; });
   if (config_.battery_mj > 0.0) {
     // State cost first, then the wakeup surcharge, then the death check —
-    // the same per-node subtraction order as the scalar pipeline, so the
+    // the same per-node subtraction order as the per-node phase 3, so the
     // battery trajectory is bit-identical.
     transmitting_.for_each([&](std::size_t v) { battery_[v] -= b_transmit_; });
     listen_.for_each([&](std::size_t v) { battery_[v] -= b_listen_; });
@@ -910,7 +759,6 @@ void Simulator::account_energy_batched() {
 }
 
 void Simulator::finalize_sleep_counts() {
-  if (config_.force_scalar_pipeline) return;
   const std::size_t n = stats_.state_slots.size();
   for (std::size_t v = 0; v < n; ++v) {
     const std::uint64_t passes =

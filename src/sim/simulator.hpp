@@ -7,12 +7,14 @@
 // (collision-at-receiver, no capture). Energy is accounted per node per
 // slot by radio state.
 //
-// The per-slot pipeline operates on whole node-sets (DynamicBitsets) rather
+// The per-slot pipeline operates on whole node-sets (util::SlotSet) rather
 // than individual nodes — the batched formulation the paper uses
 // analytically (per-slot transmitter set T[i] and receiver set R[i]) mapped
-// onto word-parallel kernels. The legacy node-at-a-time pipeline is kept
-// behind SimConfig::force_scalar_pipeline as the differential-testing
-// reference; both produce bit-identical SimStats. See DESIGN.md §8.
+// onto word-parallel kernels. A MAC that implements only the per-node
+// interface is driven through a per-node fallback for phases 1 and 3; the
+// golden tests use exactly that fallback as their differential oracle
+// (tests/support/scalar_only_mac.hpp), and both paths produce bit-identical
+// SimStats. See DESIGN.md §8.
 //
 // Topology can be swapped mid-run (set_graph) to model churn; topology-
 // transparent MACs keep working with no reconfiguration, which is the point
@@ -37,10 +39,6 @@
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
 #include "util/slot_set.hpp"
-
-namespace ttdc::net {
-class DomainGrid;  // net/domain_grid.hpp
-}
 
 namespace ttdc::sim {
 
@@ -79,11 +77,6 @@ struct SimConfig {
   /// sync_miss_rate (transmitter misaligned with the slot grid).
   double packet_error_rate = 0.0;
   double sync_miss_rate = 0.0;
-  /// Runs the legacy node-at-a-time pipeline instead of the word-parallel
-  /// batched one. The two are equivalent (same stats, same rng stream) and
-  /// the golden tests assert exactly that; outside those tests there is no
-  /// reason to set this.
-  bool force_scalar_pipeline = false;
   /// Hybrid sparse/dense pipeline (DESIGN.md §13). When set, the per-slot
   /// node sets keep their adaptive util::SlotSet representation, so phase
   /// costs scale with the slot's ACTIVE population instead of n — the
@@ -92,31 +85,8 @@ struct SimConfig {
   /// and the pipeline is byte-for-byte the pre-hybrid word-parallel one.
   /// Either way SimStats are bit-identical: representation never changes
   /// semantics, and the golden megascale tests assert exactly that (all
-  /// five MACs, faults armed and disarmed). Ignored under
-  /// force_scalar_pipeline.
+  /// five MACs, faults armed and disarmed).
   bool hybrid_pipeline = false;
-  /// Worker-team size for the sharded phase-2 reception kernel (hybrid
-  /// pipeline only; <= 1 keeps every phase serial). The per-transmission
-  /// verdicts (receiver-awake + collision) are pure reads of the slot's
-  /// frozen sets, so they precompute in parallel across util/parallel.hpp
-  /// workers — grouped by spatial collision domain when `domains` is set —
-  /// and the stateful fold (queue mutations, stats, channel-noise rng
-  /// draws) then replays serially in transmitter-index order. Results are
-  /// bit-identical at ANY worker count, the same discipline as the PR 4
-  /// campaign barrier. Inside an already-parallel region (campaign cells)
-  /// the kernel degrades to serial automatically.
-  int shard_workers = 0;
-  /// Minimum transmissions in a slot before phase 2 shards; below this the
-  /// parallel-region dispatch costs more than the kernel.
-  std::size_t shard_min_items = 128;
-  /// Optional spatial collision-domain grid over the topology's positions
-  /// (net/domain_grid.hpp; cell size >= transmission radius, so all of a
-  /// node's interferers are inside its 3x3 cell neighborhood). When set,
-  /// sharded phase-2 work is ordered by the receiver's cell so a worker's
-  /// chunk touches one spatial region. Must describe the simulator's
-  /// current topology and outlive it; MobilityModel::grid() maintains one
-  /// incrementally across mobility events.
-  const net::DomainGrid* domains = nullptr;
   /// Optional per-event hook; leave empty for zero overhead on the hot
   /// path beyond a branch. Structured sinks (JSONL, ring buffer, filters,
   /// fan-out) live in obs/trace.hpp and plug in via their fn() adapters.
@@ -152,7 +122,7 @@ struct SimConfig {
   /// randomness comes from per-link/per-node streams derived from the plan
   /// seed — never from the simulator's own rng_ — so a run with an
   /// armed-but-EMPTY plan is bit-identical to an unarmed run, and
-  /// scalar/batched pipeline golden equality holds with faults on. The plan
+  /// per-node/batched MAC golden equality holds with faults on. The plan
   /// must outlive the simulator and is shareable across cells (all mutable
   /// fault state lives in the simulator).
   const FaultPlan* fault_plan = nullptr;
@@ -174,9 +144,8 @@ struct SimConfig {
   /// invalidation source (arrival, fault event, battery death crossing,
   /// topology change, armed flight recorder). The knob is a no-op (engine
   /// stays disarmed) unless the MAC reports a fast_forward_period() and the
-  /// traffic source supports_lookahead(); it is also disarmed under
-  /// force_scalar_pipeline, tracing, or channel imperfections (per-slot rng
-  /// draws make frames unrepeatable).
+  /// traffic source supports_lookahead(); it is also disarmed under tracing
+  /// or channel imperfections (per-slot rng draws make frames unrepeatable).
   bool fast_forward = false;
 };
 
@@ -212,10 +181,10 @@ class Simulator {
   /// TTDC_DCHECK (abort, or ContractViolation in throw mode).
   void audit_invariants() const;
 
-  /// Simulation statistics. In the batched pipeline, per-node sleep-slot
-  /// counts are materialized lazily on this call (they are derived, not
-  /// accumulated, so sleepy networks cost O(awake) per slot, not O(n));
-  /// the operation is idempotent and logically const.
+  /// Simulation statistics. Per-node sleep-slot counts are materialized
+  /// lazily on this call (they are derived, not accumulated, so sleepy
+  /// networks cost O(awake) per slot, not O(n)); the operation is
+  /// idempotent and logically const.
   [[nodiscard]] const SimStats& stats() const {
     const_cast<Simulator*>(this)->finalize_sleep_counts();
     return stats_;
@@ -275,19 +244,12 @@ class Simulator {
                     std::uint64_t k);
 
   // --- pipeline phases (DESIGN.md §8) ---
-  void collect_transmissions_scalar();                 // phase 1, legacy
-  void collect_transmissions_batched(bool mac_batched);  // phase 1
-  void resolve_receptions(bool batched);               // phase 2
-  /// Sharded phase-2 verdict precompute (hybrid pipeline, shard_workers >
-  /// 1): fills verdicts_[i] for every pending transmission from the slot's
-  /// frozen sets, in parallel, ordered by collision domain when configured.
-  /// resolve_receptions() then consumes the verdicts in its serial
-  /// index-order fold.
-  void compute_reception_verdicts();
-  /// Phase 3, node-at-a-time. `receivers` substitutes for virtual
-  /// can_receive() calls when non-null (batched pipeline, scalar-only MAC).
-  void account_energy_scalar(const util::SlotSet* receivers);
-  void account_energy_batched();                       // phase 3, set-driven
+  void collect_transmissions(bool mac_batched);  // phase 1
+  void resolve_receptions();                     // phase 2
+  /// Phase 3 for a MAC without slot sets: per node, with idle_state()
+  /// queried for every alive node that neither transmits nor receives.
+  void account_energy_scalar();
+  void account_energy_batched();                 // phase 3, set-driven
   void kill_node(std::size_t v);
 
   // --- fault injection (all no-ops / never called unless fault_armed_) ---
@@ -304,9 +266,8 @@ class Simulator {
   /// loss verdict from the link's OWN SplitMix64-derived stream.
   bool ge_lost(std::size_t x, std::size_t y);
   /// Rewrites state_slots[v][kSleep] from the identity
-  ///   sleep = slots_participated - transmit - receive - listen,
-  /// which holds on every pipeline; the batched phase 3 never increments
-  /// sleep counts eagerly. No-op on the pure scalar pipeline.
+  ///   sleep = slots_participated - transmit - receive - listen;
+  /// phase 3 never increments sleep counts eagerly.
   void finalize_sleep_counts();
 
   /// Queue mutations funnel through these so backlogged_ and
@@ -314,7 +275,7 @@ class Simulator {
   /// (one cached-column lookup per head change) is what lets the batched
   /// phase 1 visit only eligible ∪ unroutable-head nodes instead of every
   /// backlogged node, while dropping unroutable packets in exactly the slot
-  /// the scalar pipeline would.
+  /// a node-at-a-time walk would.
   bool queue_push(std::size_t node, const Packet& p) {
     if (!queues_[node].push(p)) return false;
     backlogged_.set(node);
@@ -443,13 +404,6 @@ class Simulator {
   util::SlotSet dead_;          // depleted nodes
   std::vector<std::uint64_t> death_slot_;  // slot of death, kNeverDied while alive
 
-  // Sharded-phase-2 scratch (hybrid pipeline with shard_workers > 1).
-  bool hybrid_ = false;          // hybrid_pipeline && !force_scalar_pipeline
-  bool use_verdicts_ = false;    // verdicts_ filled for the current slot
-  std::vector<std::uint8_t> verdicts_;      // per pending transmission
-  std::vector<std::uint32_t> shard_order_;  // tx indices, domain-grouped
-  std::vector<std::uint32_t> shard_keys_;   // receiver cell per tx index
-
   // Fault-injection state (sized / maintained only when fault_armed_).
   bool fault_armed_ = false;          // config_.fault_plan != nullptr
   bool fault_world_ = false;          // plan has timestamped events (crash/jam/...)
@@ -468,7 +422,7 @@ class Simulator {
   };
   std::unordered_map<std::uint64_t, GeLink> ge_links_;  // key = x * n + y
   // Per-slot energy constants in battery units (see battery_ above);
-  // b_receive_ only feeds the scalar pipeline's per-state table.
+  // b_receive_ only feeds the per-node phase 3 (an idle_state() answer).
   std::int64_t b_transmit_ = 0, b_receive_ = 0, b_listen_ = 0, b_sleep_ = 0;
   std::int64_t b_wakeup_ = 0;
 

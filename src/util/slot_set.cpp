@@ -226,7 +226,11 @@ SlotSet& SlotSet::operator|=(const SlotSet& other) {
   scratch.reserve(sparse_.size() + other.sparse_.size());
   std::set_union(sparse_.begin(), sparse_.end(), other.sparse_.begin(), other.sparse_.end(),
                  std::back_inserter(scratch));
-  sparse_.swap(scratch);
+  // Copy back rather than swap buffers: a swap would hand this set's buffer
+  // to the shared scratch and shuffle capacities between sets, so a set
+  // could keep meeting a too-small buffer (and allocating) long after its
+  // own population peaked.
+  sparse_.assign(scratch.begin(), scratch.end());
   count_ = sparse_.size();
   maybe_promote();
   return *this;

@@ -8,8 +8,8 @@
 // schedules are designed for. Every operation is representation-
 // transparent: two SlotSets holding the same members are equal and behave
 // identically regardless of how either stores them, which is what lets the
-// sharded hybrid pipeline stay bit-identical to the dense batched one
-// (DESIGN.md §13).
+// hybrid pipeline stay bit-identical to the dense batched one (DESIGN.md
+// §13).
 //
 // Representation policy (hysteresis, so counts oscillating around a single
 // threshold never flap):
@@ -169,21 +169,6 @@ class SlotSet {
         word &= word - 1;
       }
     }
-  }
-
-  /// Sorted member list when sparse (empty span view is not provided for
-  /// dense sets — callers branch on is_dense()). The sharded phase-3 fold
-  /// partitions this directly.
-  [[nodiscard]] const std::vector<std::uint32_t>& sparse_members() const {
-    TTDC_DCHECK(!dense_, "sparse_members() on a dense SlotSet");
-    return sparse_;
-  }
-
-  /// Dense word view; only valid in dense representation (checked). The
-  /// legacy scalar pipeline and fused dense kernels use this.
-  [[nodiscard]] const DynamicBitset& as_dense() const {
-    TTDC_DCHECK(dense_, "as_dense() on a sparse SlotSet");
-    return bits_;
   }
 
   /// Materializes a DynamicBitset copy (allocates; not for hot paths).

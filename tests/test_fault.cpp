@@ -2,7 +2,8 @@
 // Covers: plan derivation determinism and per-class stream separation, the
 // Gilbert-Elliott channel math, crash/recover/jam/battery-spike semantics
 // against hand-written event lists, the armed-but-empty bit-identity
-// contract, scalar/batched golden equality with a generative plan armed,
+// contract, golden equality between a MAC's batched slot sets and the same
+// MAC behind ScalarOnlyMac with a generative plan armed,
 // and fault instants in the flight record.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/scalar_only_mac.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -324,13 +326,14 @@ TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
   auto run_with = [&](const FaultPlan* plan, bool scalar) {
     const Schedule s = duty_schedule();
     DutyCycledScheduleMac mac(s);
+    ScalarOnlyMac scalar_mac(mac);
     BernoulliTraffic traffic(kN, 0.02);
     SimConfig cfg;
     cfg.seed = 47;
     cfg.packet_error_rate = 0.01;  // exercise the channel RNG stream too
-    cfg.force_scalar_pipeline = scalar;
     cfg.fault_plan = plan;
-    Simulator sim(test_graph(), mac, traffic, cfg);
+    Simulator sim(test_graph(), scalar ? static_cast<MacProtocol&>(scalar_mac) : mac,
+                  traffic, cfg);
     sim.run(kSlots);
     return sim.stats();
   };
@@ -343,20 +346,21 @@ TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
 
 TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
   // The full storm (crashes, bursty loss, drift, spikes, jammers) must
-  // preserve scalar/batched golden equality — fault handling sits on both
-  // pipelines' shared phases.
+  // preserve golden equality between the batched slot sets and the per-node
+  // fallback — fault handling sits on the phases both share.
   const FaultPlan plan(stormy_config(kSlots), kN, 0xdead);
   ASSERT_FALSE(plan.events().empty());
   auto run_pipeline = [&](bool scalar) {
     const Schedule s = duty_schedule();
     DutyCycledScheduleMac mac(s);
+    ScalarOnlyMac scalar_mac(mac);
     BernoulliTraffic traffic(kN, 0.02);
     SimConfig cfg;
     cfg.seed = 48;
     cfg.battery_mj = 1e5;
-    cfg.force_scalar_pipeline = scalar;
     cfg.fault_plan = &plan;
-    Simulator sim(test_graph(), mac, traffic, cfg);
+    Simulator sim(test_graph(), scalar ? static_cast<MacProtocol&>(scalar_mac) : mac,
+                  traffic, cfg);
     sim.run(kSlots);
     return sim.stats();
   };

@@ -26,6 +26,7 @@
 #include "runner/runner.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/scalar_only_mac.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -65,19 +66,23 @@ struct Scenario {
     return net::random_bounded_degree_graph(n, d, 2 * n, rng);
   }
 
+  /// `scalar_only` drives the MAC through sim::ScalarOnlyMac, the
+  /// simulator's per-node reference path.
   sim::SimStats run(std::uint64_t slots, FlightRecorder* recorder,
-                    bool force_scalar = false,
+                    bool scalar_only = false,
                     std::vector<sim::TraceEvent>* trace = nullptr) const {
     sim::DutyCycledScheduleMac mac(duty);
+    sim::ScalarOnlyMac scalar_mac(mac);
     sim::BernoulliTraffic traffic(nodes, 0.02);
     sim::SimConfig config;
     config.seed = 9;
     config.recorder = recorder;
-    config.force_scalar_pipeline = force_scalar;
     if (trace != nullptr) {
       config.trace = [trace](const sim::TraceEvent& e) { trace->push_back(e); };
     }
-    sim::Simulator sim(graph, mac, traffic, config);
+    sim::Simulator sim(graph,
+                       scalar_only ? static_cast<sim::MacProtocol&>(scalar_mac) : mac,
+                       traffic, config);
     sim.run(slots);
     return sim.stats();
   }
@@ -138,12 +143,12 @@ TEST(FlightRecorderSim, GoldenStatsUntouchedByRecording) {
   expect_stats_equal(plain, recorded);
   EXPECT_GT(ring.seen(), 0u);
 
-  // Scalar pipeline with the recorder attached stays golden too.
+  // The per-node reference path with the recorder attached stays golden too.
   FlightRecorder scalar_ring(1 << 16);
-  const sim::SimStats scalar = sc.run(1200, &scalar_ring, /*force_scalar=*/true);
+  const sim::SimStats scalar = sc.run(1200, &scalar_ring, /*scalar_only=*/true);
   expect_stats_equal(plain, scalar);
-  // Both pipelines must emit the identical event stream, not merely the
-  // same totals.
+  // Both paths must emit the identical event stream, not merely the same
+  // totals.
   EXPECT_TRUE(ring.events() == scalar_ring.events());
 }
 

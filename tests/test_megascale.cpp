@@ -1,11 +1,9 @@
 // The megascale pipeline (DESIGN.md §13): golden SimStats equality between
-// the dense batched pipeline (every per-slot set pinned dense — the PR 3
-// hot path, byte for byte) and the sharded hybrid pipeline (adaptive
-// sparse/dense SlotSets + parallel phase-2 verdict precompute grouped by
-// spatial collision domain). Covers all five in-tree MACs, faults armed and
-// disarmed, several sizes, and every shard worker count — plus the
-// DomainGrid invariants the sharding leans on and the O(batch) traffic
-// source the megascale bench drives.
+// the dense batched pipeline (every per-slot set pinned dense) and the
+// hybrid pipeline (adaptive sparse/dense SlotSets). Covers all five in-tree
+// MACs, faults armed and disarmed, and several sizes — plus the DomainGrid
+// invariants the grid-accelerated unit-disk builder leans on and the
+// O(batch) traffic source the megascale bench drives.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,8 +29,6 @@ constexpr std::size_t kMaxDegree = 6;
 constexpr std::uint64_t kSlots = 1200;
 
 struct TestWorld {
-  net::Positions pos;
-  net::DomainGrid grid;
   net::Graph graph;
   core::Schedule schedule;
 };
@@ -46,13 +42,11 @@ double radius_for(std::size_t n) {
 TestWorld make_world(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   net::Positions pos = net::random_positions(n, rng);
-  const double radius = radius_for(n);
-  net::DomainGrid grid(pos, radius);
-  net::Graph graph = net::unit_disk_graph(pos, radius, kMaxDegree, grid);
+  net::Graph graph = net::unit_disk_graph(pos, radius_for(n), kMaxDegree);
   core::Schedule schedule = core::construct_duty_cycled(
       core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, kMaxDegree), n)),
       kMaxDegree, 4, std::max<std::size_t>(4, n / 3));
-  return {std::move(pos), std::move(grid), std::move(graph), std::move(schedule)};
+  return {std::move(graph), std::move(schedule)};
 }
 
 FaultPlan make_fault_plan(std::size_t n, std::uint64_t seed) {
@@ -127,7 +121,7 @@ std::unique_ptr<MacProtocol> make_mac(MacKind kind, const TestWorld& world) {
 }
 
 SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
-                   bool hybrid, int shard_workers) {
+                   bool hybrid) {
   const std::size_t n = world.graph.num_nodes();
   auto mac = make_mac(kind, world);
   ConvergecastTraffic traffic(n, /*sink=*/0, 0.01);
@@ -136,17 +130,14 @@ SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
   cfg.packet_error_rate = 0.01;
   cfg.fault_plan = plan;
   cfg.hybrid_pipeline = hybrid;
-  cfg.shard_workers = shard_workers;
-  cfg.shard_min_items = 1;  // shard even tiny slots: exercise the kernel
-  cfg.domains = &world.grid;
   Simulator sim(world.graph, *mac, traffic, cfg);
   sim.run(kSlots);
   return sim.stats();  // stats() finalizes the derived sleep counters
 }
 
-// The headline golden gate: dense batched vs sharded hybrid, all five MACs,
-// faults armed and disarmed, n ∈ {50, 400, 800}.
-TEST(MegascaleGolden, HybridShardedMatchesDenseBatchedAllMacs) {
+// The headline golden gate: dense batched vs hybrid, all five MACs, faults
+// armed and disarmed, n ∈ {50, 400, 800}.
+TEST(MegascaleGolden, HybridMatchesDenseBatchedAllMacs) {
   for (const std::size_t n : {std::size_t{50}, std::size_t{400}, std::size_t{800}}) {
     const TestWorld world = make_world(n, 0xBEEF + n);
     const FaultPlan plan = make_fault_plan(n, 0x5AFE + n);
@@ -154,52 +145,14 @@ TEST(MegascaleGolden, HybridShardedMatchesDenseBatchedAllMacs) {
          {MacKind::kDutyCycled, MacKind::kAloha, MacKind::kUncoordinated,
           MacKind::kCommonActive, MacKind::kColoringTdma}) {
       for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
-        const SimStats dense = run_world(world, kind, p, /*hybrid=*/false, 0);
-        const SimStats hybrid = run_world(world, kind, p, /*hybrid=*/true, 8);
+        const SimStats dense = run_world(world, kind, p, /*hybrid=*/false);
+        const SimStats hybrid = run_world(world, kind, p, /*hybrid=*/true);
         ASSERT_NO_FATAL_FAILURE(expect_identical_stats(dense, hybrid))
             << "n=" << n << " mac=" << mac_name(kind)
             << " faults=" << (p != nullptr);
       }
     }
   }
-}
-
-// Bit-identical at ANY worker count — the determinism contract of the
-// verdict precompute + serial fold (and TSan-clean under the sanitizer CI
-// jobs at 1/2/8 workers).
-TEST(MegascaleGolden, ShardWorkerCountNeverChangesResults) {
-  const TestWorld world = make_world(400, 0xD0);
-  const FaultPlan plan = make_fault_plan(400, 0xD1);
-  const SimStats reference = run_world(world, MacKind::kDutyCycled, &plan,
-                                       /*hybrid=*/true, 0);
-  for (const int workers : {1, 2, 8}) {
-    const SimStats got = run_world(world, MacKind::kDutyCycled, &plan,
-                                   /*hybrid=*/true, workers);
-    ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference, got))
-        << "shard_workers=" << workers;
-  }
-}
-
-// Sharding without a domain grid (identity order) is also deterministic and
-// identical — the grid only changes WHICH worker computes a verdict.
-TEST(MegascaleGolden, DomainGroupingDoesNotChangeResults) {
-  const TestWorld world = make_world(400, 0xD2);
-  auto run_with_domains = [&](const net::DomainGrid* domains) {
-    auto mac = make_mac(MacKind::kAloha, world);
-    ConvergecastTraffic traffic(400, 0, 0.01);
-    SimConfig cfg;
-    cfg.seed = 0xABC;
-    cfg.hybrid_pipeline = true;
-    cfg.shard_workers = 4;
-    cfg.shard_min_items = 1;
-    cfg.domains = domains;
-    Simulator sim(world.graph, *mac, traffic, cfg);
-    sim.run(kSlots);
-    return sim.stats();
-  };
-  const SimStats with_grid = run_with_domains(&world.grid);
-  const SimStats without = run_with_domains(nullptr);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(with_grid, without));
 }
 
 // ------------------------------------------------------------- domain grid

@@ -12,14 +12,21 @@
 //                 --out /tmp/aggregate.json --fault-intensity 0.5
 //
 // Exit code 0 on success (quarantined cells do NOT fail the run — they are
-// flagged in the JSON), 2 on bad usage.
+// flagged in the JSON), 2 on bad usage: an unknown flag, a missing value, or
+// a numeric value that is malformed or out of range (the message names the
+// flag).
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
@@ -37,26 +44,71 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --cells N             number of campaign cells (default 16)\n"
-      << "  --slots N             slots per cell (default 20000)\n"
-      << "  --rows N --cols N     grid topology shape (default 5x5)\n"
-      << "  --rate R              per-node packet rate per slot (default 0.003)\n"
-      << "  --seed S              campaign master seed (default 0x5eed)\n"
-      << "  --workers N           worker threads (default: auto)\n"
+      << "  --cells N             number of campaign cells, 1..1000000 (default 16)\n"
+      << "  --slots N             slots per cell, >= 1 (default 20000)\n"
+      << "  --rows N --cols N     grid topology shape, 1..1000 each (default 5x5)\n"
+      << "  --rate R              per-node packet rate per slot, [0,1] (default 0.003)\n"
+      << "  --seed S              campaign master seed; decimal, 0x hex or 0 octal\n"
+      << "                        (default 0x5eed)\n"
+      << "  --workers N           worker threads, 0..1024; 0 = auto (default 0)\n"
       << "  --serial              use the serial reference executor\n"
       << "  --journal PATH        checkpoint journal (enables kill-and-resume)\n"
       << "  --no-resume           ignore an existing journal (fresh run)\n"
-      << "  --max-attempts N      retries per cell before quarantine (default 3)\n"
-      << "  --cell-timeout SEC    per-cell watchdog; 0 disables (default 0)\n"
+      << "  --max-attempts N      tries per cell before quarantine, 1..1000 (default 3)\n"
+      << "  --cell-timeout SEC    per-cell watchdog, >= 0; 0 disables (default 0)\n"
       << "  --fault-intensity X   0 disarms faults; (0,1] scales crash/link/jam\n"
       << "                        rates of the per-cell FaultPlan (default 0)\n"
       << "  --hybrid              adaptive sparse/dense slot sets per cell\n"
       << "                        (bit-identical stats; see DESIGN.md #13)\n"
-      << "  --shard-workers N     per-cell phase-2 shard team; only useful with\n"
-      << "                        --serial or --workers 1 (nested parallelism\n"
-      << "                        degrades to serial inside campaign workers)\n"
       << "  --out PATH            write the aggregate JSON here (default stdout)\n";
   return 2;
+}
+
+bool bad_value(std::string_view flag, const char* text, const char* expected) {
+  std::cerr << "ttdc-campaign: " << flag << " expects " << expected << ", got '" << text
+            << "'\n";
+  return false;
+}
+
+/// Parses the whole of `text` as an unsigned integer in [lo, hi] (base 0
+/// also accepts 0x hex and 0 octal). strtoull alone would read "5x" as 5
+/// and wrap "-1" to 2^64-1; both are rejected here.
+template <typename Int>
+bool parse_int(std::string_view flag, const char* text, std::uint64_t lo, std::uint64_t hi,
+               Int& out, int base = 10) {
+  const std::string expected =
+      "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return bad_value(flag, text, expected.c_str());
+  }
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text, &end, base);
+  if (errno != 0 || *end != '\0' || value < lo || value > hi) {
+    return bad_value(flag, text, expected.c_str());
+  }
+  out = static_cast<Int>(value);
+  return true;
+}
+
+/// Parses the whole of `text` as a finite number in [lo, hi].
+bool parse_real(std::string_view flag, const char* text, double lo, double hi, double& out) {
+  std::ostringstream expected;
+  expected << "a number in [" << lo << ", ";
+  if (hi == std::numeric_limits<double>::max()) {
+    expected << "inf)";
+  } else {
+    expected << hi << ']';
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (std::isspace(static_cast<unsigned char>(text[0])) || end == text || *end != '\0' ||
+      errno != 0 || !std::isfinite(value) || value < lo || value > hi) {
+    return bad_value(flag, text, expected.str().c_str());
+  }
+  out = value;
+  return true;
 }
 
 }  // namespace
@@ -65,54 +117,59 @@ int main(int argc, char** argv) {
   std::size_t cells = 16, rows = 5, cols = 5;
   std::uint64_t slots = 20000, master_seed = 0x5eed;
   double rate = 0.003, fault_intensity = 0.0, cell_timeout = 0.0;
-  int workers = 0, max_attempts = 3, shard_workers = 0;
+  int workers = 0, max_attempts = 3;
   bool serial = false, resume = true, hybrid = false;
   std::string journal_path, out_path;
 
+  constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr double kAnyReal = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
+    const std::string_view arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << "ttdc-campaign: " << arg << " needs a value\n";
+      return nullptr;
     };
-    const char* arg = argv[i];
     const char* v = nullptr;
-    if (std::strcmp(arg, "--cells") == 0 && (v = next())) {
-      cells = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--slots") == 0 && (v = next())) {
-      slots = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--rows") == 0 && (v = next())) {
-      rows = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--cols") == 0 && (v = next())) {
-      cols = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--rate") == 0 && (v = next())) {
-      rate = std::strtod(v, nullptr);
-    } else if (std::strcmp(arg, "--seed") == 0 && (v = next())) {
-      master_seed = std::strtoull(v, nullptr, 0);
-    } else if (std::strcmp(arg, "--workers") == 0 && (v = next())) {
-      workers = std::atoi(v);
-    } else if (std::strcmp(arg, "--serial") == 0) {
+    bool ok = true;
+    if (arg == "--cells") {
+      ok = (v = value()) && parse_int(arg, v, 1, 1'000'000, cells);
+    } else if (arg == "--slots") {
+      ok = (v = value()) && parse_int(arg, v, 1, kAnyU64, slots);
+    } else if (arg == "--rows") {
+      ok = (v = value()) && parse_int(arg, v, 1, 1000, rows);
+    } else if (arg == "--cols") {
+      ok = (v = value()) && parse_int(arg, v, 1, 1000, cols);
+    } else if (arg == "--rate") {
+      ok = (v = value()) && parse_real(arg, v, 0.0, 1.0, rate);
+    } else if (arg == "--seed") {
+      ok = (v = value()) && parse_int(arg, v, 0, kAnyU64, master_seed, /*base=*/0);
+    } else if (arg == "--workers") {
+      ok = (v = value()) && parse_int(arg, v, 0, 1024, workers);
+    } else if (arg == "--serial") {
       serial = true;
-    } else if (std::strcmp(arg, "--journal") == 0 && (v = next())) {
-      journal_path = v;
-    } else if (std::strcmp(arg, "--no-resume") == 0) {
+    } else if (arg == "--journal") {
+      ok = (v = value()) != nullptr;
+      if (ok) journal_path = v;
+    } else if (arg == "--no-resume") {
       resume = false;
-    } else if (std::strcmp(arg, "--max-attempts") == 0 && (v = next())) {
-      max_attempts = std::atoi(v);
-    } else if (std::strcmp(arg, "--cell-timeout") == 0 && (v = next())) {
-      cell_timeout = std::strtod(v, nullptr);
-    } else if (std::strcmp(arg, "--fault-intensity") == 0 && (v = next())) {
-      fault_intensity = std::strtod(v, nullptr);
-    } else if (std::strcmp(arg, "--hybrid") == 0) {
+    } else if (arg == "--max-attempts") {
+      ok = (v = value()) && parse_int(arg, v, 1, 1000, max_attempts);
+    } else if (arg == "--cell-timeout") {
+      ok = (v = value()) && parse_real(arg, v, 0.0, kAnyReal, cell_timeout);
+    } else if (arg == "--fault-intensity") {
+      ok = (v = value()) && parse_real(arg, v, 0.0, 1.0, fault_intensity);
+    } else if (arg == "--hybrid") {
       hybrid = true;
-    } else if (std::strcmp(arg, "--shard-workers") == 0 && (v = next())) {
-      shard_workers = std::atoi(v);
-    } else if (std::strcmp(arg, "--out") == 0 && (v = next())) {
-      out_path = v;
+    } else if (arg == "--out") {
+      ok = (v = value()) != nullptr;
+      if (ok) out_path = v;
     } else {
+      std::cerr << "ttdc-campaign: unknown option " << arg << '\n';
       return usage(argv[0]);
     }
+    if (!ok) return 2;
   }
-  if (cells == 0 || rows == 0 || cols == 0 || slots == 0) return usage(argv[0]);
 
   const std::size_t n = rows * cols;
   const net::Graph grid = net::grid_graph(rows, cols);
@@ -132,8 +189,8 @@ int main(int argc, char** argv) {
     std::string name("cell");
     name += std::to_string(c);
     campaign.add(std::move(name),
-                 [&grid, n, slots, rate, fault_intensity, hybrid,
-                  shard_workers](runner::CellContext& ctx) {
+                 [&grid, n, slots, rate, fault_intensity,
+                  hybrid](runner::CellContext& ctx) {
                    // best_plan picks valid family parameters for any n (a
                    // fixed polynomial family only covers n <= q^(k+1)).
                    std::string key("base:best(n=");
@@ -150,7 +207,6 @@ int main(int argc, char** argv) {
                    cfg.seed = ctx.seed();
                    cfg.shared_routing = routing.get();
                    cfg.hybrid_pipeline = hybrid;
-                   cfg.shard_workers = shard_workers;
                    std::unique_ptr<sim::FaultPlan> plan;
                    if (fault_intensity > 0.0) {
                      sim::FaultPlanConfig fc;
