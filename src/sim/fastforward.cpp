@@ -20,8 +20,8 @@
 // memoizing only zero-transmission frames (the GE/drift taint) keeps every
 // link stream byte-aligned with a slot-by-slot run. Clock drift is a pure
 // function of now_ consulted only on transmissions, covered by the same
-// rule. Jam frames memoize fine: jammers sit in transmitting_ (draining
-// transmit power into the per-node deltas) without ever reaching the
+// rule. Jam frames memoize fine: jammers sit in transmitting_ (their transmit
+// surcharge lands in the per-node credit deltas) without ever reaching the
 // reception path.
 
 #include "sim/simulator.hpp"
@@ -105,14 +105,24 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
   }
   // Battery headroom: replay must stop strictly before any node's budget
   // would cross zero — the death slot (and everything downstream of it)
-  // needs slot accuracy. Integer drains make this a pure division.
+  // needs slot accuracy. Integer drains make this a pure division. A live
+  // node's budget is its credit minus the sleep drain paid so far, and its
+  // per-frame drain is the frame's sleep drain plus its credit delta (the
+  // sparse states list, ascending by node, carries every non-zero one).
   if (config_.battery_mj > 0.0) {
     std::uint64_t k_batt = k;
     const std::size_t n = graph_.num_nodes();
+    const std::int64_t paid = paid_through(now_);
+    const std::int64_t frame_sleep = paid_through(period);
+    auto delta = entry.states.begin();
     for (std::size_t v = 0; v < n && k_batt > 0; ++v) {
-      const std::int64_t drain = entry.battery_drain[v];
-      if (drain <= 0) continue;
-      const auto headroom = static_cast<std::uint64_t>((battery_[v] - 1) / drain);
+      std::int64_t drain = frame_sleep;
+      if (delta != entry.states.end() && delta->node == v) {
+        drain += delta->credit;
+        ++delta;
+      }
+      if (drain <= 0 || dead_.test(v)) continue;
+      const auto headroom = static_cast<std::uint64_t>((battery_[v] - paid - 1) / drain);
       k_batt = std::min(k_batt, headroom);
     }
     if (k_batt == 0) {
@@ -196,7 +206,6 @@ bool Simulator::verify_entry(const FastForwardState::Entry& entry) const {
 void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
   FastForwardState& ff = *ff_;
   const std::size_t n = graph_.num_nodes();
-  const bool battery_armed = config_.battery_mj > 0.0;
   FastForwardState::Entry entry;
 
   // --- pre-state capture (exactly what verify_entry re-checks) ---
@@ -243,7 +252,6 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
   const std::uint64_t pre_deaths = stats_.deaths;
   const std::size_t pre_latency_count = stats_.latency.count();
   const std::size_t pre_fault_cursor = fault_cursor_;
-  if (battery_armed) ff.pre_battery.assign(battery_.begin(), battery_.end());
   ff.pre_state_tx.resize(n);
   ff.pre_state_listen.resize(n);
   ff.pre_wakes.resize(n);
@@ -294,18 +302,19 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
     const auto wakes =
         static_cast<std::uint32_t>(stats_.wake_transitions[v] - ff.pre_wakes[v]);
     if (tx != 0 || listen != 0 || wakes != 0) {
-      entry.states.push_back({static_cast<std::uint32_t>(v), tx, listen, wakes});
+      // An untainted frame kills nobody and applies no spike, so the only
+      // credit movement is phase 3's surcharge over sleep on awake slots:
+      // the credit delta follows from the radio-state delta, and a pure
+      // sleeper's is zero.
+      const std::int64_t credit = static_cast<std::int64_t>(tx) * (b_transmit_ - b_sleep_) +
+                                  static_cast<std::int64_t>(listen) * (b_listen_ - b_sleep_) +
+                                  static_cast<std::int64_t>(wakes) * b_wakeup_;
+      entry.states.push_back({static_cast<std::uint32_t>(v), tx, listen, wakes, credit});
     }
     const std::uint64_t dlv = stats_.delivered_by_origin[v] - ff.pre_delivered_by_origin[v];
     if (dlv != 0) {
       entry.delivered_by_origin.push_back(
           {static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(dlv)});
-    }
-  }
-  if (battery_armed) {
-    entry.battery_drain.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      entry.battery_drain[v] = ff.pre_battery[v] - battery_[v];
     }
   }
   // Post-queue mapping by packet id. A silent frame generates nothing, so
@@ -411,17 +420,18 @@ void Simulator::replay_frame(const FastForwardState::Entry& entry, std::uint64_t
   for (const FastForwardState::OriginDelta& d : entry.delivered_by_origin) {
     stats_.delivered_by_origin[d.node] += static_cast<std::uint64_t>(d.delivered) * k;
   }
+  // Sleepers' drain is implicit in paid_through(now_), which the now_
+  // advance below covers; only the nodes awake in the frame are charged.
+  const bool battery_armed = config_.battery_mj > 0.0;
   for (const FastForwardState::NodeStateDelta& d : entry.states) {
     stats_.state_slots[d.node][kTransmitIdx] +=
         static_cast<std::uint64_t>(d.transmit_slots) * k;
     stats_.state_slots[d.node][kListenIdx] +=
         static_cast<std::uint64_t>(d.listen_slots) * k;
     stats_.wake_transitions[d.node] += static_cast<std::uint64_t>(d.wake_transitions) * k;
-  }
-  if (config_.battery_mj > 0.0) {
-    const std::size_t n = graph_.num_nodes();
-    for (std::size_t v = 0; v < n; ++v) {
-      battery_[v] -= entry.battery_drain[v] * static_cast<std::int64_t>(k);
+    if (battery_armed) {
+      battery_[d.node] -= d.credit * static_cast<std::int64_t>(k);
+      min_credit_ = std::min(min_credit_, battery_[d.node]);
     }
   }
   prev_awake_.reset_all();

@@ -104,12 +104,16 @@ struct FastForwardState {
     std::uint32_t node = 0;
     std::vector<PostPacket> packets;
   };
-  /// Sparse per-node stat increments over the frame.
+  /// Sparse per-node increments over the frame, for the nodes awake in it.
+  /// `credit` is the battery credit spent (Simulator::battery_): awake slots'
+  /// surcharge over sleep plus wakeups. A pure sleeper's is zero — its sleep
+  /// drain is implicit in the slot count — so it has no entry at all.
   struct NodeStateDelta {
     std::uint32_t node = 0;
     std::uint32_t transmit_slots = 0;
     std::uint32_t listen_slots = 0;
     std::uint32_t wake_transitions = 0;
+    std::int64_t credit = 0;
   };
   struct OriginDelta {
     std::uint32_t node = 0;
@@ -132,8 +136,7 @@ struct FastForwardState {
     std::uint64_t queue_drops = 0;
     std::vector<std::uint64_t> latency_samples;  // in delivery order
     std::vector<OriginDelta> delivered_by_origin;
-    std::vector<NodeStateDelta> states;
-    std::vector<std::int64_t> battery_drain;  // per node, battery model only
+    std::vector<NodeStateDelta> states;  // ascending by node
     std::vector<PostQueue> post_queues;
     std::vector<std::uint32_t> end_prev_awake;  // members, ascending
     /// True when the frame is a fixed point of the world (empty queues in
@@ -162,7 +165,6 @@ struct FastForwardState {
 
   // Recording scratch, reused across frames (no steady-state allocation
   // once warmed): pre-frame snapshots the record path diffs against.
-  std::vector<std::int64_t> pre_battery;
   std::vector<std::uint64_t> pre_state_tx;      // per-node transmit slots
   std::vector<std::uint64_t> pre_state_listen;  // per-node listen slots
   std::vector<std::uint64_t> pre_wakes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -41,7 +42,8 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   };
   TTDC_ASSERT(config_.battery_mj >= 0.0 && config_.battery_mj < 9.0e9,
               "battery_mj ", config_.battery_mj, " outside the representable range");
-  battery_.assign(n, to_units(config_.battery_mj));
+  battery_.assign(n, to_units(config_.battery_mj));  // credit at slot 0 = budget
+  min_credit_ = to_units(config_.battery_mj);
   dead_ = util::SlotSet(n);
   death_slot_.assign(n, kNeverDied);
   if (!config_.hybrid_pipeline) {
@@ -199,15 +201,21 @@ void Simulator::audit_invariants() const {
   }
 
   // Battery / death bookkeeping. kill_node() is the only writer of dead_,
-  // death_slot_ and the zeroed battery, so these must agree exactly.
+  // death_slot_ and the zeroed credit, so these must agree exactly; a live
+  // node has budget left and sits at or above the min-credit bound phase 3
+  // relies on to find sleeper deaths.
+  const std::int64_t paid = paid_through(now_);
   for (std::size_t v = 0; v < n; ++v) {
     TTDC_DCHECK(dead_.test(v) == (death_slot_[v] != kNeverDied),
                 "dead_ bit for node ", v, " disagrees with death_slot_ ", death_slot_[v]);
     if (config_.battery_mj > 0.0) {
       if (dead_.test(v)) {
-        TTDC_DCHECK(battery_[v] == 0, "dead node ", v, " holds ", battery_[v], " units");
+        TTDC_DCHECK(battery_[v] == 0, "dead node ", v, " holds ", battery_[v], " credit");
       } else {
-        TTDC_DCHECK(battery_[v] > 0, "alive node ", v, " at ", battery_[v], " units");
+        TTDC_DCHECK(battery_[v] - paid > 0, "alive node ", v, " at ", battery_[v] - paid,
+                    " units");
+        TTDC_DCHECK(battery_[v] >= min_credit_, "alive node ", v, " credit ", battery_[v],
+                    " below the min-credit bound ", min_credit_);
       }
     }
   }
@@ -615,9 +623,11 @@ void Simulator::apply_fault_event(const FaultEvent& e) {
       flight(obs::FlightEvent::Kind::kFaultBatterySpike,
              static_cast<std::uint32_t>(e.magnitude_mj));
       if (config_.battery_mj > 0.0) {
+        // Lands before the slot's drain: the budget left is what the slots
+        // run so far have not paid.
         battery_[v] -= static_cast<std::int64_t>(
             std::llround(e.magnitude_mj * static_cast<double>(kBatteryUnitsPerMj)));
-        if (battery_[v] <= 0) kill_node(v);
+        settle_credit(v, paid_through(now_));
       }
       return;
     case FaultEvent::Kind::kJamStart:
@@ -677,10 +687,14 @@ bool Simulator::ge_lost(std::size_t x, std::size_t y) {
 // Phase 3 (per node): energy accounting for a MAC without slot sets (dead
 // nodes draw nothing and stay dead). Receivers come from the receivers_ set
 // the base fill_slot_sets() filled; idle_state() is queried per idle node.
-// Like the batched phase 3, sleep slots are left to finalize_sleep_counts().
+// Like the batched phase 3, sleep slots are left to finalize_sleep_counts(),
+// and batteries use the same credit arithmetic: awake nodes pay their
+// surcharge over sleep, sleepers pay nothing explicitly.
 void Simulator::account_energy_scalar() {
   TTDC_PROF_SCOPE("sim.step.energy");
   const std::size_t n = graph_.num_nodes();
+  const bool battery_armed = config_.battery_mj > 0.0;
+  const std::int64_t paid = battery_armed ? paid_through(now_ + 1) : 0;
   for (std::size_t v = 0; v < n; ++v) {
     if (dead_.test(v)) continue;
     RadioState state;
@@ -703,26 +717,24 @@ void Simulator::account_energy_scalar() {
     } else {
       prev_awake_.set(v);
     }
-    if (config_.battery_mj > 0.0) {
-      std::int64_t cost;
-      switch (state) {
-        case RadioState::kTransmit: cost = b_transmit_; break;
-        case RadioState::kReceive: cost = b_receive_; break;
-        case RadioState::kListen: cost = b_listen_; break;
-        default: cost = b_sleep_; break;
-      }
-      battery_[v] -= cost;
+    if (battery_armed && !asleep) {
+      const std::int64_t cost = state == RadioState::kTransmit  ? b_transmit_
+                                : state == RadioState::kReceive ? b_receive_
+                                                                : b_listen_;
+      battery_[v] -= cost - b_sleep_;
       if (woke) battery_[v] -= b_wakeup_;
-      if (battery_[v] <= 0) kill_node(v);
+      settle_credit(v, paid);
     }
   }
+  if (battery_armed && min_credit_ <= paid) settle_sleep_deaths(paid);
 }
 
 // Phase 3 (batched): the slot's radio states as set algebra. Relies on the
 // fill_slot_sets() contract — a node that neither transmits nor receives
-// sleeps — so no virtual call is made at all. Sleep-slot counters are NOT
-// incremented here (they are derived in finalize_sleep_counts()), making
-// the common sleepy-network slot cost O(awake nodes), not O(n).
+// sleeps — so no virtual call is made at all. Neither sleep-slot counters
+// (derived in finalize_sleep_counts()) nor sleep drain (implicit in the
+// credit representation, see battery_ in the header) is touched per
+// sleeper, making the slot cost O(awake nodes), not O(n).
 void Simulator::account_energy_batched() {
   TTDC_PROF_SCOPE("sim.step.energy");
   // listen = (receivers \ transmitters) \ dead; transmitters exclude the
@@ -739,23 +751,32 @@ void Simulator::account_energy_batched() {
   woke_.subtract(prev_awake_);
   woke_.for_each([&](std::size_t v) { ++stats_.wake_transitions[v]; });
   if (config_.battery_mj > 0.0) {
-    // State cost first, then the wakeup surcharge, then the death check —
-    // the same per-node subtraction order as the per-node phase 3, so the
-    // battery trajectory is bit-identical.
-    transmitting_.for_each([&](std::size_t v) { battery_[v] -= b_transmit_; });
-    listen_.for_each([&](std::size_t v) { battery_[v] -= b_listen_; });
-    scratch_.copy_from(dead_);
-    scratch_.flip_all();           // scratch_ = alive
-    scratch_.subtract(awake_now_); // scratch_ = alive sleepers
-    scratch_.for_each([&](std::size_t v) { battery_[v] -= b_sleep_; });
+    // Awake nodes pay their surcharge over sleep, then the death check runs
+    // over them; a sleeper can only die once the min-credit bound reaches
+    // the slot's sleep drain, which the settle pass resolves. Integer
+    // credits make the outcome bit-identical to the per-node phase 3.
+    transmitting_.for_each([&](std::size_t v) { battery_[v] -= b_transmit_ - b_sleep_; });
+    listen_.for_each([&](std::size_t v) { battery_[v] -= b_listen_ - b_sleep_; });
     woke_.for_each([&](std::size_t v) { battery_[v] -= b_wakeup_; });
-    scratch_.copy_from(dead_);
-    scratch_.flip_all();  // scratch_ = alive (kill_node mutates dead_, not this copy)
-    scratch_.for_each([&](std::size_t v) {
-      if (battery_[v] <= 0) kill_node(v);
-    });
+    const std::int64_t paid = paid_through(now_ + 1);
+    awake_now_.for_each([&](std::size_t v) { settle_credit(v, paid); });
+    if (min_credit_ <= paid) settle_sleep_deaths(paid);
   }  // else: early-out — unlimited energy means no drain and no deaths.
   prev_awake_.copy_from(awake_now_);
+}
+
+void Simulator::settle_sleep_deaths(std::int64_t paid) {
+  std::int64_t bound = std::numeric_limits<std::int64_t>::max();
+  const std::size_t n = graph_.num_nodes();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (dead_.test(v)) continue;
+    if (battery_[v] <= paid) {
+      kill_node(v);
+    } else {
+      bound = std::min(bound, battery_[v]);
+    }
+  }
+  min_credit_ = bound;
 }
 
 void Simulator::finalize_sleep_counts() {

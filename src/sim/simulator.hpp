@@ -21,6 +21,7 @@
 // of the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -167,7 +168,8 @@ class Simulator {
   ///   * every PacketQueue's ring invariants; backlogged_ and
   ///     unroutable_head_ agree with the queues and the routing table;
   ///   * dead_/battery_/death_slot_ are mutually consistent and no dead
-  ///     node is transmitting;
+  ///     node is transmitting; every live node has budget left (credit
+  ///     above paid_through(now_)) and a credit at or above min_credit_;
   ///   * per-node state-slot counters never exceed the slots the node
   ///     participated in (the sleep-identity of finalize_sleep_counts());
   ///   * fill_slot_sets() agrees with can_receive()/wants_transmit()/
@@ -211,8 +213,13 @@ class Simulator {
   /// Battery state (only meaningful when config.battery_mj > 0).
   [[nodiscard]] bool is_alive(std::size_t node) const { return !dead_.test(node); }
   [[nodiscard]] std::size_t alive_count() const { return dead_.size() - dead_.count(); }
+  /// Remaining budget after the slots run so far: the node's credit minus
+  /// the sleep drain every live node has paid (see battery_ below). 0.0 for
+  /// a dead node, and always 0.0 with unlimited batteries.
   [[nodiscard]] double remaining_battery_mj(std::size_t node) const {
-    return static_cast<double>(battery_[node]) / static_cast<double>(kBatteryUnitsPerMj);
+    if (config_.battery_mj <= 0.0 || dead_.test(node)) return 0.0;
+    return static_cast<double>(battery_[node] - paid_through(now_)) /
+           static_cast<double>(kBatteryUnitsPerMj);
   }
 
   /// Fast-forward accounting (all-zero when the engine is disarmed).
@@ -251,6 +258,25 @@ class Simulator {
   void account_energy_scalar();
   void account_energy_batched();                 // phase 3, set-driven
   void kill_node(std::size_t v);
+  /// Sleep drain every live node has paid over `slots` slots, in battery
+  /// units (the implicit part of the credit representation, see battery_).
+  [[nodiscard]] std::int64_t paid_through(std::uint64_t slots) const {
+    return b_sleep_ * static_cast<std::int64_t>(slots);
+  }
+  /// Death check for live node v right after its credit changed: it dies
+  /// when the credit no longer covers `paid`; otherwise the credit lowers
+  /// min_credit_, which keeps the bound below every live credit.
+  void settle_credit(std::size_t v, std::int64_t paid) {
+    if (battery_[v] <= paid) {
+      kill_node(v);
+    } else {
+      min_credit_ = std::min(min_credit_, battery_[v]);
+    }
+  }
+  /// The O(n) pass behind the min-credit bound: kills every live node whose
+  /// credit no longer covers `paid` (sleepers die here; nothing touched
+  /// them this slot) and recomputes min_credit_ exactly over the survivors.
+  void settle_sleep_deaths(std::int64_t paid);
 
   // --- fault injection (all no-ops / never called unless fault_armed_) ---
   /// Applies every plan event due at now_, then refreshes the per-slot
@@ -400,7 +426,19 @@ class Simulator {
   // than a floating-point accident, which is what lets the fast-forward
   // engine lump whole stretches of frames into one subtraction and still
   // match the slot-by-slot run bit for bit.
-  std::vector<std::int64_t> battery_;  // remaining units per node (battery_mj > 0 only)
+  //
+  // battery_ holds CREDIT, not the remaining budget: for a live node,
+  // credit = remaining + paid_through(now_), and a dead node holds 0. Every
+  // live node pays the same b_sleep_ each slot, so that common drain stays
+  // implicit in paid_through() and phase 3 touches awake nodes only, each
+  // paying its surcharge over sleep. Since sleepers drain in lockstep, the
+  // first sleeper to die is the live node with the lowest credit:
+  // min_credit_ is a lower bound on every live credit (lowered with one
+  // compare whenever a credit drops), and when it reaches the slot's
+  // paid_through() the O(n) settle_sleep_deaths() pass runs — once per
+  // death or stale bound, never per slot.
+  std::vector<std::int64_t> battery_;  // credit units per node (battery_mj > 0 only)
+  std::int64_t min_credit_ = 0;        // <= every live node's credit
   util::SlotSet dead_;          // depleted nodes
   std::vector<std::uint64_t> death_slot_;  // slot of death, kNeverDied while alive
 

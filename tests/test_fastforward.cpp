@@ -22,6 +22,8 @@
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/sleeper_mac.hpp"
+#include "support/stats_equal.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -65,32 +67,6 @@ FaultPlan make_fault_plan(std::size_t n, std::uint64_t horizon, std::uint64_t se
   fc.jam_duty = 0.05;
   fc.jam_burst_slots = 40;
   return FaultPlan(fc, n, seed);
-}
-
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.samples(), b.latency.samples());
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
 }
 
 enum class MacKind { kDutyCycled, kAloha, kUncoordinated, kCommonActive, kColoringTdma };
@@ -236,6 +212,57 @@ TEST(FastForwardInvalidation, BatteryCrossingForcesFallback) {
   EXPECT_EQ(fast.stats.first_death_slot, plain.stats.first_death_slot);
   EXPECT_GT(fast.ff.frames_replayed, 0u);
   EXPECT_GT(fast.ff.fallback_battery, 0u);
+}
+
+// The same veto when the crossing node is a pure SLEEPER: no memo entry
+// carries a credit delta for it (its drain is the implicit sleep cost), so
+// only the headroom check's per-frame sleep drain can stop the replay in
+// time. No arrivals, so once the memo warms every frame is a self-loop and
+// the engine would otherwise replay the whole rest of the run in one call.
+// Run under three energy models: the stock one (awake nodes die within a
+// few frames, the sleeper dies alone); a cheap radio barely above the sleep
+// rate (awake nodes cross zero after long replays, often in a sleep slot
+// before their next listen, so only a min-credit bound that the replay
+// lowered finds them); and an inverted one where sleeping costs more than
+// being awake (awake credits rise, the sleeper dies first in a live
+// network).
+TEST(FastForwardInvalidation, SleeperCrossingForcesFallback) {
+  constexpr std::size_t kNodes = 8;
+  constexpr std::size_t kSleeper = 5;
+  EnergyModel cheap;
+  cheap.transmit_mw = 0.0035;
+  cheap.receive_mw = 0.0035;
+  cheap.listen_mw = 0.0035;
+  cheap.wakeup_mj = 1e-5;
+  EnergyModel inverted;
+  inverted.sleep_mw = 0.004;
+  inverted.listen_mw = 0.003;
+  inverted.receive_mw = 0.003;
+  inverted.transmit_mw = 0.003;
+  inverted.wakeup_mj = 0.0;
+  for (const EnergyModel& energy : {EnergyModel{}, cheap, inverted}) {
+    const auto run = [&](bool ff_on) {
+      SleeperMac mac(kNodes, kSleeper);
+      LookaheadConvergecastTraffic silent(kNodes, 0, 0.0, 0x70);
+      SimConfig cfg;
+      cfg.seed = 0xD1E;
+      cfg.battery_mj = 2.0;  // the sleeper dies near slot 2.0 / (sleep_mw * 1e-2)
+      cfg.energy = energy;
+      cfg.fast_forward = ff_on;
+      Simulator sim(net::ring_graph(kNodes), mac, silent, cfg);
+      sim.run(90000);
+      EXPECT_FALSE(sim.is_alive(kSleeper));
+      return RunOutcome{sim.stats(), sim.fast_forward_stats()};
+    };
+    const RunOutcome plain = run(false);
+    const RunOutcome fast = run(true);
+    SCOPED_TRACE(::testing::Message() << "sleep_mw=" << energy.sleep_mw
+                                      << " listen_mw=" << energy.listen_mw);
+    ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
+    EXPECT_GT(plain.stats.deaths, 0u);
+    EXPECT_GT(fast.ff.frames_replayed, 0u);
+    EXPECT_GT(fast.ff.fallback_battery, 0u);
+  }
 }
 
 // A scheduled fault event inside the frame must force slot-accurate

@@ -7,6 +7,7 @@
 // and fault instants in the flight record.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/scalar_only_mac.hpp"
+#include "support/sleeper_mac.hpp"
+#include "support/stats_equal.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -59,38 +62,6 @@ FaultPlanConfig stormy_config(std::uint64_t horizon) {
   cfg.jam_duty = 0.05;
   cfg.jam_burst_slots = 100;
   return cfg;
-}
-
-/// Field-by-field SimStats equality, including the fault counters — used by
-/// both the bit-identity and pipeline-equivalence tests below.
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  for (double pct : {50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.latency.percentile(pct), b.latency.percentile(pct)) << "p" << pct;
-  }
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,6 +247,63 @@ TEST(FaultWorld, BatterySpikeDrainsAndCanKill) {
   EXPECT_EQ(sim.stats().deaths, 1u);
 }
 
+// A spike lands before its slot's drain, so it kills only when the credit
+// left no longer covers the sleep drain of the slots already run. Against
+// a pure sleeper (budget B - 1000 * b_sleep at slot 1000), a spike of
+// exactly that much kills it in slot 1000, and a spike 0.01 mJ short
+// leaves ceil(0.01 mJ / b_sleep) more slots — which also pins that a spike
+// lowers the min-credit bound, since nothing else ever charges a sleeper.
+// Against a listener, a spike leaving less than one slot of sleep must not
+// kill early: the node still listens in that slot and dies at its end.
+TEST(FaultWorld, BatterySpikeSettlesAgainstSleepDrain) {
+  constexpr std::size_t kNodes = 8;
+  constexpr std::size_t kSleeper = 3;
+  constexpr double kBatteryMj = 3.0;
+  EnergyModel energy;  // cheap radio: the other nodes outlive the run
+  energy.transmit_mw = 0.0035;
+  energy.receive_mw = 0.0035;
+  energy.listen_mw = 0.0035;
+  energy.wakeup_mj = 1e-5;
+  struct Outcome {
+    std::uint64_t death_slot;
+    std::uint64_t listen_slots;  // of the spiked node
+  };
+  const auto spike = [&](std::size_t node, std::uint64_t slot, double magnitude_mj) {
+    const FaultPlan plan({{.slot = slot, .node = node, .magnitude_mj = magnitude_mj,
+                           .kind = FaultEvent::Kind::kBatterySpike}},
+                         kNodes);
+    SleeperMac mac(kNodes, kSleeper);
+    BernoulliTraffic traffic(kNodes, 0.0);
+    SimConfig cfg;
+    cfg.seed = 50;
+    cfg.battery_mj = kBatteryMj;
+    cfg.energy = energy;
+    cfg.fault_plan = &plan;
+    Simulator sim(net::ring_graph(kNodes), mac, traffic, cfg);
+    sim.run(2000);
+    EXPECT_FALSE(sim.is_alive(node));
+    EXPECT_EQ(sim.stats().deaths, 1u);
+    return Outcome{sim.stats().first_death_slot,
+                   sim.stats().state_slots[node][static_cast<std::size_t>(RadioState::kListen)]};
+  };
+  // 3 mJ - 1000 slots x 3e-5 mJ = 2.97 mJ left when the spike lands.
+  EXPECT_EQ(spike(kSleeper, 1000, 2.97).death_slot, 1000u);
+  EXPECT_EQ(spike(kSleeper, 1000, 2.96).death_slot, 1000u + 334 - 1);
+
+  // Node 1 listens (after a wakeup) in frame slot 1. By slot 1001 = 8 * 125
+  // + 1 it has listened and woken 125 times and slept the other 876 slots.
+  const auto units = [](double mj) { return std::llround(mj * 1e9); };
+  const std::int64_t left = units(kBatteryMj) -
+                            125 * (units(energy.energy_mj(RadioState::kListen, 1)) +
+                                   units(energy.wakeup_mj)) -
+                            876 * units(energy.energy_mj(RadioState::kSleep, 1));
+  const double magnitude_mj = static_cast<double>(left - 10000) / 1e9;
+  ASSERT_EQ(units(magnitude_mj), left - 10000);  // 10 000 units < one sleep slot
+  const Outcome listener = spike(1, 1001, magnitude_mj);
+  EXPECT_EQ(listener.death_slot, 1001u);
+  EXPECT_EQ(listener.listen_slots, 126u);
+}
+
 TEST(FaultWorld, BurstLossOnAlwaysBadChannelStopsDelivery) {
   // Degenerate Gilbert-Elliott: Good -> Bad immediately and never back.
   FaultPlanConfig cfg;
@@ -347,8 +375,14 @@ TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
 TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
   // The full storm (crashes, bursty loss, drift, spikes, jammers) must
   // preserve golden equality between the batched slot sets and the per-node
-  // fallback — fault handling sits on the phases both share.
-  const FaultPlan plan(stormy_config(kSlots), kN, 0xdead);
+  // fallback — fault handling sits on the phases both share. Spikes here
+  // take 60% of the budget: one is survivable, two are fatal, and radio
+  // drain alone cannot reach 40% of it in kSlots, so every death below is a
+  // spike kill landing on the credit arithmetic both pipelines share.
+  FaultPlanConfig storm = stormy_config(kSlots);
+  storm.battery_spike_rate = 1e-4;
+  storm.battery_spike_mj = 6e4;
+  const FaultPlan plan(storm, kN, 0xdead);
   ASSERT_FALSE(plan.events().empty());
   auto run_pipeline = [&](bool scalar) {
     const Schedule s = duty_schedule();
@@ -369,6 +403,8 @@ TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
   expect_identical_stats(scalar, batched);
   // The storm must actually have done something, or this test is vacuous.
   EXPECT_GT(scalar.fault_crashes + scalar.burst_losses + scalar.fault_jam_bursts, 0u);
+  EXPECT_GT(scalar.deaths, 0u) << "no spike killed a node";
+  EXPECT_LT(scalar.deaths, scalar.fault_battery_spikes) << "no spike was survived";
 }
 
 TEST(FaultWorld, SamePlanSameSeedReproducesStats) {

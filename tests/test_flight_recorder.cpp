@@ -27,6 +27,7 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/scalar_only_mac.hpp"
+#include "support/stats_equal.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -88,22 +89,6 @@ struct Scenario {
   }
 };
 
-void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-}
-
 // ------------------------------------------------------------ ring basics
 
 TEST(FlightRecorderRing, EvictsOldestFirst) {
@@ -140,13 +125,13 @@ TEST(FlightRecorderSim, GoldenStatsUntouchedByRecording) {
   const sim::SimStats plain = sc.run(1200, nullptr);
   FlightRecorder ring(1 << 16);
   const sim::SimStats recorded = sc.run(1200, &ring);
-  expect_stats_equal(plain, recorded);
+  sim::expect_identical_stats(plain, recorded);
   EXPECT_GT(ring.seen(), 0u);
 
   // The per-node reference path with the recorder attached stays golden too.
   FlightRecorder scalar_ring(1 << 16);
   const sim::SimStats scalar = sc.run(1200, &scalar_ring, /*scalar_only=*/true);
-  expect_stats_equal(plain, scalar);
+  sim::expect_identical_stats(plain, scalar);
   // Both paths must emit the identical event stream, not merely the same
   // totals.
   EXPECT_TRUE(ring.events() == scalar_ring.events());
@@ -160,7 +145,7 @@ TEST(FlightRecorderSim, DisarmedRecorderStaysEmptyAndGolden) {
   const sim::SimStats disarmed = sc.run(600, &ring);
   FlightRecorder::enable(true);
   EXPECT_EQ(ring.seen(), 0u);
-  expect_stats_equal(plain, disarmed);
+  sim::expect_identical_stats(plain, disarmed);
 }
 
 TEST(FlightRecorderSim, EventCountsMatchSimStats) {

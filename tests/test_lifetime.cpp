@@ -1,6 +1,10 @@
 // Battery depletion and network lifetime.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
@@ -8,6 +12,10 @@
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/scalar_only_mac.hpp"
+#include "support/sleeper_mac.hpp"
+#include "support/stats_equal.hpp"
+#include "util/check.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -113,6 +121,89 @@ TEST(Lifetime, DeadOriginStopsGenerating) {
   sim.run(200);
   EXPECT_EQ(sim.alive_count(), 0u);
   EXPECT_EQ(sim.stats().generated, generated_at_death);
+}
+
+// A node that only ever sleeps is never charged by phase 3: its drain is
+// the implicit per-slot sleep cost, and its death is found through the
+// min-credit bound alone. The death slot must be exactly the slot in which
+// the cumulative sleep drain reaches the budget, ceil(B / b_sleep) - 1, and
+// every pipeline — batched or per-node MAC, fast-forward on or off — must
+// agree on it, on SimStats, and on every node's remaining budget.
+TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
+  constexpr std::size_t kNodes = 8;
+  constexpr std::size_t kSleeper = 3;
+  // Radio costs barely above the sleep rate keep the awake nodes alive for
+  // ~94% of the sleeper's lifetime, so the bound is exercised under
+  // traffic, transmissions, wakeups and awake deaths before the sleeper is
+  // the last node standing.
+  EnergyModel energy;
+  energy.transmit_mw = 0.004;
+  energy.receive_mw = 0.0035;
+  energy.listen_mw = 0.0035;
+  energy.wakeup_mj = 1e-5;
+  // 3.00001 mJ over 3e-5 mJ per slot: the budget is not a whole number of
+  // sleep slots, so the exact death slot exercises the rounding.
+  const double battery_mj = 3.00001;
+  const auto units = [](double mj) { return std::llround(mj * 1e9); };
+  const std::int64_t budget = units(battery_mj);
+  const std::int64_t sleep = units(energy.energy_mj(RadioState::kSleep, 1));
+  const auto death_slot = static_cast<std::uint64_t>((budget + sleep - 1) / sleep - 1);
+  ASSERT_EQ(death_slot, 100000u);
+
+  const std::vector<std::uint64_t> checkpoints = {25000, 50000, 75000, death_slot,
+                                                  death_slot + 1, death_slot + 20000};
+  struct Outcome {
+    SimStats stats;
+    std::vector<std::vector<double>> remaining;  // [checkpoint][node]
+    std::vector<bool> sleeper_alive;             // [checkpoint]
+  };
+  const auto run = [&](bool scalar_only, bool fast_forward) {
+    SleeperMac mac(kNodes, kSleeper);
+    ScalarOnlyMac scalar_mac(mac);
+    LookaheadConvergecastTraffic traffic(kNodes, /*sink=*/0, /*rate=*/2e-4, /*seed=*/0x51);
+    SimConfig config;
+    config.seed = 7;
+    config.battery_mj = battery_mj;
+    config.energy = energy;
+    config.fast_forward = fast_forward;
+    Simulator sim(net::ring_graph(kNodes),
+                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac, traffic, config);
+    check::ScopedThrowOnViolation guard;
+    Outcome out;
+    for (const std::uint64_t checkpoint : checkpoints) {
+      sim.run(checkpoint - sim.now());
+      sim.audit_invariants();
+      std::vector<double> remaining(kNodes);
+      for (std::size_t v = 0; v < kNodes; ++v) {
+        remaining[v] = sim.remaining_battery_mj(v);
+        if (!sim.is_alive(v)) {
+          EXPECT_EQ(remaining[v], 0.0) << "dead node " << v;
+        }
+      }
+      out.remaining.push_back(std::move(remaining));
+      out.sleeper_alive.push_back(sim.is_alive(kSleeper));
+    }
+    out.stats = sim.stats();
+    return out;
+  };
+
+  const Outcome reference = run(/*scalar_only=*/false, /*fast_forward=*/false);
+  // Alive through slot death_slot - 1, dead once slot death_slot has run.
+  EXPECT_EQ(reference.sleeper_alive,
+            (std::vector<bool>{true, true, true, true, false, false}));
+  EXPECT_GT(reference.remaining[3][kSleeper], 0.0);
+  EXPECT_GT(reference.stats.transmissions, 0u);
+  EXPECT_GT(reference.stats.deaths, 1u);
+  for (const bool scalar_only : {false, true}) {
+    for (const bool fast_forward : {false, true}) {
+      const Outcome other = run(scalar_only, fast_forward);
+      SCOPED_TRACE(::testing::Message() << "scalar_only=" << scalar_only
+                                        << " fast_forward=" << fast_forward);
+      expect_identical_stats(reference.stats, other.stats);
+      EXPECT_EQ(reference.remaining, other.remaining);
+      EXPECT_EQ(reference.sleeper_alive, other.sleeper_alive);
+    }
+  }
 }
 
 }  // namespace

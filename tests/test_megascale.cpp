@@ -21,6 +21,7 @@
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/stats_equal.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -61,33 +62,6 @@ FaultPlan make_fault_plan(std::size_t n, std::uint64_t seed) {
   fc.jam_duty = 0.05;
   fc.jam_burst_slots = 40;
   return FaultPlan(fc, n, seed);
-}
-
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
 }
 
 enum class MacKind { kDutyCycled, kAloha, kUncoordinated, kCommonActive, kColoringTdma };

@@ -20,6 +20,7 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/scalar_only_mac.hpp"
+#include "support/stats_equal.hpp"
 #include "util/slot_set.hpp"
 
 // ---------------------------------------------------------------------------
@@ -72,38 +73,12 @@ Schedule duty_schedule() {
       kN / 3);
 }
 
-/// Field-by-field SimStats comparison (latency compared through its queries;
-/// the sample multiset is identical iff count/mean/max/percentiles agree on
-/// identical insertion histories).
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  for (double pct : {50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.latency.percentile(pct), b.latency.percentile(pct)) << "p" << pct;
-  }
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
-}
-
 /// Runs the same (graph, MAC factory, traffic factory, config) with the MAC
 /// wrapped in ScalarOnlyMac and bare, and asserts identical SimStats.
+/// Returns the batched run's stats for scenario-specific assertions.
 template <typename MacFactory, typename TrafficFactory>
-void expect_pipelines_equivalent(MacFactory make_mac, TrafficFactory make_traffic,
-                                 const SimConfig& config) {
+SimStats expect_pipelines_equivalent(MacFactory make_mac, TrafficFactory make_traffic,
+                                     const SimConfig& config) {
   auto mac_s = make_mac();
   ScalarOnlyMac scalar_mac(*mac_s);
   auto traffic_s = make_traffic();
@@ -116,6 +91,7 @@ void expect_pipelines_equivalent(MacFactory make_mac, TrafficFactory make_traffi
   batched.run(kSlots);
 
   expect_identical_stats(scalar.stats(), batched.stats());
+  return batched.stats();
 }
 
 auto bernoulli_factory(double rate) {
@@ -176,6 +152,19 @@ TEST(HotPathGolden, BatteryDeathsAndWakeAccounting) {
   expect_pipelines_equivalent(
       [] { return std::make_unique<UncoordinatedSleepMac>(kN, 0.4, 0.5); },
       bernoulli_factory(0.02), uconfig);
+
+  // Sleeping dearer than being awake: every awake surcharge over sleep is
+  // negative, so awake credits RISE and the min-credit bound goes stale-low
+  // (it still bounds every live credit, just not tightly). The settle pass
+  // must then recompute it without ever missing or inventing a death.
+  SimConfig iconfig{.seed = 111};
+  iconfig.energy.sleep_mw = 70.0;
+  iconfig.battery_mj = 80.0;  // ~115 sleep slots; awake slots stretch that
+  const SimStats inverted = expect_pipelines_equivalent(
+      [&] { return std::make_unique<DutyCycledScheduleMac>(s); }, bernoulli_factory(0.02),
+      iconfig);
+  EXPECT_GT(inverted.deaths, 0u);
+  EXPECT_GT(inverted.transmissions, 0u);
 }
 
 TEST(HotPathGolden, TopologyChurnKeepsPathsAligned) {
