@@ -76,6 +76,21 @@ void BM_ConstructDutyCycled(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructDutyCycled)->Arg(5)->Arg(9)->Arg(13);
 
+// The bench/e2e schedule recipe (best_plan, D = 6, αT = 4, αR = n/3); at
+// n = 5000 it is the metro workload's Construct. Informational, no gate.
+void BM_ConstructDutyCycledE2eRecipe(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const core::Schedule base =
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 6), n));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::construct_duty_cycled(base, 6, 4, n / 3));
+  }
+}
+BENCHMARK(BM_ConstructDutyCycledE2eRecipe)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Theorem2Evaluator(benchmark::State& state) {
   const auto q = static_cast<std::uint32_t>(state.range(0));
   const core::Schedule s = poly_schedule(q, 1, static_cast<std::size_t>(q) * q);

@@ -12,18 +12,20 @@ namespace ttdc::core {
 
 namespace {
 
-// Divides `members` into k = ⌈|members|/cap⌉ subsets of size exactly
-// min(cap, |members|) whose union is `members` (Figure 2, lines 3-4).
-// Subsets are cyclic windows over the member list; the two policies differ
-// only in where the windows start.
-std::vector<std::vector<std::size_t>> divide(const std::vector<std::size_t>& members,
-                                             std::size_t cap, DivisionPolicy policy) {
+// Divides `set` into k = ⌈|set|/cap⌉ subsets of size exactly
+// min(cap, |set|) whose union is `set` (Figure 2, lines 3-4), each returned
+// as a set over the same universe. Subsets are cyclic windows over the
+// sorted member list; the two policies differ only in where the windows
+// start.
+std::vector<DynamicBitset> divide(const DynamicBitset& set, std::size_t cap,
+                                  DivisionPolicy policy) {
   TTDC_DCHECK(cap >= 1, "divide() with zero cap");
+  const std::vector<std::size_t> members = set.to_vector();
   const std::size_t s = members.size();
   if (s == 0) return {};
   const std::size_t size = std::min(cap, s);
   const std::size_t k = (s + cap - 1) / cap;
-  std::vector<std::vector<std::size_t>> subsets(k);
+  std::vector<DynamicBitset> subsets(k, DynamicBitset(set.size()));
   for (std::size_t j = 0; j < k; ++j) {
     std::size_t start = 0;
     switch (policy) {
@@ -37,9 +39,7 @@ std::vector<std::vector<std::size_t>> divide(const std::vector<std::size_t>& mem
         start = (j * s) / k;
         break;
     }
-    auto& subset = subsets[j];
-    subset.reserve(size);
-    for (std::size_t t = 0; t < size; ++t) subset.push_back(members[(start + t) % s]);
+    for (std::size_t t = 0; t < size; ++t) subsets[j].set(members[(start + t) % s]);
   }
   return subsets;
 }
@@ -61,31 +61,33 @@ Schedule construct_duty_cycled(const Schedule& non_sleeping, std::size_t degree_
                                 ? alpha_t
                                 : optimal_transmitters_alpha(n, degree_bound, alpha_t);
 
+  // Each window is built once per slot and copied into every (T̄_a, R̄_b)
+  // pair it belongs to; pairs are emitted in (a, b) order.
+  const std::size_t out_len = constructed_frame_length(non_sleeping, cap_t, alpha_r);
   std::vector<DynamicBitset> out_t;
   std::vector<DynamicBitset> out_r;
-  const std::size_t L = non_sleeping.frame_length();
-  for (std::size_t i = 0; i < L; ++i) {
-    const auto t_members = non_sleeping.transmitters(i).to_vector();
-    const auto r_members = non_sleeping.receivers(i).to_vector();
-    const auto t_subsets = divide(t_members, cap_t, options.division);
-    const auto r_subsets = divide(r_members, alpha_r, options.division);
-    for (const auto& ta : t_subsets) {
-      DynamicBitset tbar(n);
-      for (std::size_t v : ta) tbar.set(v);
-      for (const auto& rb : r_subsets) {
-        DynamicBitset rbar(n);
-        for (std::size_t v : rb) rbar.set(v);
-        // Line 8: pad the receiver set up to αR from V - T̄[k]. Feasible
-        // because |T̄[k]| <= αT and αT + αR <= n.
-        if (rbar.count() < alpha_r) {
-          for (std::size_t v = 0; v < n && rbar.count() < alpha_r; ++v) {
-            if (!tbar.test(v) && !rbar.test(v)) rbar.set(v);
-          }
-          TTDC_DCHECK(rbar.count() == alpha_r, "receiver padding fell short: ",
-                      rbar.count(), " < alpha_r = ", alpha_r);
-        }
+  out_t.reserve(out_len);
+  out_r.reserve(out_len);
+  for (std::size_t i = 0; i < non_sleeping.frame_length(); ++i) {
+    const auto t_windows = divide(non_sleeping.transmitters(i), cap_t, options.division);
+    const auto r_windows = divide(non_sleeping.receivers(i), alpha_r, options.division);
+    // Every receiver window has min(αR, |R[i]|) members.
+    const std::size_t r_size = std::min(alpha_r, non_sleeping.receive_sizes()[i]);
+    for (const DynamicBitset& tbar : t_windows) {
+      for (const DynamicBitset& rbar : r_windows) {
         out_t.push_back(tbar);
-        out_r.push_back(std::move(rbar));
+        out_r.push_back(rbar);
+        // Line 8: pad the receiver set up to αR from V - T̄[k], lowest ids
+        // first. Feasible because |T̄[k]| <= αT and αT + αR <= n.
+        DynamicBitset& padded = out_r.back();
+        for (std::size_t v = 0, size = r_size; v < n && size < alpha_r; ++v) {
+          if (!tbar.test(v) && !padded.test(v)) {
+            padded.set(v);
+            ++size;
+          }
+        }
+        TTDC_DCHECK(padded.count() == alpha_r, "receiver padding fell short: ",
+                    padded.count(), " < alpha_r = ", alpha_r);
       }
     }
   }

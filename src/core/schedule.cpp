@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/profile.hpp"
+
 namespace ttdc::core {
 
 Schedule::Schedule(std::size_t num_nodes, std::vector<DynamicBitset> transmit,
@@ -13,6 +15,8 @@ Schedule::Schedule(std::size_t num_nodes, std::vector<DynamicBitset> transmit,
     throw std::invalid_argument("Schedule: T and R must be non-empty and the same length");
   }
   const std::size_t L = transmit_.size();
+  t_sizes_.resize(L);
+  r_sizes_.resize(L);
   for (std::size_t i = 0; i < L; ++i) {
     if (transmit_[i].size() != num_nodes_ || receive_[i].size() != num_nodes_) {
       throw std::invalid_argument("Schedule: slot sets must range over the node universe");
@@ -20,17 +24,12 @@ Schedule::Schedule(std::size_t num_nodes, std::vector<DynamicBitset> transmit,
     if (transmit_[i].intersects(receive_[i])) {
       throw std::invalid_argument("Schedule: T[i] and R[i] must be disjoint");
     }
-  }
-  tran_.assign(num_nodes_, DynamicBitset(L));
-  recv_.assign(num_nodes_, DynamicBitset(L));
-  t_sizes_.resize(L);
-  r_sizes_.resize(L);
-  for (std::size_t i = 0; i < L; ++i) {
-    transmit_[i].for_each([&](std::size_t x) { tran_[x].set(i); });
-    receive_[i].for_each([&](std::size_t x) { recv_[x].set(i); });
     t_sizes_[i] = transmit_[i].count();
     r_sizes_[i] = receive_[i].count();
   }
+  TTDC_PROF_SCOPE("core.schedule.transpose");
+  tran_ = DynamicBitset::transpose(transmit_, num_nodes_);
+  recv_ = DynamicBitset::transpose(receive_, num_nodes_);
 }
 
 Schedule Schedule::non_sleeping(std::size_t num_nodes, std::vector<DynamicBitset> transmit) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,15 @@ class DynamicBitset {
 
   /// Fused kernel: does (this AND a AND NOT b) have any member?
   [[nodiscard]] bool any_and_andnot(const DynamicBitset& a, const DynamicBitset& b) const;
+
+  /// Transposes the bit matrix whose rows are `rows`, each a set over
+  /// [0, cols): returns `cols` sets over [0, rows.size()) with
+  /// out[c].test(r) == rows[r].test(c). Dense matrices go through 64x64
+  /// bit-block transposes, O(rows·cols/64) word operations; a matrix with at
+  /// most one member per 64 cells scatters its members instead, which is
+  /// cheaper than transposing blocks that are almost all zero.
+  [[nodiscard]] static std::vector<DynamicBitset> transpose(std::span<const DynamicBitset> rows,
+                                                            std::size_t cols);
 
  private:
   void trim_tail();

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "support/reference_schedule.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::util {
@@ -157,6 +159,69 @@ TEST(Bitset, SubtractInPlace) {
   DynamicBitset b(10, {2, 5});
   a.subtract(b);
   EXPECT_EQ(a, DynamicBitset(10, {1, 3}));
+}
+
+// A rows x cols matrix: empty, one member, about `density` of the cells,
+// or full.
+enum class Fill { kEmpty, kSingle, kDensity, kFull };
+
+std::vector<DynamicBitset> random_matrix(std::size_t rows, std::size_t cols, Fill fill,
+                                         double density, Xoshiro256& rng) {
+  std::vector<DynamicBitset> m(rows, DynamicBitset(cols));
+  switch (fill) {
+    case Fill::kEmpty:
+      break;
+    case Fill::kSingle:
+      m[rng.below(rows)].set(rng.below(cols));
+      break;
+    case Fill::kDensity:
+      for (auto& row : m) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          if (rng.bernoulli(density)) row.set(c);
+        }
+      }
+      break;
+    case Fill::kFull:
+      for (auto& row : m) row.set_all();
+      break;
+  }
+  return m;
+}
+
+// Ragged shapes straddle every word and block boundary; the densities reach
+// both the scatter path (empty, single, ~1%) and the 64x64 block path
+// (~30%, full).
+TEST(Bitset, TransposeMatchesPerBitReferenceAndIsAnInvolution) {
+  Xoshiro256 rng(11);
+  const std::size_t dims[] = {1, 63, 64, 65, 127, 129, 1000};
+  const std::pair<Fill, double> fills[] = {{Fill::kEmpty, 0.0},
+                                           {Fill::kSingle, 0.0},
+                                           {Fill::kDensity, 0.01},
+                                           {Fill::kDensity, 0.3},
+                                           {Fill::kFull, 1.0}};
+  for (const std::size_t rows : dims) {
+    for (const std::size_t cols : dims) {
+      for (const auto& [fill, density] : fills) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << cols << " fill "
+                                        << static_cast<int>(fill) << " density " << density);
+        const std::vector<DynamicBitset> m = random_matrix(rows, cols, fill, density, rng);
+        const std::vector<DynamicBitset> t = DynamicBitset::transpose(m, cols);
+        ASSERT_EQ(t.size(), cols);
+        ASSERT_TRUE(t == core::reference_transpose(m, cols));
+        ASSERT_TRUE(DynamicBitset::transpose(t, rows) == m);
+      }
+    }
+  }
+}
+
+TEST(Bitset, TransposeOfDegenerateShapes) {
+  // No rows: `cols` empty columns over an empty universe.
+  const std::vector<DynamicBitset> none = DynamicBitset::transpose({}, 3);
+  ASSERT_EQ(none.size(), 3u);
+  for (const auto& col : none) EXPECT_EQ(col.size(), 0u);
+  // No columns: nothing to transpose into.
+  const std::vector<DynamicBitset> empty_rows(5, DynamicBitset(0));
+  EXPECT_TRUE(DynamicBitset::transpose(empty_rows, 0).empty());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/energy.hpp"
 #include "core/requirements.hpp"
 #include "core/throughput.hpp"
+#include "support/reference_schedule.hpp"
 
 namespace ttdc::core {
 namespace {
@@ -90,6 +91,22 @@ TEST_P(ConstructTest, Theorem9MinThroughputBoundHolds) {
   EXPECT_GE(static_cast<double>(actual), static_cast<double>(bound) - 1e-12) << c;
 }
 
+// Differential oracle: every division policy and the αT' variant produce
+// exactly the schedule the pair-by-pair Figure 2 loop does.
+TEST_P(ConstructTest, MatchesReferenceConstruct) {
+  const Case c = GetParam();
+  const Schedule base = base_schedule_for(c);
+  for (const DivisionPolicy policy : {DivisionPolicy::kContiguous, DivisionPolicy::kBalanced}) {
+    for (const bool verbatim : {false, true}) {
+      SCOPED_TRACE(testing::Message() << c << " balanced=" << (policy == DivisionPolicy::kBalanced)
+                                      << " verbatim=" << verbatim);
+      const ConstructOptions opts{.division = policy, .use_alpha_t_verbatim = verbatim};
+      expect_matches_reference(construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts),
+                               reference_construct(base, c.d, c.alpha_t, c.alpha_r, opts));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, ConstructTest,
     ::testing::Values(Case{9, 2, 2, 3}, Case{9, 2, 1, 1}, Case{12, 2, 3, 4},
@@ -97,6 +114,47 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{25, 4, 3, 8}, Case{25, 2, 5, 5}, Case{10, 5, 1, 4},
                       Case{30, 3, 6, 10}, Case{18, 4, 2, 6}, Case{24, 2, 8, 8},
                       Case{15, 2, 1, 13}, Case{28, 3, 4, 12}, Case{21, 5, 2, 8}));
+
+// The bench/e2e schedule recipe (D = 6, αT = 4, αR = n/3 over best_plan),
+// with the non-sleeping input's own transposition checked too.
+TEST(Construct, MatchesReferenceOnBenchmarkRecipe) {
+  for (const std::size_t n : {100u, 400u, 1000u}) {
+    const Case c{n, 6, 4, n / 3};
+    SCOPED_TRACE(testing::Message() << c);
+    const Schedule base = base_schedule_for(c);
+    std::vector<DynamicBitset> t, r;
+    for (std::size_t i = 0; i < base.frame_length(); ++i) {
+      t.push_back(base.transmitters(i));
+      r.push_back(base.receivers(i));
+    }
+    expect_matches_reference(base, reference_schedule(n, std::move(t), std::move(r)));
+    for (const DivisionPolicy policy : {DivisionPolicy::kContiguous, DivisionPolicy::kBalanced}) {
+      const ConstructOptions opts{.division = policy};
+      expect_matches_reference(construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts),
+                               reference_construct(base, c.d, c.alpha_t, c.alpha_r, opts));
+    }
+  }
+}
+
+// αR > n - M_in: some slots have fewer receivers than αR, so line 8 pads
+// every pair of theirs from V - T̄.
+TEST(Construct, MatchesReferenceWhenPaddingReceivers) {
+  for (const Case c : {Case{100, 6, 4, 95}, Case{300, 6, 10, 290}, Case{25, 2, 4, 21},
+                       Case{9, 2, 1, 8}}) {
+    SCOPED_TRACE(testing::Message() << c);
+    const Schedule base = base_schedule_for(c);
+    ASSERT_GT(c.alpha_r, c.n - base.min_transmitters()) << "no slot needs padding";
+    for (const DivisionPolicy policy : {DivisionPolicy::kContiguous, DivisionPolicy::kBalanced}) {
+      for (const bool verbatim : {false, true}) {
+        const ConstructOptions opts{.division = policy, .use_alpha_t_verbatim = verbatim};
+        const Schedule out = construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts);
+        expect_matches_reference(out, reference_construct(base, c.d, c.alpha_t, c.alpha_r, opts));
+        EXPECT_TRUE(out.is_alpha_schedule(c.alpha_t, c.alpha_r));
+        for (const std::size_t size : out.receive_sizes()) EXPECT_EQ(size, c.alpha_r);
+      }
+    }
+  }
+}
 
 TEST(Construct, RejectsInvalidInputs) {
   const Schedule base = non_sleeping_from_family(comb::tdma_family(6));

@@ -115,5 +115,41 @@ TEST(Serialize, RejectsMalformedInputs) {
                std::invalid_argument);
 }
 
+// Hostile headers and ids must fail as a line-numbered invalid_argument:
+// never a crash, a length_error, or an allocation sized by the header.
+TEST(Serialize, RejectsHostileCountsAndIds) {
+  const auto expect_rejected_at = [](const std::string& text, std::size_t line) {
+    try {
+      (void)schedule_from_text(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at line " + std::to_string(line) + ":"), std::string::npos)
+          << what << "\nfor:\n" << text;
+    }
+  };
+  const std::string header = "ttdc-schedule v1\n";
+  // Signed, junk-suffixed, overflowing and over-long counts.
+  expect_rejected_at(header + "nodes -1\nslots 1\nslot 0 T 0 R 1\n", 2);
+  expect_rejected_at(header + "nodes 2\nslots -1\nslot 0 T 0 R 1\n", 3);
+  expect_rejected_at(header + "nodes +2\nslots 1\nslot 0 T 0 R 1\n", 2);
+  expect_rejected_at(header + "nodes 2x\nslots 1\nslot 0 T 0 R 1\n", 2);
+  expect_rejected_at(header + "nodes 2 3\nslots 1\nslot 0 T 0 R 1\n", 2);
+  expect_rejected_at(header + "nodes 18446744073709551616\nslots 1\n", 2);
+  // Node ids must fit 32-bit set indices: 2^32 nodes pass, 2^32 + 1 do not.
+  expect_rejected_at(header + "nodes 4294967297\nslots 1\n", 2);
+  expect_rejected_at(header + "nodes 4294967296\nslots 1\n", 3);
+  // Huge declared sizes allocate nothing before the slot lines arrive.
+  expect_rejected_at(header + "nodes 100000000\nslots 1\n", 3);
+  expect_rejected_at(header + "nodes 2\nslots 100000000\nslot 0 T 0 R 1\n", 4);
+  // Slot indices and node ids are whole tokens too.
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot 0 T 1x R 2\n", 4);
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot 0 T 1 R 2x\n", 4);
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot 0x T 1 R 2\n", 4);
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot -0 T 1 R 2\n", 4);
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot 0 T -1 R 2\n", 4);
+  expect_rejected_at(header + "nodes 3\nslots 1\nslot 0 T 1 R 18446744073709551617\n", 4);
+}
+
 }  // namespace
 }  // namespace ttdc::core
