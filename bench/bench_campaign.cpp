@@ -126,9 +126,13 @@ int main(int argc, char** argv) {
     std::cout << "speedup gate (>= 3x on " << cores
               << " cores): " << (speedup_ok ? "CONFIRMED" : "FAILED") << "\n";
   } else {
-    std::cout << "speedup gate: skipped ("
-              << (smoke ? "smoke mode" : !perf_check ? "no --perf-check" : "< 4 cores")
-              << ")\n";
+    // A skipped gate is recorded as skipped, so "ok" never reads as a pass
+    // the run did not make.
+    const std::string reason = smoke         ? "smoke mode"
+                               : !perf_check ? "no --perf-check"
+                                             : std::to_string(cores) + " cores (< 4)";
+    std::cout << "speedup gate: skipped (" << reason << ")\n";
+    report.param("gate_skipped", "speedup >= 3x: " + reason);
   }
 
   const bool ok = equal && speedup_ok;

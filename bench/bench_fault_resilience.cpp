@@ -32,6 +32,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -270,9 +271,12 @@ int main(int argc, char** argv) {
   const bool measurable = noise <= kMaxOverhead / 2;
   const bool overhead_ok = overhead <= kMaxOverhead;
   if (!measurable) {
-    std::cout << "overhead gate (<= " << kMaxOverhead * 100
-              << "%): SKIPPED (noise canary " << noise * 100 << "% exceeds "
-              << kMaxOverhead * 50 << "%; host too loaded to resolve)\n";
+    std::ostringstream reason;
+    reason << "noise canary " << noise * 100 << "% exceeds " << kMaxOverhead * 50
+           << "%; host too loaded to resolve";
+    std::cout << "overhead gate (<= " << kMaxOverhead * 100 << "%): SKIPPED (" << reason.str()
+              << ")\n";
+    report.param("gate_skipped", "empty-plan overhead: " + reason.str());
   } else {
     std::cout << "overhead gate (<= " << kMaxOverhead * 100
               << "%): " << (overhead_ok ? "CONFIRMED" : "FAILED") << "\n";

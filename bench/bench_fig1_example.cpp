@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/builders.hpp"
+#include "core/node_slots.hpp"
 #include "core/throughput.hpp"
 #include "net/graph.hpp"
 #include "obs/report.hpp"
@@ -58,6 +59,8 @@ int main() {
                      "sim deliveries/frame <T>", "sim deliveries/frame <T,R'>", "equal"});
   constexpr std::uint64_t kFrames = 50;
   bool all_equal = true;
+  const core::NodeSlots non_sleeping(ex.non_sleeping);
+  const core::NodeSlots duty_cycled(ex.duty_cycled);
   for (const auto& [a, b] : ex.edges) {
     for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
       std::vector<std::size_t> s;
@@ -65,8 +68,8 @@ int main() {
         if (p == y && q != x) s.push_back(q);
         if (q == y && p != x) s.push_back(p);
       }
-      const auto ns = ex.non_sleeping.guaranteed_slot_count(x, y, s);
-      const auto dc = ex.duty_cycled.guaranteed_slot_count(x, y, s);
+      const auto ns = non_sleeping.guaranteed_slot_count(x, y, s);
+      const auto dc = duty_cycled.guaranteed_slot_count(x, y, s);
       const auto sim_ns = simulate_link(ex, ex.non_sleeping, x, y, kFrames);
       const auto sim_dc = simulate_link(ex, ex.duty_cycled, x, y, kFrames);
       const bool equal = ns == dc && sim_ns == sim_dc && sim_ns == kFrames * ns;

@@ -13,6 +13,8 @@
 #include <cmath>
 #include <cstddef>
 #include <iostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "combinatorics/params.hpp"
@@ -129,10 +131,12 @@ int main() {
   const bool measurable = std::abs(disarmed_overhead) <= kMaxOverhead / 2;
   const bool ok = armed_overhead <= kMaxOverhead;
   if (!measurable) {
+    std::ostringstream reason;
+    reason << "noise canary " << disarmed_overhead * 100 << "% exceeds " << kMaxOverhead * 50
+           << "%; environment too loaded to resolve the gate";
     std::cout << "\narmed overhead " << armed_overhead * 100 << "% (gate <= "
-              << kMaxOverhead * 100 << "%): SKIPPED (noise canary "
-              << disarmed_overhead * 100 << "% exceeds " << kMaxOverhead * 50
-              << "%; environment too loaded to resolve the gate)\n";
+              << kMaxOverhead * 100 << "%): SKIPPED (" << reason.str() << ")\n";
+    report.param("gate_skipped", "armed overhead: " + reason.str());
   } else {
     std::cout << "\narmed overhead " << armed_overhead * 100 << "% (gate <= "
               << kMaxOverhead * 100 << "%): " << (ok ? "CONFIRMED" : "FAILED") << "\n";

@@ -77,7 +77,9 @@ void BM_ConstructDutyCycled(benchmark::State& state) {
 BENCHMARK(BM_ConstructDutyCycled)->Arg(5)->Arg(9)->Arg(13);
 
 // The bench/e2e schedule recipe (best_plan, D = 6, αT = 4, αR = n/3); at
-// n = 5000 it is the metro workload's Construct. Informational, no gate.
+// n = 5000 it is the metro workload's Construct, and n = 20,000 (frame
+// length 285,513) is the first size past the metro workload. Informational,
+// no gate.
 void BM_ConstructDutyCycledE2eRecipe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const core::Schedule base =
@@ -89,6 +91,7 @@ void BM_ConstructDutyCycledE2eRecipe(benchmark::State& state) {
 BENCHMARK(BM_ConstructDutyCycledE2eRecipe)
     ->Arg(1000)
     ->Arg(5000)
+    ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Theorem2Evaluator(benchmark::State& state) {

@@ -99,8 +99,9 @@ int main(int argc, char** argv) {
   if (!csv_path.empty()) {
     util::Table slots({"slot", "transmitters", "receivers"});
     for (std::size_t i = 0; i < duty.frame_length(); ++i) {
-      slots.add_row({static_cast<std::int64_t>(i), duty.transmitters(i).to_string(),
-                     duty.receivers(i).to_string()});
+      slots.add_row({static_cast<std::int64_t>(i),
+                     duty.transmitters(i).to_dense_bitset().to_string(),
+                     duty.receivers(i).to_dense_bitset().to_string()});
     }
     if (!slots.write_csv(csv_path)) {
       std::cerr << "failed to write " << csv_path << "\n";

@@ -32,14 +32,19 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_metrics(path):
-    """Returns the metrics dict, or None (with a message) when unreadable."""
+def load_report(path):
+    """Returns (report dict, None), or (None, message) when unreadable."""
     try:
         with open(path) as f:
-            return json.load(f).get("metrics", {})
+            return json.load(f), None
     except (OSError, json.JSONDecodeError) as err:
-        print(f"  (unreadable report {os.path.relpath(path, REPO_ROOT)}: {err})")
-        return None
+        return None, f"  (unreadable report {os.path.relpath(path, REPO_ROOT)}: {err})"
+
+
+def gate_note(label, report):
+    """' [<label> gate skipped: <reason>]' when the report's gate did not run."""
+    reason = report.get("params", {}).get("gate_skipped")
+    return f"  [{label} gate skipped: {reason}]" if reason else ""
 
 
 def history_runs():
@@ -65,15 +70,19 @@ def bench_names(report_dir):
 
 
 def compare(name, baseline_path, report_path, band, regressions):
-    print(f"== {name} ==")
     if not os.path.exists(report_path):
-        print("  (no current report; run scripts/run_benches.sh)\n")
+        print(f"== {name} ==\n  (no current report; run scripts/run_benches.sh)\n")
         return
-    base = load_metrics(baseline_path)
-    cur = load_metrics(report_path)
-    if base is None or cur is None:
-        print()
+    base_report, base_err = load_report(baseline_path)
+    cur_report, cur_err = load_report(report_path)
+    # A skipped gate is named on the header line: its "ok" is not a pass.
+    print(f"== {name} ==" + gate_note("current", cur_report or {}) +
+          gate_note("baseline", base_report or {}))
+    if base_err or cur_err:
+        print("\n".join(e for e in (base_err, cur_err) if e) + "\n")
         return
+    base = base_report.get("metrics", {})
+    cur = cur_report.get("metrics", {})
     # Union of keys: metrics added since the baseline/previous snapshot
     # (e.g. the fast-forward split in BENCH_lifetime) surface as "(new)"
     # informational rows instead of being silently dropped — and never

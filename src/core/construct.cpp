@@ -1,7 +1,10 @@
 #include "core/construct.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/throughput.hpp"
@@ -17,7 +20,7 @@ namespace {
 // as a set over the same universe. Subsets are cyclic windows over the
 // sorted member list; the two policies differ only in where the windows
 // start.
-std::vector<DynamicBitset> divide(const DynamicBitset& set, std::size_t cap,
+std::vector<util::SlotSet> divide(const util::SlotSet& set, std::size_t cap,
                                   DivisionPolicy policy) {
   TTDC_DCHECK(cap >= 1, "divide() with zero cap");
   const std::vector<std::size_t> members = set.to_vector();
@@ -25,12 +28,14 @@ std::vector<DynamicBitset> divide(const DynamicBitset& set, std::size_t cap,
   if (s == 0) return {};
   const std::size_t size = std::min(cap, s);
   const std::size_t k = (s + cap - 1) / cap;
-  std::vector<DynamicBitset> subsets(k, DynamicBitset(set.size()));
+  std::vector<util::SlotSet> subsets;
+  subsets.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
     std::size_t start = 0;
     switch (policy) {
       case DivisionPolicy::kContiguous:
-        // Last window wraps to the front when s is not a multiple of cap.
+        // The last window is shifted back to end at the last member, so it
+        // overlaps the one before it when s is not a multiple of cap.
         start = std::min(j * cap, s - size);
         break;
       case DivisionPolicy::kBalanced:
@@ -39,7 +44,15 @@ std::vector<DynamicBitset> divide(const DynamicBitset& set, std::size_t cap,
         start = (j * s) / k;
         break;
     }
-    for (std::size_t t = 0; t < size; ++t) subsets[j].set(members[(start + t) % s]);
+    // In increasing order, a window that wraps past the last member is its
+    // wrapped head members[0, wrap) followed by members[start, end).
+    const std::size_t end = std::min(s, start + size);
+    const std::size_t wrap = start + size - end;
+    std::vector<std::uint32_t> window;
+    window.reserve(size);
+    for (std::size_t t = 0; t < wrap; ++t) window.push_back(static_cast<std::uint32_t>(members[t]));
+    for (std::size_t t = start; t < end; ++t) window.push_back(static_cast<std::uint32_t>(members[t]));
+    subsets.emplace_back(set.size(), std::move(window));
   }
   return subsets;
 }
@@ -61,37 +74,64 @@ Schedule construct_duty_cycled(const Schedule& non_sleeping, std::size_t degree_
                                 ? alpha_t
                                 : optimal_transmitters_alpha(n, degree_bound, alpha_t);
 
-  // Each window is built once per slot and copied into every (T̄_a, R̄_b)
-  // pair it belongs to; pairs are emitted in (a, b) order.
+  // Each window becomes a util::SlotSet once and goes into a pool; every
+  // (T̄_a, R̄_b) pair is a slot indexing the pools, emitted in (a, b) order.
+  // A window shared by many pairs is stored once, a T̄_a of αT* ids as a
+  // short id list, and no dense copy of the output T is ever held.
   const std::size_t out_len = constructed_frame_length(non_sleeping, cap_t, alpha_r);
-  std::vector<DynamicBitset> out_t;
-  std::vector<DynamicBitset> out_r;
-  out_t.reserve(out_len);
-  out_r.reserve(out_len);
+  if (out_len > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("construct_duty_cycled: frame length exceeds 2^32 slots");
+  }
+  std::vector<util::SlotSet> t_pool;
+  std::vector<util::SlotSet> r_pool;
+  std::vector<std::uint32_t> t_of;
+  std::vector<std::uint32_t> r_of;
+  t_of.reserve(out_len);
+  r_of.reserve(out_len);
+  const auto next_index = [](const std::vector<util::SlotSet>& pool) {
+    return static_cast<std::uint32_t>(pool.size());
+  };
   for (std::size_t i = 0; i < non_sleeping.frame_length(); ++i) {
-    const auto t_windows = divide(non_sleeping.transmitters(i), cap_t, options.division);
-    const auto r_windows = divide(non_sleeping.receivers(i), alpha_r, options.division);
-    // Every receiver window has min(αR, |R[i]|) members.
-    const std::size_t r_size = std::min(alpha_r, non_sleeping.receive_sizes()[i]);
-    for (const DynamicBitset& tbar : t_windows) {
-      for (const DynamicBitset& rbar : r_windows) {
-        out_t.push_back(tbar);
-        out_r.push_back(rbar);
-        // Line 8: pad the receiver set up to αR from V - T̄[k], lowest ids
-        // first. Feasible because |T̄[k]| <= αT and αT + αR <= n.
-        DynamicBitset& padded = out_r.back();
-        for (std::size_t v = 0, size = r_size; v < n && size < alpha_r; ++v) {
-          if (!tbar.test(v) && !padded.test(v)) {
-            padded.set(v);
-            ++size;
-          }
+    auto t_windows = divide(non_sleeping.transmitters(i), cap_t, options.division);
+    auto r_windows = divide(non_sleeping.receivers(i), alpha_r, options.division);
+    const std::size_t k_r = r_windows.size();
+    const bool pad = non_sleeping.receive_sizes()[i] < alpha_r;
+    const std::uint32_t first_r = next_index(r_pool);
+    if (!pad) {
+      for (util::SlotSet& rbar : r_windows) r_pool.push_back(std::move(rbar));
+    }
+    for (util::SlotSet& tbar : t_windows) {
+      const std::uint32_t t = next_index(t_pool);
+      if (!pad) {
+        for (std::size_t b = 0; b < k_r; ++b) {
+          t_of.push_back(t);
+          r_of.push_back(first_r + static_cast<std::uint32_t>(b));
         }
-        TTDC_DCHECK(padded.count() == alpha_r, "receiver padding fell short: ",
-                    padded.count(), " < alpha_r = ", alpha_r);
+      } else {
+        // Line 8: |R[i]| < αR, so R[i] is the only receiver window; pad it
+        // up to αR from V - T̄[k], lowest ids first. Feasible because
+        // |T̄[k]| <= αT and αT + αR <= n. The padding runs on bitsets:
+        // inserting into a sorted id list would shift it per padded id.
+        const DynamicBitset t_bits = tbar.to_dense_bitset();
+        for (const util::SlotSet& rbar : r_windows) {
+          DynamicBitset padded = rbar.to_dense_bitset();
+          for (std::size_t v = 0, size = rbar.count(); v < n && size < alpha_r; ++v) {
+            if (!t_bits.test(v) && !padded.test(v)) {
+              padded.set(v);
+              ++size;
+            }
+          }
+          TTDC_DCHECK(padded.count() == alpha_r, "receiver padding fell short: ",
+                      padded.count(), " < alpha_r = ", alpha_r);
+          t_of.push_back(t);
+          r_of.push_back(next_index(r_pool));
+          r_pool.emplace_back(n).copy_from(padded);
+        }
       }
+      t_pool.push_back(std::move(tbar));
     }
   }
-  return Schedule(n, std::move(out_t), std::move(out_r));
+  return Schedule(n, std::move(t_pool), std::move(t_of), std::move(r_pool), std::move(r_of));
 }
 
 std::size_t constructed_frame_length(const Schedule& non_sleeping, std::size_t alpha_t_star,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/node_slots.hpp"
+
 namespace ttdc::core {
 
 BalanceReport balance_report(const Schedule& schedule) {
@@ -16,13 +18,15 @@ BalanceReport balance_report(const Schedule& schedule) {
   }
   report.min_active_per_node = std::numeric_limits<std::size_t>::max();
   double sum = 0.0, sum_sq = 0.0;
-  const auto duties = schedule.per_node_duty_cycle();
+  const NodeSlots slots(schedule);
   for (std::size_t x = 0; x < schedule.num_nodes(); ++x) {
-    const std::size_t active = schedule.tran(x).count() + schedule.recv(x).count();
+    const std::size_t active = slots.tran(x).count() + slots.recv(x).count();
     report.min_active_per_node = std::min(report.min_active_per_node, active);
     report.max_active_per_node = std::max(report.max_active_per_node, active);
-    sum += duties[x];
-    sum_sq += duties[x] * duties[x];
+    const double duty =
+        static_cast<double>(active) / static_cast<double>(schedule.frame_length());
+    sum += duty;
+    sum_sq += duty * duty;
   }
   const double n = static_cast<double>(schedule.num_nodes());
   const double mean = sum / n;
@@ -33,8 +37,9 @@ BalanceReport balance_report(const Schedule& schedule) {
 std::vector<std::size_t> per_node_wake_transitions(const Schedule& schedule) {
   const std::size_t L = schedule.frame_length();
   std::vector<std::size_t> out(schedule.num_nodes(), 0);
+  const NodeSlots slots(schedule);
   for (std::size_t x = 0; x < schedule.num_nodes(); ++x) {
-    const DynamicBitset active = schedule.tran(x) | schedule.recv(x);
+    const DynamicBitset active = slots.tran(x) | slots.recv(x);
     std::size_t wakes = 0;
     for (std::size_t i = 0; i < L; ++i) {
       if (active.test(i) && !active.test((i + L - 1) % L)) ++wakes;

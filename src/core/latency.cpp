@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/node_slots.hpp"
 #include "util/parallel.hpp"
 #include "util/subsets.hpp"
 
@@ -37,14 +38,15 @@ void validate(const Schedule& schedule, std::size_t degree_bound) {
 std::size_t worst_case_latency_exact(const Schedule& schedule, std::size_t degree_bound) {
   validate(schedule, degree_bound);
   const std::size_t n = schedule.num_nodes();
+  const NodeSlots slots(schedule);
   std::atomic<std::size_t> worst{0};
   std::atomic<bool> unbounded{false};
   util::parallel_for(0, n, [&](std::size_t x) {
     DynamicBitset scratch(schedule.frame_length());
     for (std::size_t y = 0; y < n; ++y) {
       if (y == x || unbounded.load(std::memory_order_relaxed)) continue;
-      DynamicBitset base = schedule.tran(x) & schedule.recv(y);
-      base.subtract(schedule.tran(y));
+      DynamicBitset base = slots.tran(x) & slots.recv(y);
+      base.subtract(slots.tran(y));
       std::vector<std::size_t> pool;
       pool.reserve(n - 2);
       for (std::size_t v = 0; v < n; ++v) {
@@ -53,7 +55,7 @@ std::size_t worst_case_latency_exact(const Schedule& schedule, std::size_t degre
       util::for_each_k_subset(
           pool.size(), degree_bound - 1, [&](std::span<const std::size_t> idx) {
             scratch = base;
-            for (std::size_t i : idx) scratch.subtract(schedule.tran(pool[i]));
+            for (std::size_t i : idx) scratch.subtract(slots.tran(pool[i]));
             if (scratch.none()) {
               unbounded.store(true, std::memory_order_relaxed);
               return false;
@@ -75,6 +77,7 @@ std::size_t worst_case_latency_sampled(const Schedule& schedule, std::size_t deg
                                        std::size_t trials, util::Xoshiro256& rng) {
   validate(schedule, degree_bound);
   const std::size_t n = schedule.num_nodes();
+  const NodeSlots slots(schedule);
   std::size_t worst = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     const std::size_t x = static_cast<std::size_t>(rng.below(n));
@@ -86,7 +89,7 @@ std::size_t worst_case_latency_sampled(const Schedule& schedule, std::size_t deg
       if (v >= lo) ++v;
       if (v >= hi) ++v;
     }
-    const DynamicBitset guaranteed = schedule.guaranteed_slots(x, y, s);
+    const DynamicBitset guaranteed = slots.guaranteed_slots(x, y, s);
     if (guaranteed.none()) return std::numeric_limits<std::size_t>::max();
     worst = std::max(worst, max_circular_gap(guaranteed));
   }

@@ -26,7 +26,7 @@ bool parse_unsigned(const std::string& token, std::size_t& value) {
   return ec == std::errc() && ptr == end;
 }
 
-void write_set(std::ostream& out, const DynamicBitset& set) {
+void write_set(std::ostream& out, const util::SlotSet& set) {
   if (set.none()) {
     out << " -";
     return;

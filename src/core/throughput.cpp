@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/node_slots.hpp"
 #include "util/parallel.hpp"
 #include "util/subsets.hpp"
 
@@ -148,6 +149,7 @@ ExactFraction average_throughput_bruteforce(const Schedule& schedule,
   const std::size_t n = schedule.num_nodes();
   validate(n, degree_bound);
   const std::size_t L = schedule.frame_length();
+  const NodeSlots slots(schedule);
 
   std::atomic<std::uint64_t> total{0};
   util::parallel_for(0, n, [&](std::size_t x) {
@@ -155,19 +157,19 @@ ExactFraction average_throughput_bruteforce(const Schedule& schedule,
     for (std::size_t y = 0; y < n; ++y) {
       if (y == x) continue;
       // Base: slots where x may transmit, y may receive, y not transmitting.
-      DynamicBitset base = schedule.tran(x) & schedule.recv(y);
-      base.subtract(schedule.tran(y));
+      DynamicBitset base = slots.tran(x) & slots.recv(y);
+      base.subtract(slots.tran(y));
       std::vector<std::size_t> pool;
       pool.reserve(n - 2);
       for (std::size_t v = 0; v < n; ++v) {
         if (v != x && v != y) pool.push_back(v);
       }
-      DynamicBitset scratch(schedule.frame_length());
+      DynamicBitset scratch(L);
       util::for_each_k_subset(pool.size(), degree_bound - 1,
                               [&](std::span<const std::size_t> idx) {
                                 scratch = base;
                                 for (std::size_t i : idx) {
-                                  scratch.subtract(schedule.tran(pool[i]));
+                                  scratch.subtract(slots.tran(pool[i]));
                                 }
                                 local += scratch.count();
                                 return true;
@@ -279,7 +281,7 @@ namespace {
 // whose current count <= best known min can stop refining only when it
 // reaches depth; a branch that hits 0 is globally minimal.
 struct MinCtx {
-  const Schedule& schedule;
+  const NodeSlots& slots;
   std::size_t x, y;
   std::size_t depth_needed;
   std::size_t best;  // running global best (upper bound)
@@ -287,9 +289,9 @@ struct MinCtx {
   std::vector<std::size_t> pool;
   DynamicBitset base;
 
-  MinCtx(const Schedule& s, std::size_t x_, std::size_t y_, std::size_t d,
+  MinCtx(const NodeSlots& s, std::size_t x_, std::size_t y_, std::size_t d,
          std::size_t initial_best)
-      : schedule(s), x(x_), y(y_), depth_needed(d - 1), best(initial_best),
+      : slots(s), x(x_), y(y_), depth_needed(d - 1), best(initial_best),
         base(s.frame_length()) {
     const std::size_t n = s.num_nodes();
     pool.reserve(n - 2);
@@ -310,7 +312,7 @@ struct MinCtx {
     const std::size_t remaining = depth_needed - depth;
     for (std::size_t pi = first; pi + remaining <= pool.size(); ++pi) {
       DynamicBitset next = current;
-      next.subtract(schedule.tran(pool[pi]));
+      next.subtract(slots.tran(pool[pi]));
       recurse(pi + 1, depth + 1, next);
       if (best == 0) return;
     }
@@ -320,7 +322,7 @@ struct MinCtx {
     if (depth_needed > pool.size()) {
       // Not enough other nodes to form S; treat as S = all of them.
       DynamicBitset current = base;
-      for (std::size_t v : pool) current.subtract(schedule.tran(v));
+      for (std::size_t v : pool) current.subtract(slots.tran(v));
       return current.count();
     }
     recurse(0, 0, base);
@@ -333,13 +335,14 @@ struct MinCtx {
 std::size_t min_guaranteed_slots_exact(const Schedule& schedule, std::size_t degree_bound) {
   const std::size_t n = schedule.num_nodes();
   validate(n, degree_bound);
+  const NodeSlots slots(schedule);
   std::atomic<std::size_t> global_min{std::numeric_limits<std::size_t>::max()};
   util::parallel_for(0, n, [&](std::size_t x) {
     for (std::size_t y = 0; y < n; ++y) {
       if (y == x) continue;
       const std::size_t known = global_min.load(std::memory_order_relaxed);
       if (known == 0) return;
-      MinCtx ctx(schedule, x, y, degree_bound, known);
+      MinCtx ctx(slots, x, y, degree_bound, known);
       const std::size_t local = ctx.run();
       std::size_t cur = global_min.load(std::memory_order_relaxed);
       while (local < cur &&
@@ -353,13 +356,14 @@ std::size_t min_guaranteed_slots_exact(const Schedule& schedule, std::size_t deg
 std::size_t min_guaranteed_slots_greedy(const Schedule& schedule, std::size_t degree_bound) {
   const std::size_t n = schedule.num_nodes();
   validate(n, degree_bound);
+  const NodeSlots slots(schedule);
   std::atomic<std::size_t> global_min{std::numeric_limits<std::size_t>::max()};
   util::parallel_for(0, n, [&](std::size_t x) {
     std::size_t local_min = std::numeric_limits<std::size_t>::max();
     for (std::size_t y = 0; y < n; ++y) {
       if (y == x) continue;
-      DynamicBitset current = schedule.tran(x) & schedule.recv(y);
-      current.subtract(schedule.tran(y));
+      DynamicBitset current = slots.tran(x) & slots.recv(y);
+      current.subtract(slots.tran(y));
       std::vector<bool> used(n, false);
       used[x] = used[y] = true;
       for (std::size_t round = 0; round + 1 < degree_bound; ++round) {
@@ -368,7 +372,7 @@ std::size_t min_guaranteed_slots_greedy(const Schedule& schedule, std::size_t de
         for (std::size_t v = 0; v < n; ++v) {
           if (used[v]) continue;
           any_unused = true;
-          const std::size_t gain = current.intersection_count(schedule.tran(v));
+          const std::size_t gain = current.intersection_count(slots.tran(v));
           if (best_v == n || gain > best_gain) {
             best_gain = gain;
             best_v = v;
@@ -376,7 +380,7 @@ std::size_t min_guaranteed_slots_greedy(const Schedule& schedule, std::size_t de
         }
         if (!any_unused) break;
         used[best_v] = true;
-        current.subtract(schedule.tran(best_v));
+        current.subtract(slots.tran(best_v));
       }
       local_min = std::min(local_min, current.count());
       if (local_min == 0) break;
@@ -393,6 +397,7 @@ std::size_t min_guaranteed_slots_sampled(const Schedule& schedule, std::size_t d
                                          std::size_t trials, util::Xoshiro256& rng) {
   const std::size_t n = schedule.num_nodes();
   validate(n, degree_bound);
+  const NodeSlots slots(schedule);
   std::size_t best = std::numeric_limits<std::size_t>::max();
   for (std::size_t t = 0; t < trials && best > 0; ++t) {
     const std::size_t x = static_cast<std::size_t>(rng.below(n));
@@ -405,7 +410,7 @@ std::size_t min_guaranteed_slots_sampled(const Schedule& schedule, std::size_t d
       if (v >= lo) ++v;
       if (v >= hi) ++v;
     }
-    best = std::min(best, schedule.guaranteed_slot_count(x, y, s));
+    best = std::min(best, slots.guaranteed_slot_count(x, y, s));
   }
   return best;
 }

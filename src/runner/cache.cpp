@@ -1,33 +1,15 @@
 #include "runner/cache.hpp"
 
 #include "obs/profile.hpp"
-#include "util/hash.hpp"
 
 namespace ttdc::runner {
-
-namespace {
-
-/// Content digest of a schedule: frame shape plus every slot's transmitter
-/// and receiver word storage. Any flipped bit anywhere changes the digest.
-std::uint64_t schedule_checksum(const core::Schedule& s) {
-  std::uint64_t h = util::kFnvOffsetBasis;
-  h = util::fnv1a64_u64(s.num_nodes(), h);
-  h = util::fnv1a64_u64(s.frame_length(), h);
-  for (std::size_t slot = 0; slot < s.frame_length(); ++slot) {
-    for (const auto w : s.transmitters(slot).words()) h = util::fnv1a64_u64(w, h);
-    for (const auto w : s.receivers(slot).words()) h = util::fnv1a64_u64(w, h);
-  }
-  return h;
-}
-
-}  // namespace
 
 std::shared_ptr<const core::Schedule> ArtifactStore::schedule(
     const std::string& key, const std::function<core::Schedule()>& build) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = schedules_.find(key);
   if (it != schedules_.end()) {
-    if (schedule_checksum(*it->second.schedule) == it->second.checksum) {
+    if (it->second.schedule->storage_checksum() == it->second.checksum) {
       ++hits_;
       return it->second.schedule;
     }
@@ -40,7 +22,7 @@ std::shared_ptr<const core::Schedule> ArtifactStore::schedule(
   ++misses_;
   TTDC_PROF_SCOPE("runner.artifacts.build_schedule");
   auto built = std::make_shared<const core::Schedule>(build());
-  schedules_.emplace(key, ScheduleEntry{built, schedule_checksum(*built)});
+  schedules_.emplace(key, ScheduleEntry{built, built->storage_checksum()});
   return built;
 }
 

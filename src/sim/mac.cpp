@@ -28,20 +28,7 @@ bool MacProtocol::fill_slot_sets(util::SlotSet& receivers,
 
 DutyCycledScheduleMac::DutyCycledScheduleMac(const core::Schedule& schedule,
                                              bool schedule_aware_senders)
-    : schedule_(schedule), aware_(schedule_aware_senders) {
-  const std::size_t frame = schedule_.frame_length();
-  const std::size_t n = schedule_.num_nodes();
-  slot_receivers_.reserve(frame);
-  slot_transmitters_.reserve(frame);
-  for (std::size_t i = 0; i < frame; ++i) {
-    util::SlotSet r(n);
-    r.copy_from(schedule_.receivers(i));
-    slot_receivers_.push_back(std::move(r));
-    util::SlotSet t(n);
-    t.copy_from(schedule_.transmitters(i));
-    slot_transmitters_.push_back(std::move(t));
-  }
-}
+    : schedule_(schedule), aware_(schedule_aware_senders) {}
 
 void DutyCycledScheduleMac::begin_slot(std::uint64_t slot, util::Xoshiro256&) {
   frame_slot_ = schedule_.frame_phase(slot);
@@ -72,8 +59,8 @@ bool DutyCycledScheduleMac::fill_slot_sets(util::SlotSet& receivers,
     // keep the scalar path, which indexes per node and stays in bounds.
     return MacProtocol::fill_slot_sets(receivers, transmitters);
   }
-  receivers.copy_from(slot_receivers_[frame_slot_]);
-  transmitters.copy_from(slot_transmitters_[frame_slot_]);
+  receivers.copy_from(schedule_.receivers(frame_slot_));
+  transmitters.copy_from(schedule_.transmitters(frame_slot_));
   return true;
 }
 

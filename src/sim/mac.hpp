@@ -119,15 +119,12 @@ class DutyCycledScheduleMac final : public MacProtocol {
   }
 
  private:
+  // fill_slot_sets() copies the schedule's own SlotSets, adopting their
+  // representation: sparse when the slot's active population is sparse
+  // (the megascale regime), dense when the simulator pins its sets.
   const core::Schedule& schedule_;
   bool aware_;
   std::size_t frame_slot_ = 0;
-  // Per-frame-slot sets precomputed at construction as SlotSets, so
-  // fill_slot_sets() is a representation-adopting copy: sparse when the
-  // schedule's active population is sparse (the megascale regime), dense
-  // when the simulator pins its sets dense.
-  std::vector<util::SlotSet> slot_receivers_;
-  std::vector<util::SlotSet> slot_transmitters_;
 };
 
 /// Slotted ALOHA: every backlogged node transmits with probability p; all

@@ -7,6 +7,7 @@
 // and *_into variants).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstddef>
@@ -150,6 +151,9 @@ class DynamicBitset {
   /// Raw word storage (read-only), for hashing and fused kernels.
   [[nodiscard]] const std::vector<Word>& words() const { return words_; }
 
+  /// Word w of the storage: members 64w .. 64w+63 as bits.
+  [[nodiscard]] Word word(std::size_t w) const { return words_[w]; }
+
   /// Fused kernel: |this AND a AND NOT b| (e.g. |recv(y) ∩ freeSlots|).
   [[nodiscard]] std::size_t count_and_andnot(const DynamicBitset& a,
                                              const DynamicBitset& b) const;
@@ -166,12 +170,75 @@ class DynamicBitset {
   [[nodiscard]] static std::vector<DynamicBitset> transpose(std::span<const DynamicBitset> rows,
                                                             std::size_t cols);
 
+  /// The same kernel over rows of any set type with size(), count(),
+  /// for_each() and word() (util::SlotSet): `row(r)` returns row r of
+  /// `num_rows`, each a set over [0, cols). Nothing is copied into bitsets
+  /// first.
+  template <typename RowFn>
+  [[nodiscard]] static std::vector<DynamicBitset> transpose(std::size_t num_rows, std::size_t cols,
+                                                            RowFn&& row);
+
  private:
   void trim_tail();
+
+  /// In-place transpose of a 64x64 bit block: afterwards bit j of block[k]
+  /// is what bit k of block[j] was.
+  static void transpose_block(Word (&block)[kWordBits]);
 
   std::size_t size_ = 0;
   std::vector<Word> words_;
 };
+
+template <typename RowFn>
+std::vector<DynamicBitset> DynamicBitset::transpose(std::size_t num_rows, std::size_t cols,
+                                                    RowFn&& row) {
+#if TTDC_ENABLE_CHECKS
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    TTDC_DCHECK(row(r).size() == cols, "transpose: row universe ", row(r).size(), " != ", cols);
+  }
+#endif
+  std::vector<DynamicBitset> out(cols, DynamicBitset(num_rows));
+  const std::size_t row_blocks = (num_rows + kWordBits - 1) / kWordBits;
+  const std::size_t col_words = (cols + kWordBits - 1) / kWordBits;
+
+  // Sparse (on average at most one member per 64 cells): one write per
+  // member beats a block transpose per 64x64 cells. Counting stops as soon
+  // as the matrix is known to be denser than that.
+  const std::size_t scatter_budget = row_blocks * col_words * kWordBits;
+  std::size_t population = 0;
+  for (std::size_t r = 0; r < num_rows && population <= scatter_budget; ++r) {
+    population += row(r).count();
+  }
+  if (population <= scatter_budget) {
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      const Word bit = Word{1} << (r % kWordBits);
+      row(r).for_each([&](std::size_t c) { out[c].words_[r / kWordBits] |= bit; });
+    }
+    return out;
+  }
+
+  // Dense: word w of 64 consecutive rows is one 64x64 block; transposed, its
+  // word j is word `rb` of column w*64 + j. Rows past the end read as zero,
+  // so the output's tail bits stay clear; all-zero blocks are skipped.
+  Word block[kWordBits] = {};
+  for (std::size_t rb = 0; rb < row_blocks; ++rb) {
+    const std::size_t r0 = rb * kWordBits;
+    const std::size_t height = std::min(kWordBits, num_rows - r0);
+    for (std::size_t w = 0; w < col_words; ++w) {
+      Word any = 0;
+      for (std::size_t k = 0; k < height; ++k) {
+        block[k] = row(r0 + k).word(w);
+        any |= block[k];
+      }
+      if (any == 0) continue;
+      std::fill(block + height, block + kWordBits, Word{0});
+      transpose_block(block);
+      const std::size_t width = std::min(kWordBits, cols - w * kWordBits);
+      for (std::size_t j = 0; j < width; ++j) out[w * kWordBits + j].words_[rb] = block[j];
+    }
+  }
+  return out;
+}
 
 /// FNV-1a hash over the word storage; lets DynamicBitset key hash maps.
 struct BitsetHash {

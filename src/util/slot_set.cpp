@@ -1,7 +1,11 @@
 #include "util/slot_set.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <utility>
+
+#include "util/hash.hpp"
 
 namespace ttdc::util {
 namespace {
@@ -16,12 +20,37 @@ std::vector<std::uint32_t>& merge_scratch() {
 
 }  // namespace
 
+SlotSet::SlotSet(std::size_t universe_size, std::vector<std::uint32_t> sorted_members)
+    : size_(universe_size), count_(sorted_members.size()) {
+  TTDC_DCHECK(std::adjacent_find(sorted_members.begin(), sorted_members.end(),
+                                 std::greater_equal<>()) == sorted_members.end() &&
+                  (sorted_members.empty() || sorted_members.back() < size_),
+              "SlotSet: ids not strictly increasing below ", size_);
+  if (count_ > promote_threshold(size_)) {
+    bits_ = DynamicBitset(size_);
+    for (std::uint32_t m : sorted_members) bits_.set(m);
+    dense_ = true;
+  } else {
+    sparse_ = std::move(sorted_members);
+  }
+}
+
 std::size_t SlotSet::sparse_find(std::uint32_t pos) const {
   const auto it = std::lower_bound(sparse_.begin(), sparse_.end(), pos);
   if (it != sparse_.end() && *it == pos) {
     return static_cast<std::size_t>(it - sparse_.begin());
   }
   return sparse_.size();
+}
+
+SlotSet::Word SlotSet::sparse_word(std::size_t w) const {
+  const std::size_t lo = w * DynamicBitset::kWordBits;
+  Word out = 0;
+  for (auto it = std::lower_bound(sparse_.begin(), sparse_.end(), lo);
+       it != sparse_.end() && *it < lo + DynamicBitset::kWordBits; ++it) {
+    out |= Word{1} << (*it - lo);
+  }
+  return out;
 }
 
 void SlotSet::ensure_dense_storage() {
@@ -376,10 +405,26 @@ std::size_t SlotSet::intersection_count(const DynamicBitset& other) const {
 bool SlotSet::intersects(const SlotSet& other) const {
   TTDC_ASSERT(size_ == other.size_, "SlotSet::intersects universe mismatch");
   if (dense_ && other.dense_) return bits_.intersects(other.bits_);
+  if (!dense_ && !other.dense_) {
+    // Sorted merge with early exit, O(|a| + |b|). The advance is
+    // branch-free: which side is smaller is a coin flip for interleaved
+    // sets, and mispredicting it would cost more than the compare.
+    const std::vector<std::uint32_t>& a = sparse_;
+    const std::vector<std::uint32_t>& b = other.sparse_;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() && j < b.size()) {
+      if (a[i] == b[j]) return true;
+      const bool a_smaller = a[i] < b[j];
+      i += a_smaller ? 1 : 0;
+      j += a_smaller ? 0 : 1;
+    }
+    return false;
+  }
   const SlotSet& sparse_side = dense_ ? other : *this;
-  const SlotSet& any_side = dense_ ? *this : other;
+  const DynamicBitset& bits = dense_ ? bits_ : other.bits_;
   for (std::uint32_t m : sparse_side.sparse_) {
-    if (any_side.test(m)) return true;
+    if (bits.test(m)) return true;
   }
   return false;
 }
@@ -412,6 +457,16 @@ bool SlotSet::operator==(const SlotSet& other) const {
     if (!d.bits_.test(m)) return false;
   }
   return true;
+}
+
+std::uint64_t SlotSet::fold_fnv1a64(std::uint64_t state) const {
+  state = fnv1a64_u64(state, dense_ ? 1 : 0);
+  if (dense_) {
+    for (const Word w : bits_.words()) state = fnv1a64_u64(state, w);
+  } else {
+    for (const std::uint32_t m : sparse_) state = fnv1a64_u64(state, m);
+  }
+  return state;
 }
 
 }  // namespace ttdc::util

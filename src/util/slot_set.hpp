@@ -55,6 +55,11 @@ class SlotSet {
     for (std::size_t m : members) set(m);
   }
 
+  /// The ids `sorted_members` (strictly increasing, each < universe_size),
+  /// in the representation copy_from(const DynamicBitset&) would pick. A
+  /// sparse result adopts the vector.
+  SlotSet(std::size_t universe_size, std::vector<std::uint32_t> sorted_members);
+
   /// Population count above which a sparse set promotes to dense.
   [[nodiscard]] static std::size_t promote_threshold(std::size_t universe_size) {
     const std::size_t scan = universe_size / 32;
@@ -171,6 +176,13 @@ class SlotSet {
     }
   }
 
+  /// Word w of the set as a bitset: members 64w .. 64w+63 as bits. O(1)
+  /// dense; O(log count + members in the word) sparse.
+  [[nodiscard]] Word word(std::size_t w) const {
+    TTDC_CHECK_BOUNDS(w, (size_ + DynamicBitset::kWordBits - 1) / DynamicBitset::kWordBits);
+    return dense_ ? bits_.word(w) : sparse_word(w);
+  }
+
   /// Materializes a DynamicBitset copy (allocates; not for hot paths).
   [[nodiscard]] DynamicBitset to_dense_bitset() const;
 
@@ -181,9 +193,17 @@ class SlotSet {
   /// holding the same members compare equal.
   [[nodiscard]] bool operator==(const SlotSet& other) const;
 
+  /// Folds the set into a running FNV-1a 64 state (util/hash.hpp): the
+  /// representation, then the member ids (sparse) or the words (dense), so
+  /// a dense set costs O(size/64) and a sparse one O(count). Not
+  /// representation-transparent: it digests one stored set, for corruption
+  /// checks, and equal sets held differently digest differently.
+  [[nodiscard]] std::uint64_t fold_fnv1a64(std::uint64_t state) const;
+
  private:
   /// Index of pos in sparse_, or sparse_.size() when absent.
   [[nodiscard]] std::size_t sparse_find(std::uint32_t pos) const;
+  [[nodiscard]] Word sparse_word(std::size_t w) const;
   void promote();
   void demote();
   void maybe_promote() {
@@ -195,12 +215,12 @@ class SlotSet {
   void ensure_dense_storage();
 
   std::size_t size_ = 0;
-  bool dense_ = false;
-  bool pinned_ = false;
   // count_ is authoritative whenever count_valid_; sparse mode keeps it
   // valid always (== sparse_.size()), pinned-dense bulk ops invalidate it
   // and count() recomputes lazily so the pinned hot path pays nothing.
   mutable std::size_t count_ = 0;
+  bool dense_ = false;
+  bool pinned_ = false;
   mutable bool count_valid_ = true;
   std::vector<std::uint32_t> sparse_;  // sorted, unique; valid when !dense_
   DynamicBitset bits_;                 // valid when dense_; storage kept across demotions

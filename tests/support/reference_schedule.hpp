@@ -1,9 +1,9 @@
 // Reference schedule kernels: the differential oracle for word-parallel
 // schedule construction (DESIGN.md §5).
 //
-// reference_transpose() is the per-bit transposition the Schedule
-// constructor did before util::DynamicBitset::transpose: one single-bit
-// write per (slot, member) pair. reference_construct() is the Figure 2 loop
+// reference_transpose() is the per-bit transposition NodeSlots would do
+// without util::DynamicBitset::transpose: one single-bit write per
+// (slot, member) pair. reference_construct() is the Figure 2 loop
 // as first written: it rebuilds the receiver window for every (T_a, R_b)
 // pair and pads with a popcount per candidate. Both are slow and obviously
 // correct; tests pin the production kernels against them bit for bit, the
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/construct.hpp"
+#include "core/node_slots.hpp"
 #include "core/schedule.hpp"
 #include "core/throughput.hpp"
 #include "util/bitset.hpp"
@@ -34,7 +35,8 @@ inline std::vector<DynamicBitset> reference_transpose(const std::vector<DynamicB
   return out;
 }
 
-/// Everything a Schedule exposes, held as plain vectors.
+/// Everything a Schedule and its NodeSlots view expose, held as plain
+/// vectors.
 struct ReferenceSchedule {
   std::vector<DynamicBitset> transmit;  // [slot] -> node set
   std::vector<DynamicBitset> receive;   // [slot] -> node set
@@ -109,18 +111,22 @@ inline ReferenceSchedule reference_construct(const Schedule& non_sleeping,
   return reference_schedule(n, std::move(transmit), std::move(receive));
 }
 
-/// Asserts that `s` equals `ref` on T, R, tran, recv and the cached sizes,
-/// stopping at the first mismatched set.
+/// Asserts that `s` equals `ref` on T, R and the cached sizes, and that its
+/// NodeSlots view equals `ref` on tran and recv, stopping at the first
+/// mismatched set.
 inline void expect_matches_reference(const Schedule& s, const ReferenceSchedule& ref) {
   ASSERT_EQ(s.frame_length(), ref.transmit.size());
   ASSERT_EQ(s.num_nodes(), ref.tran.size());
   for (std::size_t i = 0; i < s.frame_length(); ++i) {
-    ASSERT_TRUE(s.transmitters(i) == ref.transmit[i]) << "T[" << i << "]";
-    ASSERT_TRUE(s.receivers(i) == ref.receive[i]) << "R[" << i << "]";
+    ASSERT_TRUE(s.transmitters(i).to_dense_bitset() == ref.transmit[i]) << "T[" << i << "]";
+    ASSERT_TRUE(s.receivers(i).to_dense_bitset() == ref.receive[i]) << "R[" << i << "]";
   }
+  const NodeSlots slots(s);
+  ASSERT_EQ(slots.num_nodes(), ref.tran.size());
+  ASSERT_EQ(slots.frame_length(), ref.transmit.size());
   for (std::size_t x = 0; x < s.num_nodes(); ++x) {
-    ASSERT_TRUE(s.tran(x) == ref.tran[x]) << "tran(" << x << ")";
-    ASSERT_TRUE(s.recv(x) == ref.recv[x]) << "recv(" << x << ")";
+    ASSERT_TRUE(slots.tran(x) == ref.tran[x]) << "tran(" << x << ")";
+    ASSERT_TRUE(slots.recv(x) == ref.recv[x]) << "recv(" << x << ")";
   }
   EXPECT_TRUE(std::ranges::equal(s.transmit_sizes(), ref.t_sizes));
   EXPECT_TRUE(std::ranges::equal(s.receive_sizes(), ref.r_sizes));

@@ -5,6 +5,7 @@
 
 #include "combinatorics/constructions.hpp"
 #include "core/energy.hpp"
+#include "core/node_slots.hpp"
 #include "core/requirements.hpp"
 #include "core/throughput.hpp"
 
@@ -45,6 +46,8 @@ TEST(Builders, RandomAlphaExactSizes) {
 
 TEST(Figure1, DutyCycledPreservesPerLinkGuaranteedSlots) {
   const Figure1Example ex = figure1_example();
+  const NodeSlots non_sleeping(ex.non_sleeping);
+  const NodeSlots duty_cycled(ex.duty_cycled);
   // On the example topology, for every directed link (x, y) with y's other
   // neighbors as S, the guaranteed-success slot sets are identical under
   // the non-sleeping and the duty-cycled schedule.
@@ -55,10 +58,9 @@ TEST(Figure1, DutyCycledPreservesPerLinkGuaranteedSlots) {
         if (p == y && q != x) s.push_back(q);
         if (q == y && p != x) s.push_back(p);
       }
-      EXPECT_EQ(ex.non_sleeping.guaranteed_slots(x, y, s),
-                ex.duty_cycled.guaranteed_slots(x, y, s))
+      EXPECT_EQ(non_sleeping.guaranteed_slots(x, y, s), duty_cycled.guaranteed_slots(x, y, s))
           << "link " << x << " -> " << y;
-      EXPECT_GE(ex.duty_cycled.guaranteed_slot_count(x, y, s), 1u);
+      EXPECT_GE(duty_cycled.guaranteed_slot_count(x, y, s), 1u);
     }
   }
 }

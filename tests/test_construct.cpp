@@ -124,8 +124,8 @@ TEST(Construct, MatchesReferenceOnBenchmarkRecipe) {
     const Schedule base = base_schedule_for(c);
     std::vector<DynamicBitset> t, r;
     for (std::size_t i = 0; i < base.frame_length(); ++i) {
-      t.push_back(base.transmitters(i));
-      r.push_back(base.receivers(i));
+      t.push_back(base.transmitters(i).to_dense_bitset());
+      r.push_back(base.receivers(i).to_dense_bitset());
     }
     expect_matches_reference(base, reference_schedule(n, std::move(t), std::move(r)));
     for (const DivisionPolicy policy : {DivisionPolicy::kContiguous, DivisionPolicy::kBalanced}) {
@@ -133,6 +133,19 @@ TEST(Construct, MatchesReferenceOnBenchmarkRecipe) {
       expect_matches_reference(construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts),
                                reference_construct(base, c.d, c.alpha_t, c.alpha_r, opts));
     }
+  }
+}
+
+// The memory property no digest can see: on the bench/e2e recipe every
+// constructed T[i] holds αT* = 4 ids and is stored as an id list, not as an
+// n-bit row, while every R[i] of αR = n/3 ids is a bitset.
+TEST(Construct, StoresDutyCycledTransmittersSparse) {
+  const Case c{1000, 6, 4, 1000 / 3};
+  const Schedule out = construct_duty_cycled(base_schedule_for(c), c.d, c.alpha_t, c.alpha_r);
+  ASSERT_LE(out.max_transmitters(), c.alpha_t);
+  for (std::size_t i = 0; i < out.frame_length(); ++i) {
+    ASSERT_FALSE(out.transmitters(i).is_dense()) << "T[" << i << "]";
+    ASSERT_TRUE(out.receivers(i).is_dense()) << "R[" << i << "]";
   }
 }
 

@@ -7,6 +7,7 @@
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "core/node_slots.hpp"
 #include "net/topology.hpp"
 
 namespace ttdc::sim {
@@ -28,9 +29,10 @@ TEST(Discovery, FirstHeardSlotIsTransmittersSlot) {
   const Schedule s = core::non_sleeping_from_family(comb::tdma_family(4));
   const net::Graph g = net::ring_graph(4);
   const DiscoveryResult r = run_discovery(s, g, s.frame_length());
+  const core::NodeSlots slots(s);
   for (const auto& [a, b] : g.edges()) {
-    EXPECT_EQ(r.first_heard[b][a], s.tran(a).find_first());
-    EXPECT_EQ(r.first_heard[a][b], s.tran(b).find_first());
+    EXPECT_EQ(r.first_heard[b][a], slots.tran(a).find_first());
+    EXPECT_EQ(r.first_heard[a][b], slots.tran(b).find_first());
   }
 }
 

@@ -233,6 +233,29 @@ TEST(LintConfig, UnknownRuleIdIsAConfigError) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(LintConfig, MalformedIntegerIsAConfigError) {
+  const std::string entry =
+      "# suppression ledger\n"
+      "[[suppress]]\n"
+      "rule = \"CON-RAW-ASSERT\"\n"
+      "file = \"src/foo.cpp\"\n"
+      "reason = \"fixture\"\n";
+  lint::Config cfg;
+  std::string err;
+  ASSERT_TRUE(lint::parse_config(entry + "line = 12\n", &cfg, &err)) << err;
+  ASSERT_EQ(cfg.suppressions.size(), 1u);
+  EXPECT_EQ(cfg.suppressions[0].line, 12u);
+  // Overflow used to escape std::stol as an uncaught std::out_of_range, and
+  // a trailing suffix used to be dropped silently (line 12).
+  for (const std::string bad : {"99999999999999999999", "12abc", "1.5", "0x10"}) {
+    SCOPED_TRACE(bad);
+    err.clear();
+    EXPECT_FALSE(lint::parse_config(entry + "line = " + bad + "\n", &cfg, &err));
+    EXPECT_NE(err.find("line 6:"), std::string::npos) << err;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+  }
+}
+
 TEST(LintConfig, SuppressionMatchesAndMarksFindingWithReason) {
   lint::Config cfg;
   std::string err;

@@ -5,6 +5,7 @@
 
 #include "combinatorics/constructions.hpp"
 #include "core/builders.hpp"
+#include "core/node_slots.hpp"
 
 namespace ttdc::core {
 namespace {
@@ -39,7 +40,8 @@ TEST(Requirements, ViolationWitnessIsGenuine) {
   const auto violation = check_requirement1_exact(s, 3);
   ASSERT_TRUE(violation);
   // Replay the witness: freeSlots(x, Y) must indeed be empty.
-  EXPECT_TRUE(s.free_slots(violation->transmitter, violation->neighborhood).none());
+  EXPECT_TRUE(
+      NodeSlots(s).free_slots(violation->transmitter, violation->neighborhood).none());
 }
 
 TEST(Requirements, DutyCycledScheduleCanFailCondition2) {

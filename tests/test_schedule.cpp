@@ -1,10 +1,12 @@
-// Schedule <T, R>: invariants, transposition, set operators from §3-§5.
+// Schedule <T, R>: invariants, the NodeSlots transposition, set operators
+// from §3-§5.
 #include "core/schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include "combinatorics/constructions.hpp"
 #include "core/builders.hpp"
+#include "core/node_slots.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::core {
@@ -34,7 +36,9 @@ TEST(Schedule, BasicAccessors) {
 }
 
 TEST(Schedule, TransposedSlotSetsMatchSlotMembership) {
-  const Schedule s = tiny_schedule();
+  const NodeSlots s(tiny_schedule());
+  EXPECT_EQ(s.num_nodes(), 4u);
+  EXPECT_EQ(s.frame_length(), 3u);
   EXPECT_EQ(s.tran(0), DynamicBitset(3, {0}));
   EXPECT_EQ(s.tran(1), DynamicBitset(3, {1}));
   EXPECT_EQ(s.tran(3), DynamicBitset(3, {2}));
@@ -52,15 +56,75 @@ TEST(Schedule, RejectsLengthMismatch) {
   std::vector<DynamicBitset> t = {DynamicBitset(3, {0}), DynamicBitset(3, {1})};
   std::vector<DynamicBitset> r = {DynamicBitset(3, {1})};
   EXPECT_THROW(Schedule(3, std::move(t), std::move(r)), std::invalid_argument);
-  EXPECT_THROW(Schedule(3, {}, {}), std::invalid_argument);
+  EXPECT_THROW(Schedule(3, std::vector<DynamicBitset>{}, std::vector<DynamicBitset>{}),
+               std::invalid_argument);
+  EXPECT_THROW(Schedule(3, std::vector<util::SlotSet>{}, std::vector<util::SlotSet>{}),
+               std::invalid_argument);
+}
+
+TEST(Schedule, RejectsForeignUniverseAndPinnedSlotSets) {
+  const auto build = [](util::SlotSet t, util::SlotSet r) {
+    std::vector<util::SlotSet> tv, rv;
+    tv.push_back(std::move(t));
+    rv.push_back(std::move(r));
+    return Schedule(3, std::move(tv), std::move(rv));
+  };
+  EXPECT_NO_THROW(build(util::SlotSet(3, {0}), util::SlotSet(3, {1, 2})));
+  EXPECT_THROW(build(util::SlotSet(4, {0}), util::SlotSet(3, {1})), std::invalid_argument);
+  EXPECT_THROW(build(util::SlotSet(3, {0}), util::SlotSet(3, {0, 1})), std::invalid_argument);
+  // A pinned set's count() writes its cache, so a schedule shared across
+  // threads must not hold one.
+  util::SlotSet pinned(3, {1});
+  pinned.pin_dense();
+  EXPECT_THROW(build(util::SlotSet(3, {0}), std::move(pinned)), std::invalid_argument);
+}
+
+TEST(Schedule, PooledSlotsShareSetsAndCheckIndices) {
+  const auto pool = [](std::initializer_list<util::SlotSet> sets) {
+    return std::vector<util::SlotSet>(sets);
+  };
+  // T pool {0}, {1}; R pool {2, 3}, {0, 3}; slots (T, R) = (0,0) (1,0) (0,0).
+  const Schedule s(4, pool({util::SlotSet(4, {0}), util::SlotSet(4, {1})}), {0, 1, 0},
+                   pool({util::SlotSet(4, {2, 3}), util::SlotSet(4, {0, 3})}), {0, 0, 0});
+  EXPECT_EQ(s.frame_length(), 3u);
+  EXPECT_EQ(&s.transmitters(0), &s.transmitters(2));  // stored once
+  EXPECT_EQ(s.transmitters(1), util::SlotSet(4, {1}));
+  EXPECT_EQ(s.receivers(1), util::SlotSet(4, {2, 3}));
+  EXPECT_EQ(NodeSlots(s).tran(0), DynamicBitset(3, {0, 2}));
+  EXPECT_THROW(Schedule(4, pool({util::SlotSet(4, {0})}), {0, 1},
+                        pool({util::SlotSet(4, {2})}), {0, 0}),
+               std::invalid_argument);  // T index outside its pool
+  EXPECT_THROW(Schedule(4, pool({util::SlotSet(4, {0})}), {0, 0},
+                        pool({util::SlotSet(4, {2})}), {0}),
+               std::invalid_argument);  // T and R lengths differ
+  EXPECT_THROW(Schedule(4, pool({util::SlotSet(4, {0})}), {0},
+                        pool({util::SlotSet(4, {2}), util::SlotSet(4, {0, 3})}), {1}),
+               std::invalid_argument);  // T[0] ∩ R[0] = {0}
+}
+
+TEST(Schedule, SlotSetRepresentationFollowsPopulation) {
+  // n = 1024: promote threshold max(16, 1024/32) = 32 members.
+  constexpr std::size_t n = 1024;
+  DynamicBitset few(n), many(n);
+  for (std::size_t v = 0; v < 4; ++v) few.set(v * 100);
+  for (std::size_t v = 0; v < 300; ++v) many.set(2 * v + 1);
+  std::vector<DynamicBitset> t = {few};
+  std::vector<DynamicBitset> r = {many};
+  const Schedule s(n, std::move(t), std::move(r));
+  EXPECT_FALSE(s.transmitters(0).is_dense());
+  EXPECT_TRUE(s.receivers(0).is_dense());
+  EXPECT_EQ(s.transmitters(0).to_dense_bitset(), few);
+  EXPECT_EQ(s.receivers(0).to_dense_bitset(), many);
+  EXPECT_EQ(s.transmit_sizes()[0], 4u);
+  EXPECT_EQ(s.receive_sizes()[0], 300u);
 }
 
 TEST(Schedule, NonSleepingComplementsTransmitters) {
   std::vector<DynamicBitset> t = {DynamicBitset(5, {0, 2}), DynamicBitset(5, {4})};
   const Schedule s = Schedule::non_sleeping(5, std::move(t));
   EXPECT_TRUE(s.is_non_sleeping());
-  EXPECT_EQ(s.receivers(0), DynamicBitset(5, {1, 3, 4}));
-  EXPECT_EQ(s.receivers(1), DynamicBitset(5, {0, 1, 2, 3}));
+  EXPECT_EQ(s.receivers(0), util::SlotSet(5, {1, 3, 4}));
+  EXPECT_EQ(s.receivers(1), util::SlotSet(5, {0, 1, 2, 3}));
   EXPECT_EQ(s.duty_cycle(), 1.0);
 }
 
@@ -80,7 +144,7 @@ TEST(Schedule, AlphaSchedulePredicate) {
 }
 
 TEST(Schedule, FreeSlotsMatchesDefinition) {
-  const Schedule s = tiny_schedule();
+  const NodeSlots s(tiny_schedule());
   // freeSlots(0, {1, 3}) = tran(0) - tran(1) - tran(3) = {0} - {1} - {2} = {0}.
   const std::vector<std::size_t> y = {1, 3};
   EXPECT_EQ(s.free_slots(0, y), DynamicBitset(3, {0}));
@@ -90,7 +154,7 @@ TEST(Schedule, FreeSlotsMatchesDefinition) {
 }
 
 TEST(Schedule, SigmaMatchesDefinition) {
-  const Schedule s = tiny_schedule();
+  const NodeSlots s(tiny_schedule());
   // σ(0, 1) = tran(0) ∩ recv(1) = {0} ∩ {0, 2} = {0}.
   EXPECT_EQ(s.sigma(0, 1), DynamicBitset(3, {0}));
   // σ(3, 0) = {2} ∩ {2} = {2}.
@@ -100,7 +164,7 @@ TEST(Schedule, SigmaMatchesDefinition) {
 }
 
 TEST(Schedule, GuaranteedSlotsMatchesDefinition) {
-  const Schedule s = tiny_schedule();
+  const NodeSlots s(tiny_schedule());
   // T(0, 1, {2}) = recv(1) ∩ (tran(0) - tran(1) - tran(2))
   //             = {0,2} ∩ ({0} - {1} - {1}) = {0}.
   const std::vector<std::size_t> neighbors = {2};
@@ -111,7 +175,7 @@ TEST(Schedule, GuaranteedSlotsMatchesDefinition) {
 TEST(Schedule, GuaranteedSlotsShrinkWithLargerNeighborhood) {
   // Monotonicity noted after Definition 1: T(x,y,S) ⊇ T(x,y,S') for S ⊆ S'.
   util::Xoshiro256 rng(99);
-  const Schedule s = random_alpha_schedule(10, 20, 3, 5, false, rng);
+  const NodeSlots s(random_alpha_schedule(10, 20, 3, 5, false, rng));
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t x = static_cast<std::size_t>(rng.below(10));
     std::size_t y = static_cast<std::size_t>(rng.below(9));
@@ -144,8 +208,9 @@ TEST(Schedule, FromFamilyTransposesMembership) {
   // Node x transmits exactly in its member set's slots (no empty slots for
   // the full polynomial family: every (i, s) pair is some poly's value).
   EXPECT_EQ(s.frame_length(), 9u);
+  const NodeSlots slots(s);
   for (std::size_t x = 0; x < 9; ++x) {
-    EXPECT_EQ(s.tran(x).count(), 3u);
+    EXPECT_EQ(slots.tran(x).count(), 3u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "core/node_slots.hpp"
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 
@@ -117,12 +118,13 @@ TEST(Simulator, WorstCaseStarMatchesGuaranteedSlotAnalysis) {
   sim_ptr = &sim;
   const std::uint64_t frames = 40;
   sim.run(frames * s.frame_length());
+  const core::NodeSlots slots(s);
   for (std::size_t x = 1; x <= d; ++x) {
     std::vector<std::size_t> others;
     for (std::size_t z = 1; z <= d; ++z) {
       if (z != x) others.push_back(z);
     }
-    const std::size_t per_frame = s.guaranteed_slot_count(x, 0, others);
+    const std::size_t per_frame = slots.guaranteed_slot_count(x, 0, others);
     EXPECT_EQ(sim.stats().delivered_by_origin[x], frames * per_frame) << "x=" << x;
   }
 }

@@ -347,5 +347,34 @@ TEST(SlotSet, CopyFromDynamicBitsetPicksRepresentationByPopulation) {
   expect_matches(s, many, "copy_from dense bitset");
 }
 
+// Built from sorted ids (Construct's windows), a set takes the
+// representation copy_from would, and word() reads either representation
+// as the bitset's words (what DynamicBitset::transpose consumes).
+TEST(SlotSet, BuiltFromSortedIdsPicksRepresentationByPopulation) {
+  const std::size_t n = 4096;  // promote threshold max(16, 4096/32) = 128
+  // Members on both sides of word boundaries, and none at a word's bit 0
+  // below a member at the next word's bit 0 (64, 128).
+  const DynamicBitset few(n, {1, 17, 63, 64, 127, 128, 1000, 4095});
+  DynamicBitset many(n);
+  for (std::size_t v = 0; v < n; v += 3) many.set(v);
+  const DynamicBitset* const refs[] = {&few, &many};
+  for (const DynamicBitset* ref : refs) {
+    const bool dense = ref == &many;
+    std::vector<std::uint32_t> ids;
+    ref->for_each([&](std::size_t v) { ids.push_back(static_cast<std::uint32_t>(v)); });
+    SlotSet from_bits(n);
+    from_bits.copy_from(*ref);
+    const SlotSet from_ids(n, ids);
+    EXPECT_EQ(from_bits.is_dense(), dense);
+    EXPECT_EQ(from_ids.is_dense(), dense);
+    expect_matches(from_bits, *ref, "from bitset");
+    expect_matches(from_ids, *ref, "from sorted ids");
+    for (std::size_t w = 0; w < ref->words().size(); ++w) {
+      ASSERT_EQ(from_bits.word(w), ref->word(w)) << "word " << w;
+      ASSERT_EQ(from_ids.word(w), ref->word(w)) << "word " << w;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ttdc::util

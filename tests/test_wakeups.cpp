@@ -6,6 +6,7 @@
 #include "core/builders.hpp"
 #include "core/construct.hpp"
 #include "core/energy.hpp"
+#include "core/node_slots.hpp"
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
@@ -59,10 +60,11 @@ TEST(Wakeups, SimulatorCountsMatchRecvOnlyModelUnderNoTraffic) {
   const std::uint64_t frames = 7;
   const std::size_t L = duty.frame_length();
   sim.run(frames * L);
+  const core::NodeSlots slots(duty);
   for (std::size_t v = 0; v < 25; ++v) {
     std::size_t per_frame = 0;
     for (std::size_t i = 0; i < L; ++i) {
-      if (duty.recv(v).test(i) && !duty.recv(v).test((i + L - 1) % L)) ++per_frame;
+      if (slots.recv(v).test(i) && !slots.recv(v).test((i + L - 1) % L)) ++per_frame;
     }
     // Booting asleep vs the circular steady state shifts the total by at
     // most one transition.

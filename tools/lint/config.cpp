@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 #include "lint.hpp"
@@ -43,7 +44,7 @@ struct Value {
   enum Kind { kString, kBool, kInt, kArray } kind = kString;
   std::string str;
   bool boolean = false;
-  long integer = 0;
+  std::size_t integer = 0;
   std::vector<std::string> array;
 };
 
@@ -103,8 +104,15 @@ bool parse_value(const std::string& raw, Value* out, std::string* why) {
     return true;
   }
   if (std::isdigit(static_cast<unsigned char>(v.front())) != 0) {
+    // The whole token as an unsigned decimal: no sign (the digit check
+    // above), no trailing characters, no overflow.
     out->kind = Value::kInt;
-    out->integer = std::stol(v);
+    const char* const end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out->integer);
+    if (ec != std::errc() || ptr != end) {
+      *why = "malformed integer '" + v + "' (expected an unsigned decimal in range)";
+      return false;
+    }
     return true;
   }
   *why = "unrecognized value '" + v + "'";
@@ -254,7 +262,7 @@ bool parse_config(const std::string& text, Config* out, std::string* error) {
         } else if (key == "file" && value.kind == Value::kString) {
           s.file = value.str;
         } else if (key == "line" && value.kind == Value::kInt) {
-          s.line = static_cast<std::size_t>(value.integer);
+          s.line = value.integer;
         } else if (key == "reason" && value.kind == Value::kString) {
           s.reason = value.str;
         } else {

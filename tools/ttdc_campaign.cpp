@@ -15,16 +15,11 @@
 // flagged in the JSON), 2 on bad usage: an unknown flag, a missing value, or
 // a numeric value that is malformed or out of range (the message names the
 // flag).
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -37,7 +32,11 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 
+#include "flag_parse.hpp"
+
 using namespace ttdc;
+using tools::parse_int;
+using tools::parse_real;
 
 namespace {
 
@@ -64,53 +63,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool bad_value(std::string_view flag, const char* text, const char* expected) {
-  std::cerr << "ttdc-campaign: " << flag << " expects " << expected << ", got '" << text
-            << "'\n";
-  return false;
-}
-
-/// Parses the whole of `text` as an unsigned integer in [lo, hi] (base 0
-/// also accepts 0x hex and 0 octal). strtoull alone would read "5x" as 5
-/// and wrap "-1" to 2^64-1; both are rejected here.
-template <typename Int>
-bool parse_int(std::string_view flag, const char* text, std::uint64_t lo, std::uint64_t hi,
-               Int& out, int base = 10) {
-  const std::string expected =
-      "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return bad_value(flag, text, expected.c_str());
-  }
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t value = std::strtoull(text, &end, base);
-  if (errno != 0 || *end != '\0' || value < lo || value > hi) {
-    return bad_value(flag, text, expected.c_str());
-  }
-  out = static_cast<Int>(value);
-  return true;
-}
-
-/// Parses the whole of `text` as a finite number in [lo, hi].
-bool parse_real(std::string_view flag, const char* text, double lo, double hi, double& out) {
-  std::ostringstream expected;
-  expected << "a number in [" << lo << ", ";
-  if (hi == std::numeric_limits<double>::max()) {
-    expected << "inf)";
-  } else {
-    expected << hi << ']';
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (std::isspace(static_cast<unsigned char>(text[0])) || end == text || *end != '\0' ||
-      errno != 0 || !std::isfinite(value) || value < lo || value > hi) {
-    return bad_value(flag, text, expected.str().c_str());
-  }
-  out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,6 +73,7 @@ int main(int argc, char** argv) {
   bool serial = false, resume = true, hybrid = false;
   std::string journal_path, out_path;
 
+  constexpr std::string_view kTool = "ttdc-campaign";
   constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
   constexpr double kAnyReal = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
@@ -133,19 +86,19 @@ int main(int argc, char** argv) {
     const char* v = nullptr;
     bool ok = true;
     if (arg == "--cells") {
-      ok = (v = value()) && parse_int(arg, v, 1, 1'000'000, cells);
+      ok = (v = value()) && parse_int(kTool, arg, v, 1, 1'000'000, cells);
     } else if (arg == "--slots") {
-      ok = (v = value()) && parse_int(arg, v, 1, kAnyU64, slots);
+      ok = (v = value()) && parse_int(kTool, arg, v, 1, kAnyU64, slots);
     } else if (arg == "--rows") {
-      ok = (v = value()) && parse_int(arg, v, 1, 1000, rows);
+      ok = (v = value()) && parse_int(kTool, arg, v, 1, 1000, rows);
     } else if (arg == "--cols") {
-      ok = (v = value()) && parse_int(arg, v, 1, 1000, cols);
+      ok = (v = value()) && parse_int(kTool, arg, v, 1, 1000, cols);
     } else if (arg == "--rate") {
-      ok = (v = value()) && parse_real(arg, v, 0.0, 1.0, rate);
+      ok = (v = value()) && parse_real(kTool, arg, v, 0.0, 1.0, rate);
     } else if (arg == "--seed") {
-      ok = (v = value()) && parse_int(arg, v, 0, kAnyU64, master_seed, /*base=*/0);
+      ok = (v = value()) && parse_int(kTool, arg, v, 0, kAnyU64, master_seed, /*base=*/0);
     } else if (arg == "--workers") {
-      ok = (v = value()) && parse_int(arg, v, 0, 1024, workers);
+      ok = (v = value()) && parse_int(kTool, arg, v, 0, 1024, workers);
     } else if (arg == "--serial") {
       serial = true;
     } else if (arg == "--journal") {
@@ -154,11 +107,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-resume") {
       resume = false;
     } else if (arg == "--max-attempts") {
-      ok = (v = value()) && parse_int(arg, v, 1, 1000, max_attempts);
+      ok = (v = value()) && parse_int(kTool, arg, v, 1, 1000, max_attempts);
     } else if (arg == "--cell-timeout") {
-      ok = (v = value()) && parse_real(arg, v, 0.0, kAnyReal, cell_timeout);
+      ok = (v = value()) && parse_real(kTool, arg, v, 0.0, kAnyReal, cell_timeout);
     } else if (arg == "--fault-intensity") {
-      ok = (v = value()) && parse_real(arg, v, 0.0, 1.0, fault_intensity);
+      ok = (v = value()) && parse_real(kTool, arg, v, 0.0, 1.0, fault_intensity);
     } else if (arg == "--hybrid") {
       hybrid = true;
     } else if (arg == "--out") {

@@ -7,10 +7,17 @@
 // slot. `perfetto` converts a dump for ui.perfetto.dev; `record` runs a
 // small built-in duty-cycled deployment with the recorder armed, for a
 // self-contained demo dump.
+//
+// Exit code 2 on bad usage, including a numeric flag or packet id that is
+// malformed or out of range (the message names it); 1 when a command finds
+// a problem (unparsable dump lines, a consistency violation, a missing
+// packet).
+#include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "combinatorics/params.hpp"
@@ -24,10 +31,28 @@
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
+#include "flag_parse.hpp"
+
 namespace {
 
 using ttdc::obs::FlightEvent;
 using ttdc::obs::FlightLog;
+
+constexpr std::string_view kTool = "ttdc-trace";
+constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr double kAnyReal = std::numeric_limits<double>::max();
+
+/// A numeric flag or argument that failed to parse; the message naming it
+/// is already on stderr, and main() exits 2.
+struct BadFlag {};
+
+/// `text` parsed whole as an integer in [lo, hi], or BadFlag.
+std::uint64_t parse_u64(std::string_view what, const std::string& text, std::uint64_t lo,
+                        std::uint64_t hi) {
+  std::uint64_t value = 0;
+  if (!ttdc::tools::parse_int(kTool, what, text.c_str(), lo, hi, value)) throw BadFlag{};
+  return value;
+}
 
 int usage() {
   std::cerr <<
@@ -62,13 +87,20 @@ struct Args {
     }
     return false;
   }
-  std::uint64_t get_u64(const std::string& flag, std::uint64_t fallback) const {
+  /// The flag's value as an integer in [lo, hi], `fallback` when absent.
+  std::uint64_t get_u64(const std::string& flag, std::uint64_t fallback, std::uint64_t lo,
+                        std::uint64_t hi) const {
     std::string v;
-    return get(flag, v) ? std::strtoull(v.c_str(), nullptr, 10) : fallback;
+    return get(flag, v) ? parse_u64(flag, v, lo, hi) : fallback;
   }
-  double get_f64(const std::string& flag, double fallback) const {
+  /// The flag's value as a finite number in [lo, hi], `fallback` when absent.
+  double get_f64(const std::string& flag, double fallback, double lo, double hi) const {
     std::string v;
-    return get(flag, v) ? std::strtod(v.c_str(), nullptr) : fallback;
+    double value = fallback;
+    if (get(flag, v) && !ttdc::tools::parse_real(kTool, flag, v.c_str(), lo, hi, value)) {
+      throw BadFlag{};
+    }
+    return value;
   }
   std::vector<std::string> raw;
 };
@@ -78,7 +110,10 @@ Args parse_args(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     const std::string s = argv[i];
     a.raw.push_back(s);
-    if (s.rfind('-', 0) != 0) {
+    // A negative number ("-3") is an argument, not a flag.
+    const bool flag =
+        s.size() > 1 && s[0] == '-' && std::isdigit(static_cast<unsigned char>(s[1])) == 0;
+    if (!flag) {
       a.positional.push_back(s);
     } else {
       ++i;  // skip the flag's value in the positional scan
@@ -148,9 +183,9 @@ int cmd_summary(const Args& args) {
 }
 
 int cmd_worst_latency(const Args& args) {
+  const auto k = static_cast<std::size_t>(args.get_u64("-k", 10, 1, kAnyU64));
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
-  const auto k = static_cast<std::size_t>(args.get_u64("-k", 10));
   std::cout << "packet  latency  delivered@  route\n";
   for (const auto& r : log.worst_latency(k)) {
     std::cout << r.packet_id << "  " << r.latency << "  " << r.delivered_slot << "  "
@@ -160,9 +195,9 @@ int cmd_worst_latency(const Args& args) {
 }
 
 int cmd_top_collisions(const Args& args) {
+  const auto k = static_cast<std::size_t>(args.get_u64("-k", 10, 1, kAnyU64));
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
-  const auto k = static_cast<std::size_t>(args.get_u64("-k", 10));
   for (const auto& h : log.top_collisions(k)) {
     std::cout << "receiver " << h.receiver << ": " << h.collisions
               << " collision(s) in slots [" << h.first_slot << ", " << h.last_slot
@@ -176,20 +211,20 @@ int cmd_top_collisions(const Args& args) {
 }
 
 int cmd_timeline(const Args& args) {
+  const auto node =
+      static_cast<std::uint32_t>(args.get_u64("--node", 0, 0, FlightEvent::kNoNode - 1));
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
-  const auto node = static_cast<std::uint32_t>(args.get_u64("--node", 0));
   for (const auto& e : log.node_timeline(node)) print_event(e);
   return parse_errors == 0 ? 0 : 1;
 }
 
 int cmd_packet(const Args& args) {
+  const std::uint64_t id = args.positional.size() > 1
+                               ? parse_u64("<id>", args.positional[1], 0, kAnyU64)
+                               : args.get_u64("--id", 0, 0, kAnyU64);
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
-  const std::uint64_t id =
-      args.positional.size() > 1
-          ? std::strtoull(args.positional[1].c_str(), nullptr, 10)
-          : args.get_u64("--id", 0);
   const auto* h = log.packet(id);
   if (h == nullptr) {
     std::cerr << "packet " << id << " not in dump\n";
@@ -218,12 +253,12 @@ int cmd_check(const Args& args) {
 }
 
 int cmd_perfetto(const Args& args) {
+  ttdc::obs::PerfettoOptions opt;
+  opt.slot_us = args.get_f64("--slot-us", opt.slot_us, 0.0, kAnyReal);
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
   std::string out = "trace.perfetto.json";
   args.get("--out", out);
-  ttdc::obs::PerfettoOptions opt;
-  opt.slot_us = args.get_f64("--slot-us", opt.slot_us);
   opt.include_spans = false;  // a dump has no live profiler attached
   if (!ttdc::obs::write_perfetto_trace_file(out, log, nullptr, opt)) {
     std::cerr << "cannot write " << out << "\n";
@@ -239,18 +274,21 @@ int cmd_perfetto(const Args& args) {
 // Bernoulli traffic — with the flight recorder armed.
 int cmd_record(const Args& args) {
   using namespace ttdc;
-  const auto nodes = static_cast<std::size_t>(args.get_u64("--nodes", 30));
-  const auto degree = static_cast<std::size_t>(args.get_u64("--degree", 3));
-  const double rate = args.get_f64("--rate", 0.02);
-  const std::uint64_t seed = args.get_u64("--seed", 7);
-  const auto capacity = static_cast<std::size_t>(args.get_u64("--capacity", 1 << 16));
+  // The schedule is Construct(αT = 4, αR = 8), which needs n >= 12.
+  const auto nodes = static_cast<std::size_t>(args.get_u64("--nodes", 30, 12, 10'000));
+  const auto degree = static_cast<std::size_t>(args.get_u64("--degree", 3, 1, nodes - 1));
+  const double rate = args.get_f64("--rate", 0.02, 0.0, 1.0);
+  const std::uint64_t seed = args.get_u64("--seed", 7, 0, kAnyU64);
+  const auto capacity =
+      static_cast<std::size_t>(args.get_u64("--capacity", 1 << 16, 1, std::uint64_t{1} << 24));
+  const std::uint64_t slots_flag = args.get_u64("--slots", 0, 1, kAnyU64);  // 0: absent
   std::string out = "flight.jsonl";
   args.get("--out", out);
 
   const core::Schedule base =
       core::non_sleeping_from_family(comb::build_plan(comb::best_plan(nodes, degree), nodes));
   const core::Schedule duty = core::construct_duty_cycled(base, degree, 4, 8);
-  const std::uint64_t slots = args.get_u64("--slots", 20 * duty.frame_length());
+  const std::uint64_t slots = slots_flag != 0 ? slots_flag : 20 * duty.frame_length();
 
   util::Xoshiro256 rng(seed);
   const net::Graph g = net::random_bounded_degree_graph(nodes, degree, 2 * nodes, rng);
@@ -293,6 +331,8 @@ int main(int argc, char** argv) {
     if (cmd == "packet") return cmd_packet(args);
     if (cmd == "check") return cmd_check(args);
     if (cmd == "perfetto") return cmd_perfetto(args);
+  } catch (const BadFlag&) {
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
