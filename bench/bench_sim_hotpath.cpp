@@ -1,7 +1,7 @@
 // Slot-rate regression harness for the word-parallel simulator hot path
 // (DESIGN.md §8): measures per-node-reference vs batched slots/sec for
 // n in {50, 100, 200, 400, 800, 1600, 3200} under DutyCycledScheduleMac
-// with tracing off, and gates on a >= 3x speedup at n = 400. The reference
+// with no recorder, and gates on a >= 3x speedup at n = 400. The reference
 // side is the same MAC behind ScalarOnlyMac (tests/support/), which hides
 // its slot sets so the simulator drives it node by node. The 1600 and 3200
 // rows ride along informationally (slots_per_sec metrics only, no gated

@@ -6,7 +6,7 @@
 //   3. Construct() the duty-cycled (αT, αR)-schedule (paper, Figure 2);
 //   4. check Requirement 3, throughput, and energy numbers;
 //   5. run it in the simulator with the observability layer attached
-//      (live metrics, a post-mortem ring buffer, Prometheus exposition).
+//      (live metrics, a post-mortem flight ring, Prometheus exposition).
 #include <iostream>
 
 #include "combinatorics/params.hpp"
@@ -16,8 +16,8 @@
 #include "core/throughput.hpp"
 #include "net/topology.hpp"
 #include "obs/export.hpp"
+#include "obs/flight_query.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -68,27 +68,27 @@ int main() {
   std::cout << "worst-case per-link latency bound: " << duty.frame_length() << " slots\n";
 
   // 6. Simulate an actual deployment with observability attached: live
-  //    metrics (hot-path counters + latency histogram) and a bounded ring
-  //    buffer keeping the last events for post-mortem.
+  //    metrics (hot-path counters + latency histogram) and a bounded flight
+  //    ring keeping the last packet events for post-mortem.
   util::Xoshiro256 rng(42);
   const net::Graph g =
       net::random_bounded_degree_graph(kNodes, kMaxDegree, 2 * kNodes, rng);
   sim::DutyCycledScheduleMac mac(duty);
   sim::BernoulliTraffic traffic(kNodes, 0.01);
   obs::MetricsRegistry metrics;
-  obs::RingBufferTraceSink ring(64);
+  obs::FlightRecorder ring(64);
   sim::SimConfig config;
   config.seed = 1;
   config.metrics = &metrics;
-  config.trace = ring.fn();
+  config.recorder = &ring;
   sim::Simulator sim(g, mac, traffic, config);
   sim.run(20 * duty.frame_length());
 
   obs::publish_sim_stats(sim.stats(), metrics);
   std::cout << "\n-- live metrics (Prometheus text exposition) --\n"
             << obs::prometheus_text(metrics);
-  std::cout << "-- last trace events (" << ring.size() << " of " << ring.seen()
-            << " seen) --\n"
-            << ring.dump();
+  std::cout << "-- last flight events (" << ring.size() << " of " << ring.seen()
+            << " seen) --\n";
+  obs::write_flight_jsonl(std::cout, ring.events());
   return 0;
 }

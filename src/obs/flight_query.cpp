@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace ttdc::obs {
@@ -29,15 +29,34 @@ constexpr std::array<FlightEvent::Kind, FlightEvent::kNumKinds> kAllFlightKinds 
 };
 
 // Flat one-line objects with known keys, so targeted field extraction is
-// enough (the same approach as trace_replay.cpp).
-bool find_uint_field(const std::string& line, const std::string& key, std::uint64_t& out) {
+// enough; every number is read whole and range-checked.
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// Reads the unsigned decimal token at [p, end) whole with std::from_chars
+/// (no sign, no space, no overflow): at most `max` and followed by one of
+/// `terminators`. Returns the terminator's position, or nullptr.
+const char* read_uint(const char* p, const char* end, std::uint64_t max,
+                      std::string_view terminators, std::uint64_t& out) {
+  const auto [next, ec] = std::from_chars(p, end, out);
+  if (ec != std::errc{} || out > max || next == end ||
+      terminators.find(*next) == std::string_view::npos) {
+    return nullptr;
+  }
+  return next;
+}
+
+enum class Field { kAbsent, kMalformed, kOk };
+
+Field find_uint_field(const std::string& line, const std::string& key, std::uint64_t max,
+                      std::uint64_t& out) {
   const std::string needle = "\"" + key + "\":";
   const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* p = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  out = std::strtoull(p, &end, 10);
-  return end != p;
+  if (pos == std::string::npos) return Field::kAbsent;
+  const char* end = line.data() + line.size();
+  return read_uint(line.data() + pos + needle.size(), end, max, ",}", out) != nullptr
+             ? Field::kOk
+             : Field::kMalformed;
 }
 
 bool find_string_field(const std::string& line, const std::string& key, std::string& out) {
@@ -48,6 +67,43 @@ bool find_string_field(const std::string& line, const std::string& key, std::str
   const auto close = line.find('"', start);
   if (close == std::string::npos) return false;
   out = line.substr(start, close - start);
+  return true;
+}
+
+/// Parses one write_flight_jsonl line into `e`; false if any field is
+/// missing, malformed or out of range.
+bool parse_flight_line(const std::string& line, FlightEvent& e) {
+  std::string kind;
+  std::uint64_t node = 0, peer = 0, aux = 0, count = 0;
+  if (!find_string_field(line, "kind", kind) || !flight_kind_from_name(kind, e.kind) ||
+      find_uint_field(line, "slot", kMaxU64, e.slot) != Field::kOk ||
+      find_uint_field(line, "packet", kMaxU64, e.packet_id) != Field::kOk ||
+      find_uint_field(line, "node", kMaxU32, node) != Field::kOk ||
+      find_uint_field(line, "peer", kMaxU32, peer) != Field::kOk ||
+      find_uint_field(line, "aux", kMaxU32, aux) == Field::kMalformed) {
+    return false;
+  }
+  e.node = static_cast<std::uint32_t>(node);
+  e.peer = static_cast<std::uint32_t>(peer);
+  e.aux = static_cast<std::uint32_t>(aux);
+  if (e.kind != FlightEvent::Kind::kCollided) return true;
+  if (find_uint_field(line, "interferer_count", 255, count) != Field::kOk) return false;
+  e.interferer_count = static_cast<std::uint8_t>(count);
+  const std::string list = "\"interferers\":[";
+  const auto open = line.find(list);
+  if (open == std::string::npos) return false;
+  const char* p = line.data() + open + list.size();
+  const char* end = line.data() + line.size();
+  const std::size_t stored = e.stored_interferers();
+  if (stored == 0) return p != end && *p == ']';
+  // Exactly `stored` ids: each but the last ends at ',', the last at ']'.
+  for (std::size_t i = 0; i < stored; ++i) {
+    std::uint64_t id = 0;
+    p = read_uint(p, end, kMaxU32, i + 1 < stored ? "," : "]", id);
+    if (p == nullptr) return false;
+    e.interferers[i] = static_cast<std::uint32_t>(id);
+    ++p;
+  }
   return true;
 }
 
@@ -121,41 +177,12 @@ FlightParseResult read_flight_jsonl(std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string kind_str;
     FlightEvent e;
-    std::uint64_t slot = 0, packet = 0, node = 0, peer = 0, aux = 0;
-    if (!find_string_field(line, "kind", kind_str) ||
-        !flight_kind_from_name(kind_str, e.kind) || !find_uint_field(line, "slot", slot) ||
-        !find_uint_field(line, "packet", packet) || !find_uint_field(line, "node", node) ||
-        !find_uint_field(line, "peer", peer)) {
+    if (parse_flight_line(line, e)) {
+      result.events.push_back(e);
+    } else {
       result.errors.push_back(line);
-      continue;
     }
-    e.slot = slot;
-    e.packet_id = packet;
-    e.node = static_cast<std::uint32_t>(node);
-    e.peer = static_cast<std::uint32_t>(peer);
-    if (find_uint_field(line, "aux", aux)) e.aux = static_cast<std::uint32_t>(aux);
-    if (e.kind == FlightEvent::Kind::kCollided) {
-      std::uint64_t count = 0;
-      if (find_uint_field(line, "interferer_count", count)) {
-        e.interferer_count = static_cast<std::uint8_t>(count);
-      }
-      const auto open = line.find("\"interferers\":[");
-      if (open != std::string::npos) {
-        const char* p = line.c_str() + open + 15;
-        std::size_t stored = 0;
-        while (*p != ']' && *p != '\0' && stored < FlightEvent::kMaxInterferers) {
-          char* end = nullptr;
-          const std::uint64_t v = std::strtoull(p, &end, 10);
-          if (end == p) break;
-          e.interferers[stored++] = static_cast<std::uint32_t>(v);
-          p = end;
-          if (*p == ',') ++p;
-        }
-      }
-    }
-    result.events.push_back(e);
   }
   return result;
 }
@@ -328,6 +355,70 @@ std::vector<std::string> FlightLog::self_check() const {
     }
   }
   return violations;
+}
+
+sim::SimStats FlightLog::reconstructed_stats(std::size_t num_nodes) const {
+  sim::SimStats st;
+  st.delivered_by_origin.assign(num_nodes, 0);
+  for (const FlightEvent& e : events_) {
+    switch (e.kind) {
+      case FlightEvent::Kind::kCreated: ++st.generated; break;
+      case FlightEvent::Kind::kTxAttempt: ++st.transmissions; break;
+      case FlightEvent::Kind::kCollided: ++st.collisions; break;
+      case FlightEvent::Kind::kReceiverAsleep: ++st.receiver_asleep; break;
+      case FlightEvent::Kind::kChannelLoss: ++st.channel_losses; break;
+      case FlightEvent::Kind::kSyncLoss: ++st.sync_losses; break;
+      case FlightEvent::Kind::kBurstLoss: ++st.burst_losses; break;
+      case FlightEvent::Kind::kDriftLoss: ++st.drift_losses; break;
+      case FlightEvent::Kind::kHopDelivered: ++st.hop_successes; break;
+      case FlightEvent::Kind::kDelivered:
+        ++st.delivered;
+        ++st.hop_successes;
+        if (e.peer < num_nodes) ++st.delivered_by_origin[e.peer];
+        st.latency.record(e.aux);
+        break;
+      case FlightEvent::Kind::kDropped:
+      case FlightEvent::Kind::kExpired: ++st.queue_drops; break;
+      case FlightEvent::Kind::kFaultCrash: ++st.fault_crashes; break;
+      case FlightEvent::Kind::kFaultRecover: ++st.fault_recoveries; break;
+      case FlightEvent::Kind::kFaultBatterySpike: ++st.fault_battery_spikes; break;
+      case FlightEvent::Kind::kFaultJamStart: ++st.fault_jam_bursts; break;
+      case FlightEvent::Kind::kEnqueued:
+      case FlightEvent::Kind::kHeadOfLine:
+      case FlightEvent::Kind::kFaultJamEnd: break;
+    }
+  }
+  return st;
+}
+
+std::vector<std::string> FlightLog::self_check(const sim::SimStats& live) const {
+  const sim::SimStats rebuilt = reconstructed_stats(live.delivered_by_origin.size());
+  std::vector<std::string> mismatches;
+  const auto expect = [&](const std::string& what, std::uint64_t stream, std::uint64_t actual) {
+    if (stream != actual) {
+      mismatches.push_back(what + ": stream " + std::to_string(stream) + " != live " +
+                           std::to_string(actual));
+    }
+  };
+  for (const StreamCounter& c : kStreamCounters) {
+    expect(c.name, rebuilt.*c.field, live.*c.field);
+  }
+  // Live per-origin counts sum to live.delivered, so a delivery from an
+  // origin outside the live range shows up as a shortfall here.
+  for (std::size_t v = 0; v < live.delivered_by_origin.size(); ++v) {
+    expect("delivered_by_origin[" + std::to_string(v) + "]", rebuilt.delivered_by_origin[v],
+           live.delivered_by_origin[v]);
+  }
+  std::vector<std::uint64_t> stream_latency = rebuilt.latency.samples();
+  std::vector<std::uint64_t> live_latency = live.latency.samples();
+  std::sort(stream_latency.begin(), stream_latency.end());
+  std::sort(live_latency.begin(), live_latency.end());
+  if (stream_latency != live_latency) {
+    mismatches.push_back("latency samples differ as a multiset (stream " +
+                         std::to_string(stream_latency.size()) + " samples, live " +
+                         std::to_string(live_latency.size()) + ")");
+  }
+  return mismatches;
 }
 
 }  // namespace ttdc::obs

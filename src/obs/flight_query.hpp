@@ -2,10 +2,12 @@
 // `ttdc-trace` interchange format) and the FlightLog query API answering
 // the per-packet questions the aggregate counters cannot — worst-latency
 // packet paths, per-node timelines, collision hot-spot rankings with
-// explicit interferer causality, and a truncation-aware self-consistency
-// check for rings that wrapped mid-run.
+// explicit interferer causality, a truncation-aware self-consistency
+// check for rings that wrapped mid-run, and the SimStats counters a
+// complete stream rebuilds, cross-checked against the live run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "sim/stats.hpp"
 
 namespace ttdc::obs {
 
@@ -31,12 +34,17 @@ bool write_flight_jsonl_file(const std::string& path, const std::vector<FlightEv
 
 struct FlightParseResult {
   std::vector<FlightEvent> events;
-  /// Lines that failed to parse (malformed kind or missing fields).
+  /// Lines that failed to parse (malformed kind, missing or malformed
+  /// fields).
   std::vector<std::string> errors;
 };
 
 /// Parses flight JSONL back into events (the inverse of write_flight_jsonl;
-/// round-tripping is exact and tested).
+/// round-tripping is exact and tested). Every numeric field is one whole
+/// unsigned decimal token (no sign, space or trailing junk) within its
+/// field's range: slot and packet 64 bits; node, peer and aux 32 bits;
+/// interferer_count at most 255, with exactly min(count, kMaxInterferers)
+/// 32-bit ids listed. Any other line goes to `errors`.
 [[nodiscard]] FlightParseResult read_flight_jsonl(std::istream& in);
 /// File convenience wrapper; throws std::runtime_error if unreadable.
 [[nodiscard]] FlightParseResult read_flight_jsonl_file(const std::string& path);
@@ -64,6 +72,30 @@ struct PacketHistory {
   /// Attempts lost to collisions.
   std::uint64_t collisions = 0;
 };
+
+/// A SimStats counter that a complete flight stream rebuilds.
+struct StreamCounter {
+  const char* name;
+  std::uint64_t sim::SimStats::*field;
+};
+/// Every event-derived SimStats counter, in SimStats declaration order.
+inline constexpr std::array<StreamCounter, 15> kStreamCounters = {{
+    {"generated", &sim::SimStats::generated},
+    {"delivered", &sim::SimStats::delivered},
+    {"hop_successes", &sim::SimStats::hop_successes},
+    {"transmissions", &sim::SimStats::transmissions},
+    {"collisions", &sim::SimStats::collisions},
+    {"receiver_asleep", &sim::SimStats::receiver_asleep},
+    {"channel_losses", &sim::SimStats::channel_losses},
+    {"sync_losses", &sim::SimStats::sync_losses},
+    {"queue_drops", &sim::SimStats::queue_drops},
+    {"fault_crashes", &sim::SimStats::fault_crashes},
+    {"fault_recoveries", &sim::SimStats::fault_recoveries},
+    {"fault_battery_spikes", &sim::SimStats::fault_battery_spikes},
+    {"fault_jam_bursts", &sim::SimStats::fault_jam_bursts},
+    {"burst_losses", &sim::SimStats::burst_losses},
+    {"drift_losses", &sim::SimStats::drift_losses},
+}};
 
 /// Immutable index over a flight-event stream (from a live ring or a
 /// parsed dump). Construction is O(events log packets); queries are cheap.
@@ -115,6 +147,20 @@ class FlightLog {
   /// a same-slot tx-attempt before every per-transmission outcome. Returns
   /// one human-readable line per violation (empty == consistent).
   [[nodiscard]] std::vector<std::string> self_check() const;
+
+  /// The event-derived SimStats the stream rebuilds: every counter in
+  /// kStreamCounters, delivered_by_origin (num_nodes entries; deliveries
+  /// from a larger origin id are left out) and one latency sample per
+  /// kDelivered. Every other field stays at its default.
+  [[nodiscard]] sim::SimStats reconstructed_stats(std::size_t num_nodes = 0) const;
+
+  /// Cross-checks reconstructed_stats() against the live run that recorded
+  /// the stream: every kStreamCounters counter, delivered_by_origin, and
+  /// the latency samples as a multiset (percentile() reorders the live
+  /// samples in place). Valid only for a complete stream — a ring that did
+  /// not wrap, armed for the whole run. Returns one human-readable line per
+  /// mismatch (empty == the stream accounts for every counted event).
+  [[nodiscard]] std::vector<std::string> self_check(const sim::SimStats& live) const;
 
  private:
   std::vector<FlightEvent> events_;

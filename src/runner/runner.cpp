@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -92,7 +93,6 @@ void Campaign::run_cell_resilient(std::size_t index, CellContext& ctx) {
     // absent from the aggregate entirely (and flagged), never half-counted.
     ctx.stats_ = sim::SimStats{};
     ctx.metrics_out_.clear();
-    ctx.trace_.clear();
     ctx.quarantined_ = true;
     ctx.error_ = why;
   };
@@ -169,6 +169,17 @@ void Campaign::prepare_journal(std::vector<CellContext>& contexts) {
 
 namespace {
 
+/// Rejects a flight-capture directory that is not an existing directory,
+/// before any cell runs: the rings are the campaign's only event capture,
+/// so an outlier must never go undumped for want of a place to write it.
+void require_flight_dir(const std::optional<FlightCaptureOptions>& capture) {
+  std::error_code ec;
+  if (capture && !std::filesystem::is_directory(capture->dir, ec)) {
+    throw std::invalid_argument("flight capture: '" + capture->dir +
+                                "' is not an existing directory");
+  }
+}
+
 std::string sanitize_for_filename(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -218,9 +229,6 @@ CampaignResult Campaign::merge(std::vector<CellContext>& contexts, double elapse
       // worker counts.
       result.aggregate.merge(ctx.stats_);
     }
-    if (options_.trace) {
-      for (const auto& e : ctx.trace_) options_.trace(e);
-    }
     if (options_.flight_capture && ctx.flight_ != nullptr &&
         result.flight_dumps.size() < options_.flight_capture->max_dumps) {
       const std::string reason = outlier_reason(*options_.flight_capture, ctx.stats_);
@@ -234,9 +242,10 @@ CampaignResult Campaign::merge(std::vector<CellContext>& contexts, double elapse
         dump.path = options_.flight_capture->dir + "/flight_" +
                     std::to_string(ctx.index_) + "_" + sanitize_for_filename(ctx.name_) +
                     ".jsonl";
-        if (obs::write_flight_jsonl_file(dump.path, events)) {
-          result.flight_dumps.push_back(std::move(dump));
+        if (!obs::write_flight_jsonl_file(dump.path, events)) {
+          throw std::runtime_error("flight capture: cannot write " + dump.path);
         }
+        result.flight_dumps.push_back(std::move(dump));
       }
     }
     CellResult cell;
@@ -253,6 +262,7 @@ CampaignResult Campaign::merge(std::vector<CellContext>& contexts, double elapse
 }
 
 CampaignResult Campaign::run() {
+  require_flight_dir(options_.flight_capture);
   const int workers = resolved_workers();
   util::Timer timer;
   std::vector<CellContext> contexts(cells_.size());
@@ -269,6 +279,7 @@ CampaignResult Campaign::run() {
 }
 
 CampaignResult Campaign::run_serial() {
+  require_flight_dir(options_.flight_capture);
   util::Timer timer;
   std::vector<CellContext> contexts(cells_.size());
   prepare_journal(contexts);

@@ -14,10 +14,9 @@
 //     LatencyStats::merge are exact under a fixed fold order);
 //   * shared artifacts (runner/cache.hpp) are pure functions of their keys,
 //     so a cache hit equals a private rebuild;
-//   * per-cell trace events buffer locally and replay into the campaign
-//     sink at the barrier, again in cell-index order — a campaign-level
-//     JSONL sink sees one deterministic stream, never an interleaving
-//     (and never a data race on a non-thread-safe sink).
+//   * each cell records packet events into its own flight ring, dumped at
+//     the barrier in cell-index order — never an interleaving, never a
+//     data race on a shared ring.
 //
 // The determinism contract is what makes the parallelism trustworthy: a
 // campaign's numbers can be compared across machines and worker counts, and
@@ -57,7 +56,7 @@ class CellTimeout : public std::runtime_error {
 /// Per-cell execution context, handed to the cell body. Everything a cell
 /// reads from it is either immutable for the campaign's duration
 /// (index/name/seed, the artifact store) or private to the cell (the stats
-/// and trace accumulators), so cell bodies need no synchronization of
+/// accumulator and flight ring), so cell bodies need no synchronization of
 /// their own.
 class CellContext {
  public:
@@ -90,19 +89,11 @@ class CellContext {
     metrics_out_.emplace_back(std::move(key), value);
   }
 
-  /// Trace hook for SimConfig::trace. Events buffer inside the cell and
-  /// replay into the campaign sink at the join barrier in cell-index
-  /// order; cells must use this (or no trace at all) rather than wiring a
-  /// shared sink into SimConfig directly, which would interleave workers.
-  [[nodiscard]] std::function<void(const sim::TraceEvent&)> trace_fn() {
-    return [this](const sim::TraceEvent& e) { trace_.push_back(e); };
-  }
-
   /// This cell's private flight-recorder ring, or nullptr when the
   /// campaign has no flight capture configured. Cells wire it into
-  /// SimConfig::recorder; the campaign inspects the ring at the join
-  /// barrier and dumps it only for outlier cells (same buffered-replay
-  /// discipline as trace_fn: nothing shared, nothing interleaved).
+  /// SimConfig::recorder (never a shared ring, which would interleave
+  /// workers); the campaign inspects the ring at the join barrier and
+  /// dumps it only for outlier cells.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
 
   /// Which attempt this execution is (1 on the first try; retries replay
@@ -136,7 +127,6 @@ class CellContext {
   bool fast_forward_ = false;
   sim::SimStats stats_;
   std::vector<std::pair<std::string, double>> metrics_out_;
-  std::vector<sim::TraceEvent> trace_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   // Resilience bookkeeping (owned by the runner, read-only to cell bodies).
   std::uint32_t attempts_ = 1;
@@ -209,7 +199,10 @@ struct CampaignResult {
 struct FlightCaptureOptions {
   /// Per-cell ring capacity in events (bounded memory per worker).
   std::size_t ring_capacity = 1 << 16;
-  /// Directory for dump files (`flight_<index>_<name>.jsonl`); must exist.
+  /// Directory for dump files (`flight_<index>_<name>.jsonl`). It must
+  /// exist: run() and run_serial() throw std::invalid_argument before any
+  /// cell runs when it does not, and std::runtime_error at the barrier
+  /// when a dump cannot be written.
   std::string dir = ".";
   /// Dump a cell whose p99 end-to-end latency (slots) exceeds this.
   double latency_p99_threshold = 0.0;
@@ -262,10 +255,6 @@ struct CampaignOptions {
   int num_workers = 0;
   /// Optional campaign-level metrics registry (see CellContext::metrics).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional campaign-level trace sink; receives every cell's buffered
-  /// events at the barrier, grouped by cell in index order. Needs no
-  /// thread safety: it is only ever called from the merging thread.
-  std::function<void(const sim::TraceEvent&)> trace;
   /// Campaign-wide frame fast-forwarding opt-in, surfaced to cell bodies
   /// via CellContext::fast_forward() for wiring into
   /// SimConfig::fast_forward. Purely advisory: fast-forwarded cells

@@ -68,7 +68,6 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   b_listen_ = to_units(config_.energy.energy_mj(RadioState::kListen, 1));
   b_sleep_ = to_units(config_.energy.energy_mj(RadioState::kSleep, 1));
   b_wakeup_ = to_units(config_.energy.wakeup_mj);
-  tracing_ = static_cast<bool>(config_.trace);
   fault_armed_ = config_.fault_plan != nullptr;
   if (fault_armed_) {
     TTDC_ASSERT(config_.fault_plan->num_nodes() == n,
@@ -123,13 +122,12 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   }
   // Fast-forward arming (see the SimConfig knob). Beyond the explicit
   // opt-in, every per-slot randomness source must be absent: channel
-  // imperfections draw from rng_ on paths a replay would skip, a tracing
-  // hook expects per-slot events, and an opaque traffic source cannot prove
-  // a frame silent. Randomized MACs disarm dynamically instead —
-  // fast_forward_period() == 0 keeps run() stepping.
-  if (config_.fast_forward && !tracing_ &&
-      config_.packet_error_rate == 0.0 && config_.sync_miss_rate == 0.0 &&
-      traffic_.supports_lookahead()) {
+  // imperfections draw from rng_ on paths a replay would skip, and an
+  // opaque traffic source cannot prove a frame silent. Randomized MACs
+  // disarm dynamically instead — fast_forward_period() == 0 keeps run()
+  // stepping; an armed flight recorder vetoes frame by frame.
+  if (config_.fast_forward && config_.packet_error_rate == 0.0 &&
+      config_.sync_miss_rate == 0.0 && traffic_.supports_lookahead()) {
     ff_ = std::make_unique<FastForwardState>();
     if (config_.metrics != nullptr) {
       obs::MetricsRegistry& m = *config_.metrics;
@@ -296,12 +294,10 @@ void Simulator::inject(std::size_t origin, std::size_t destination) {
   p.origin = origin;
   p.destination = destination;
   p.created_slot = now_;
-  trace(TraceEvent::Kind::kGenerated, origin, destination, p.id);
   if (recording_) record_flight(obs::FlightEvent::Kind::kCreated, origin, destination, p.id);
   if (!queue_push(origin, p)) {
     ++stats_.queue_drops;
     if (hot_.queue_drops) hot_.queue_drops->inc();
-    trace(TraceEvent::Kind::kQueueDrop, origin, origin, p.id);
     if (recording_) record_flight(obs::FlightEvent::Kind::kDropped, origin, origin, p.id);
   }
 }
@@ -407,7 +403,6 @@ void Simulator::collect_transmissions(bool mac_batched) {
         if (config_.drop_unroutable) {
           ++stats_.queue_drops;
           if (hot_.queue_drops) hot_.queue_drops->inc();
-          trace(TraceEvent::Kind::kQueueDrop, v, q.front().origin, q.front().id);
           if (recording_) {
             record_flight(obs::FlightEvent::Kind::kExpired, v, q.front().origin,
                           q.front().id);
@@ -425,7 +420,6 @@ void Simulator::collect_transmissions(bool mac_batched) {
         tx_nodes_.push_back(v);
         tx_targets_.push_back(hop);
         transmitting_.set(v);
-        trace(TraceEvent::Kind::kTransmit, v, hop, q.front().id);
         if (recording_) {
           record_flight(obs::FlightEvent::Kind::kTxAttempt, v, hop, q.front().id);
         }
@@ -447,7 +441,6 @@ void Simulator::resolve_receptions() {
         transmitting_.test(y)) {
       ++stats_.receiver_asleep;
       if (hot_.receiver_asleep) hot_.receiver_asleep->inc();
-      trace(TraceEvent::Kind::kReceiverAsleep, y, x, queues_[x].front().id);
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kReceiverAsleep, y, x, queues_[x].front().id);
       }
@@ -460,7 +453,6 @@ void Simulator::resolve_receptions() {
     if (graph_.neighbors(y).intersection_count(transmitting_) > 1) {
       ++stats_.collisions;
       if (hot_.collisions) hot_.collisions->inc();
-      trace(TraceEvent::Kind::kCollision, y, x, queues_[x].front().id);
       if (recording_) record_collision(y, x, queues_[x].front().id);
       continue;
     }
@@ -489,7 +481,6 @@ void Simulator::resolve_receptions() {
     if (config_.sync_miss_rate > 0.0 && rng_.bernoulli(config_.sync_miss_rate)) {
       ++stats_.sync_losses;
       if (hot_.sync_losses) hot_.sync_losses->inc();
-      trace(TraceEvent::Kind::kSyncLoss, y, x, queues_[x].front().id);
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kSyncLoss, y, x, queues_[x].front().id);
       }
@@ -498,7 +489,6 @@ void Simulator::resolve_receptions() {
     if (config_.packet_error_rate > 0.0 && rng_.bernoulli(config_.packet_error_rate)) {
       ++stats_.channel_losses;
       if (hot_.channel_losses) hot_.channel_losses->inc();
-      trace(TraceEvent::Kind::kChannelLoss, y, x, queues_[x].front().id);
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kChannelLoss, y, x, queues_[x].front().id);
       }
@@ -518,18 +508,15 @@ void Simulator::resolve_receptions() {
         hot_.delivered->inc();
         hot_.latency->observe(static_cast<double>(now_ - p.created_slot));
       }
-      trace(TraceEvent::Kind::kFinalDelivered, y, p.origin, p.id);
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kDelivered, y, p.origin, p.id,
                       static_cast<std::uint32_t>(now_ - p.created_slot));
       }
     } else {
-      trace(TraceEvent::Kind::kHopDelivered, y, x, p.id);
       if (recording_) record_flight(obs::FlightEvent::Kind::kHopDelivered, y, x, p.id);
       if (!queue_push(y, p)) {
         ++stats_.queue_drops;
         if (hot_.queue_drops) hot_.queue_drops->inc();
-        trace(TraceEvent::Kind::kQueueDrop, y, p.origin, p.id);
         if (recording_) record_flight(obs::FlightEvent::Kind::kDropped, y, p.origin, p.id);
       }
     }

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -42,27 +41,6 @@
 #include "util/slot_set.hpp"
 
 namespace ttdc::sim {
-
-/// A single simulator event, delivered to the optional trace hook as it
-/// happens (ns-2/OMNeT-style observability for debugging and replay).
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    kGenerated,      // node = origin, peer = final destination
-    kTransmit,       // node = transmitter, peer = intended next hop
-    kHopDelivered,   // node = receiver, peer = transmitter (packet forwarded on)
-    kFinalDelivered, // node = receiver, peer = origin
-    kCollision,      // node = intended receiver, peer = transmitter
-    kReceiverAsleep, // node = intended receiver, peer = transmitter
-    kChannelLoss,    // node = intended receiver, peer = transmitter
-    kSyncLoss,       // node = intended receiver, peer = transmitter
-    kQueueDrop,      // node = dropping node, peer = packet origin
-  };
-  Kind kind;
-  std::uint64_t slot;
-  std::size_t node;
-  std::size_t peer;
-  std::uint64_t packet_id;
-};
 
 struct SimConfig {
   std::uint64_t seed = 0x5eed;
@@ -88,24 +66,23 @@ struct SimConfig {
   /// semantics, and the golden megascale tests assert exactly that (all
   /// five MACs, faults armed and disarmed).
   bool hybrid_pipeline = false;
-  /// Optional per-event hook; leave empty for zero overhead on the hot
-  /// path beyond a branch. Structured sinks (JSONL, ring buffer, filters,
-  /// fan-out) live in obs/trace.hpp and plug in via their fn() adapters.
-  std::function<void(const TraceEvent&)> trace;
   /// Optional metrics registry. When set, the simulator registers
   /// `ttdc_sim_*_total` counters and a `ttdc_sim_latency_slots` histogram
   /// at construction and bumps them live on the hot path (one pre-resolved
   /// relaxed atomic increment per event); leave null for zero overhead.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional packet flight recorder (obs/flight_recorder.hpp): a bounded
-  /// ring of per-packet lifecycle events (created -> enqueued ->
-  /// head-of-line -> tx-attempt -> collided/delivered/dropped/expired),
-  /// with collision events carrying the interferer set recovered from the
-  /// phase-2 intersection. Cost contract: leave null (the default) and
-  /// step() pays one branch per slot; installed but disarmed
-  /// (FlightRecorder::enable(false)) costs one relaxed load per slot; armed
-  /// recording never touches the RNG stream or SimStats, so golden
-  /// equality between pipelines is preserved with recording on or off.
+  /// Optional packet flight recorder (obs/flight_recorder.hpp), the
+  /// simulator's only event output: a bounded ring of per-packet lifecycle
+  /// events (created -> enqueued -> head-of-line -> tx-attempt ->
+  /// collided/delivered/dropped/expired) plus fault instants, with
+  /// collision events carrying the interferer set recovered from the
+  /// phase-2 intersection. A complete stream rebuilds every event-derived
+  /// SimStats counter (obs::FlightLog::self_check(live)). Cost contract:
+  /// leave null (the default) and step() pays one branch per slot;
+  /// installed but disarmed (FlightRecorder::enable(false)) costs one
+  /// relaxed load per slot; armed recording never touches the RNG stream
+  /// or SimStats, so golden equality between pipelines is preserved with
+  /// recording on or off.
   obs::FlightRecorder* recorder = nullptr;
   /// Per-node battery budget in millijoules; 0 means unlimited. When a
   /// node's budget (drained per slot by radio state and per wakeup, using
@@ -145,8 +122,8 @@ struct SimConfig {
   /// invalidation source (arrival, fault event, battery death crossing,
   /// topology change, armed flight recorder). The knob is a no-op (engine
   /// stays disarmed) unless the MAC reports a fast_forward_period() and the
-  /// traffic source supports_lookahead(); it is also disarmed under tracing
-  /// or channel imperfections (per-slot rng draws make frames unrepeatable).
+  /// traffic source supports_lookahead(); it is also disarmed under channel
+  /// imperfections (per-slot rng draws make frames unrepeatable).
   bool fast_forward = false;
 };
 
@@ -332,15 +309,6 @@ class Simulator {
     }
   }
 
-  /// Trace emission stays a single predictable branch (`tracing_`, fixed at
-  /// construction) when tracing is disabled; the std::function indirection
-  /// is only paid on the enabled path.
-  void trace(TraceEvent::Kind kind, std::size_t node, std::size_t peer,
-             std::uint64_t packet_id) {
-    if (!tracing_) return;
-    config_.trace(TraceEvent{kind, now_, node, peer, packet_id});
-  }
-
   /// Flight-recorder emission. Every hook site is guarded by `recording_`,
   /// which step() refreshes once per slot from the installed recorder and
   /// the process-wide arming flag (the contract documented on
@@ -398,7 +366,6 @@ class Simulator {
   std::vector<PacketQueue> queues_;
   SimStats stats_;
   HotMetrics hot_;
-  bool tracing_ = false;
   bool recording_ = false;  // per-slot sample of (recorder installed && armed)
   std::uint64_t now_ = 0;
   std::uint64_t next_packet_id_ = 0;

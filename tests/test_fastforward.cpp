@@ -18,6 +18,7 @@
 #include "core/construct.hpp"
 #include "net/domain_grid.hpp"
 #include "net/topology.hpp"
+#include "obs/flight_query.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
@@ -106,7 +107,7 @@ struct RunOutcome {
 
 RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
                      std::uint64_t slots, double rate, bool fast_forward,
-                     double battery_mj = 2000.0) {
+                     double battery_mj = 2000.0, obs::FlightRecorder* recorder = nullptr) {
   const std::size_t n = world.graph.num_nodes();
   auto mac = make_mac(kind, world);
   // Same traffic seed either way: the source owns its stream, so the FF-on
@@ -118,6 +119,7 @@ RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan
   cfg.fault_plan = plan;
   cfg.hybrid_pipeline = n >= 800;
   cfg.fast_forward = fast_forward;
+  cfg.recorder = recorder;
   Simulator sim(world.graph, *mac, traffic, cfg);
   sim.run(slots);
   return {sim.stats(), sim.fast_forward_stats()};
@@ -328,8 +330,35 @@ TEST(FastForwardInvalidation, ArmedRecorderForcesFallback) {
   EXPECT_GT(armed.fallback_recorder, 0u);
   obs::FlightRecorder::enable(false);
   sim.run(4000);
+  obs::FlightRecorder::enable(true);  // the arming flag is process-wide
   const FastForwardStats disarmed = sim.fast_forward_stats();
   EXPECT_GT(disarmed.frames_replayed, 0u);
+}
+
+// One event stream at any fast-forward setting: with the engine off and on
+// (where the armed recorder vetoes frames), the complete stream rebuilds the
+// live SimStats, and the two runs' SimStats are identical.
+TEST(FastForwardInvalidation, FlightStreamRebuildsStatsWithFastForwardOnAndOff) {
+  const TestWorld world = make_world(50, 0xA8);
+  const std::uint64_t slots = 4000;
+  const FaultPlan plan = make_fault_plan(50, slots, 0x5AFF);
+  RunOutcome outcome[2];
+  for (const bool fast : {false, true}) {
+    obs::FlightRecorder recorder(1 << 16);
+    outcome[fast] = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.02 / 49.0, fast,
+                              2000.0, &recorder);
+    ASSERT_GT(recorder.seen(), 0u);
+    ASSERT_FALSE(recorder.wrapped());
+    const auto mismatches = obs::FlightLog(recorder.events()).self_check(outcome[fast].stats);
+    EXPECT_TRUE(mismatches.empty())
+        << "fast_forward=" << fast << ": " << mismatches.size()
+        << " mismatch(es), first: " << (mismatches.empty() ? "" : mismatches.front());
+  }
+  expect_identical_stats(outcome[0].stats, outcome[1].stats);
+  EXPECT_GT(outcome[0].stats.delivered, 0u);
+  EXPECT_GT(outcome[0].stats.fault_crashes, 0u);
+  EXPECT_EQ(outcome[0].ff.fallback_recorder, 0u);
+  EXPECT_GT(outcome[1].ff.fallback_recorder, 0u);
 }
 
 // Randomized MACs report no fast-forward period: the engine stays armed but

@@ -4,7 +4,8 @@
 // against hand-written event lists, the armed-but-empty bit-identity
 // contract, golden equality between a MAC's batched slot sets and the same
 // MAC behind ScalarOnlyMac with a generative plan armed,
-// and fault instants in the flight record.
+// and fault instants in the flight record, whose complete stream rebuilds
+// the storm's SimStats.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "core/builders.hpp"
 #include "core/construct.hpp"
 #include "net/topology.hpp"
+#include "obs/flight_query.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
@@ -372,34 +374,43 @@ TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
   }
 }
 
-TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
-  // The full storm (crashes, bursty loss, drift, spikes, jammers) must
-  // preserve golden equality between the batched slot sets and the per-node
-  // fallback — fault handling sits on the phases both share. Spikes here
-  // take 60% of the budget: one is survivable, two are fatal, and radio
-  // drain alone cannot reach 40% of it in kSlots, so every death below is a
-  // spike kill landing on the credit arithmetic both pipelines share.
+// The full storm (crashes, bursty loss, drift, spikes, jammers). Spikes
+// here take 60% of the budget: one is survivable, two are fatal, and radio
+// drain alone cannot reach 40% of it in kSlots, so every death is a spike
+// kill landing on the credit arithmetic both pipelines share.
+FaultPlan full_storm() {
   FaultPlanConfig storm = stormy_config(kSlots);
   storm.battery_spike_rate = 1e-4;
   storm.battery_spike_mj = 6e4;
-  const FaultPlan plan(storm, kN, 0xdead);
+  return FaultPlan(storm, kN, 0xdead);
+}
+
+/// Runs the full storm through the batched slot sets, or through the
+/// per-node fallback when `scalar`, recording into `recorder` if non-null.
+SimStats run_storm(const FaultPlan& plan, bool scalar, FlightRecorder* recorder = nullptr) {
+  const Schedule s = duty_schedule();
+  DutyCycledScheduleMac mac(s);
+  ScalarOnlyMac scalar_mac(mac);
+  BernoulliTraffic traffic(kN, 0.02);
+  SimConfig cfg;
+  cfg.seed = 48;
+  cfg.battery_mj = 1e5;
+  cfg.fault_plan = &plan;
+  cfg.recorder = recorder;
+  Simulator sim(test_graph(), scalar ? static_cast<MacProtocol&>(scalar_mac) : mac, traffic,
+                cfg);
+  sim.run(kSlots);
+  return sim.stats();
+}
+
+TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
+  // The storm must preserve golden equality between the batched slot sets
+  // and the per-node fallback — fault handling sits on the phases both
+  // share.
+  const FaultPlan plan = full_storm();
   ASSERT_FALSE(plan.events().empty());
-  auto run_pipeline = [&](bool scalar) {
-    const Schedule s = duty_schedule();
-    DutyCycledScheduleMac mac(s);
-    ScalarOnlyMac scalar_mac(mac);
-    BernoulliTraffic traffic(kN, 0.02);
-    SimConfig cfg;
-    cfg.seed = 48;
-    cfg.battery_mj = 1e5;
-    cfg.fault_plan = &plan;
-    Simulator sim(test_graph(), scalar ? static_cast<MacProtocol&>(scalar_mac) : mac,
-                  traffic, cfg);
-    sim.run(kSlots);
-    return sim.stats();
-  };
-  const SimStats scalar = run_pipeline(true);
-  const SimStats batched = run_pipeline(false);
+  const SimStats scalar = run_storm(plan, true);
+  const SimStats batched = run_storm(plan, false);
   expect_identical_stats(scalar, batched);
   // The storm must actually have done something, or this test is vacuous.
   EXPECT_GT(scalar.fault_crashes + scalar.burst_losses + scalar.fault_jam_bursts, 0u);
@@ -425,6 +436,30 @@ TEST(FaultWorld, SamePlanSameSeedReproducesStats) {
 
 // ---------------------------------------------------------------------------
 // Observability
+
+TEST(FaultWorld, FlightStreamRebuildsStormStats) {
+  // Under the full storm, on both pipelines, the complete flight stream
+  // accounts for every counter: packet outcomes, fault instants, fault
+  // losses, per-origin deliveries and latency samples.
+  const FaultPlan plan = full_storm();
+  for (const bool scalar : {false, true}) {
+    FlightRecorder recorder(1 << 17);
+    const SimStats live = run_storm(plan, scalar, &recorder);
+    ASSERT_FALSE(recorder.wrapped());
+    EXPECT_GT(live.fault_crashes, 0u);
+    EXPECT_GT(live.fault_recoveries, 0u);
+    EXPECT_GT(live.fault_battery_spikes, 0u);
+    EXPECT_GT(live.fault_jam_bursts, 0u);
+    EXPECT_GT(live.burst_losses, 0u);
+    EXPECT_GT(live.drift_losses, 0u);
+    EXPECT_GT(live.collisions, 0u);
+    EXPECT_GT(live.receiver_asleep, 0u);
+    const auto mismatches = obs::FlightLog(recorder.events()).self_check(live);
+    EXPECT_TRUE(mismatches.empty())
+        << (scalar ? "scalar" : "batched") << ": " << mismatches.size()
+        << " mismatch(es), first: " << (mismatches.empty() ? "" : mismatches.front());
+  }
+}
 
 TEST(FaultWorld, FaultInstantsLandInFlightRecord) {
   std::vector<FaultEvent> events;

@@ -8,10 +8,14 @@
 // them as artifacts for post-mortem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "combinatorics/params.hpp"
@@ -70,17 +74,13 @@ struct Scenario {
   /// `scalar_only` drives the MAC through sim::ScalarOnlyMac, the
   /// simulator's per-node reference path.
   sim::SimStats run(std::uint64_t slots, FlightRecorder* recorder,
-                    bool scalar_only = false,
-                    std::vector<sim::TraceEvent>* trace = nullptr) const {
+                    bool scalar_only = false) const {
     sim::DutyCycledScheduleMac mac(duty);
     sim::ScalarOnlyMac scalar_mac(mac);
     sim::BernoulliTraffic traffic(nodes, 0.02);
     sim::SimConfig config;
     config.seed = 9;
     config.recorder = recorder;
-    if (trace != nullptr) {
-      config.trace = [trace](const sim::TraceEvent& e) { trace->push_back(e); };
-    }
     sim::Simulator sim(graph,
                        scalar_only ? static_cast<sim::MacProtocol&>(scalar_mac) : mac,
                        traffic, config);
@@ -258,16 +258,17 @@ TEST(FlightQuery, QueriesIdenticalOnReplayedStream) {
 TEST(FlightQuery, WorstLatencyAndTopCollisionsMatchGroundTruth) {
   const Scenario sc;
   FlightRecorder ring(1 << 18);
-  std::vector<sim::TraceEvent> trace;  // independent event pipeline
-  sc.run(1500, &ring, false, &trace);
-  const FlightLog log(ring.events());
+  const sim::SimStats live = sc.run(1500, &ring);
+  ASSERT_FALSE(ring.wrapped());
+  const auto events = ring.events();
+  const FlightLog log(events);
 
-  // Ground-truth latencies from the trace pipeline: creation and final
-  // delivery slots per packet id.
+  // Ground-truth latencies from the raw ring: creation and final delivery
+  // slots per packet id (independent of the aux latency FlightLog reads).
   std::map<std::uint64_t, std::uint64_t> created, delivered_at;
-  for (const auto& t : trace) {
-    if (t.kind == sim::TraceEvent::Kind::kGenerated) created[t.packet_id] = t.slot;
-    if (t.kind == sim::TraceEvent::Kind::kFinalDelivered) delivered_at[t.packet_id] = t.slot;
+  for (const auto& e : events) {
+    if (e.kind == FlightEvent::Kind::kCreated) created[e.packet_id] = e.slot;
+    if (e.kind == FlightEvent::Kind::kDelivered) delivered_at[e.packet_id] = e.slot;
   }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> truth;  // (latency, id)
   for (const auto& [id, slot] : delivered_at) {
@@ -285,14 +286,20 @@ TEST(FlightQuery, WorstLatencyAndTopCollisionsMatchGroundTruth) {
     EXPECT_EQ(worst[i].packet_id, truth[i].second);
   }
 
-  // Ground-truth collision counts per receiver from the trace pipeline.
+  // Ground-truth collision counts per receiver: a tally of the raw
+  // kCollided events, whose total is the live collision counter.
   std::map<std::uint32_t, std::uint64_t> collisions_at;
-  for (const auto& t : trace) {
-    if (t.kind == sim::TraceEvent::Kind::kCollision) {
-      ++collisions_at[static_cast<std::uint32_t>(t.node)];
-    }
+  std::uint64_t total = 0;
+  for (const auto& e : events) {
+    if (e.kind != FlightEvent::Kind::kCollided) continue;
+    ++collisions_at[e.node];
+    ++total;
   }
-  for (const auto& h : log.top_collisions(100)) {
+  EXPECT_EQ(total, live.collisions);
+  ASSERT_GT(total, 0u);
+  const auto hotspots = log.top_collisions(collisions_at.size());
+  ASSERT_EQ(hotspots.size(), collisions_at.size());
+  for (const auto& h : hotspots) {
     EXPECT_EQ(h.collisions, collisions_at.at(h.receiver));
   }
 }
@@ -373,6 +380,54 @@ TEST(FlightQuery, MalformedLinesAreReportedNotParsed) {
   EXPECT_EQ(parsed.errors.size(), 2u);
 }
 
+TEST(FlightQuery, NumericFieldsAreWholeTokensInRange) {
+  // A sign, an overflow, trailing junk or a value wider than its field is
+  // an error, never a wrapped, truncated or prefix-read number.
+  const std::vector<std::string> hostile = {
+      R"({"kind":"created","slot":1,"packet":1,"node":-1,"peer":5})",
+      R"({"kind":"created","slot":1,"packet":1,"node":4294967296,"peer":5})",
+      R"({"kind":"created","slot":99999999999999999999999,"packet":1,"node":0,"peer":5})",
+      R"({"kind":"created","slot":1,"packet":1,"node":12abc,"peer":5})",
+      R"({"kind":"enqueued","slot":1,"packet":1,"node":0,"peer":5,"aux":4294967297})",
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":256,"interferers":[1,2,3,4,5,6]})",
+      R"({"kind":"created","slot": -5,"packet":1,"node":0,"peer":5})",
+      // The interferer list must hold exactly min(count, 6) 32-bit ids.
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":2,"interferers":[1]})",
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":2,"interferers":[1,2,3]})",
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":1,"interferers":[4294967296]})",
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":1,"interferers":[-1]})",
+      R"({"kind":"collided","slot":1,"packet":1,"node":0,"peer":5,"interferer_count":1})",
+  };
+  for (const std::string& line : hostile) {
+    std::stringstream ss(line + "\n");
+    const auto parsed = obs::read_flight_jsonl(ss);
+    EXPECT_TRUE(parsed.events.empty()) << line;
+    EXPECT_EQ(parsed.errors.size(), 1u) << line;
+  }
+
+  // The boundary values themselves round-trip exactly.
+  FlightEvent fault = make_event(~std::uint64_t{0}, FlightEvent::kNoPacket,
+                                 FlightEvent::Kind::kFaultRecover);
+  fault.node = FlightEvent::kNoNode;
+  fault.peer = FlightEvent::kNoNode;
+  fault.aux = 4294967295u;
+  FlightEvent collided = make_event(3, 4, FlightEvent::Kind::kCollided);
+  collided.interferer_count = 255;
+  for (std::uint32_t i = 0; i < FlightEvent::kMaxInterferers; ++i) {
+    collided.interferers[i] = i == 0 ? FlightEvent::kNoNode : i;
+  }
+  FlightEvent lonely = make_event(5, 6, FlightEvent::Kind::kCollided);  // empty list
+  const std::vector<FlightEvent> original = {fault, collided, lonely};
+
+  std::stringstream ss;
+  obs::write_flight_jsonl(ss, original);
+  const auto parsed = obs::read_flight_jsonl(ss);
+  EXPECT_TRUE(parsed.errors.empty());
+  ASSERT_EQ(parsed.events.size(), original.size());
+  EXPECT_TRUE(parsed.events == original);
+  EXPECT_EQ(parsed.events[1].stored_interferers(), FlightEvent::kMaxInterferers);
+}
+
 // ------------------------------------------------------------- perfetto
 
 TEST(Perfetto, ExportIsStructurallyValidTraceJson) {
@@ -405,7 +460,7 @@ TEST(Perfetto, ValidatorRejectsBrokenJson) {
   EXPECT_FALSE(obs::json_validate("{\"traceEvents\":[", &error));
   EXPECT_FALSE(obs::json_validate("{\"a\":1,}", &error));
   EXPECT_TRUE(obs::json_validate("{\"a\":[1,2,{\"b\":\"c\\\"d\"}]}", &error)) << error;
-  EXPECT_FALSE(obs::validate_trace_events("{\"notTraceEvents\":[]}").empty());
+  EXPECT_FALSE(obs::validate_trace_events("{\"otherEvents\":[]}").empty());
   EXPECT_FALSE(obs::validate_trace_events("{\"traceEvents\":[{\"ph\":\"X\"}]}").empty())
       << "event without a name must be flagged";
 }
@@ -463,6 +518,60 @@ TEST(CampaignFlightCapture, DumpsOutlierCellsAtBarrier) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(result.flight_dumps[i].cell_index, expected[i]);
   }
+}
+
+/// A one-cell campaign whose cell always trips min_delivery_ratio.
+runner::Campaign starved_campaign(const std::string& dir, int* ran) {
+  runner::CampaignOptions options;
+  runner::FlightCaptureOptions capture;
+  capture.dir = dir;
+  capture.min_delivery_ratio = 0.95;
+  options.flight_capture = capture;
+  options.num_workers = 1;
+  runner::Campaign campaign(std::move(options));
+  campaign.add("starved", [ran](runner::CellContext& ctx) {
+    ++*ran;
+    sim::SimStats stats;
+    stats.generated = 1;  // delivery ratio 0
+    ctx.record(stats);
+  });
+  return campaign;
+}
+
+TEST(CampaignFlightCapture, MissingDumpDirIsRejectedBeforeAnyCellRuns) {
+  const std::string file = testing::TempDir() + "/ttdc_flight_not_a_dir";
+  ASSERT_TRUE(obs::write_flight_jsonl_file(file, {}));
+  for (const std::string& dir : {std::string("/nonexistent/dir"), file}) {
+    int ran = 0;
+    runner::Campaign campaign = starved_campaign(dir, &ran);
+    for (const bool serial : {false, true}) {
+      try {
+        (void)(serial ? campaign.run_serial() : campaign.run());
+        ADD_FAILURE() << "dump dir '" << dir << "' was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+      }
+    }
+    EXPECT_EQ(ran, 0) << "a cell ran before the dump dir was checked";
+  }
+  std::remove(file.c_str());
+}
+
+TEST(CampaignFlightCapture, UnwritableDumpThrowsNamingThePath) {
+  const std::string dir = testing::TempDir() + "/ttdc_flight_unwritable";
+  // A directory squatting on the dump's file name makes the write fail.
+  const std::string path = dir + "/flight_0_starved.jsonl";
+  std::filesystem::create_directories(path);
+  int ran = 0;
+  runner::Campaign campaign = starved_campaign(dir, &ran);
+  try {
+    (void)campaign.run();
+    ADD_FAILURE() << "a failed dump was dropped silently";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(ran, 1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

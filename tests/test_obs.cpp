@@ -1,7 +1,7 @@
 // The observability layer: metrics registry + Prometheus exposition,
-// structured trace sinks and combinators, JSONL trace -> replay -> stats
-// round trip, latency percentile correctness under interleaved queries,
-// profiling scopes, and the BENCH_*.json report writer.
+// latency percentile correctness under interleaved queries, profiling
+// scopes, and the BENCH_*.json report writer. The packet event stream is
+// covered by test_trace.cpp and test_flight_recorder.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,19 +21,12 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_replay.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::obs {
 namespace {
-
-sim::TraceEvent event(sim::TraceEvent::Kind kind, std::uint64_t slot, std::size_t node,
-                      std::size_t peer, std::uint64_t packet) {
-  return sim::TraceEvent{kind, slot, node, peer, packet};
-}
 
 // ---------------------------------------------------------------------------
 // LatencyStats: the interleaved record()/percentile() regression.
@@ -203,161 +196,6 @@ TEST(Metrics, PrometheusEscapeHelpIsIdempotentOnCleanText) {
   EXPECT_EQ(prometheus_escape_help("plain help text"), "plain help text");
   EXPECT_EQ(prometheus_escape_help("a\\b\nc"), "a\\\\b\\nc");
   EXPECT_EQ(prometheus_escape_help(""), "");
-}
-
-// ---------------------------------------------------------------------------
-// Trace sinks and combinators.
-
-TEST(TraceSinks, KindNamesRoundTrip) {
-  using Kind = sim::TraceEvent::Kind;
-  for (const Kind k : {Kind::kGenerated, Kind::kTransmit, Kind::kHopDelivered,
-                       Kind::kFinalDelivered, Kind::kCollision, Kind::kReceiverAsleep,
-                       Kind::kChannelLoss, Kind::kSyncLoss, Kind::kQueueDrop}) {
-    Kind back{};
-    ASSERT_TRUE(kind_from_name(kind_name(k), back)) << kind_name(k);
-    EXPECT_EQ(back, k);
-  }
-  Kind unused{};
-  EXPECT_FALSE(kind_from_name("definitely_not_a_kind", unused));
-}
-
-TEST(TraceSinks, RingBufferKeepsLastNInOrder) {
-  RingBufferTraceSink ring(4);
-  EXPECT_EQ(ring.size(), 0u);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ring(event(sim::TraceEvent::Kind::kTransmit, i, 1, 2, i));
-  }
-  EXPECT_EQ(ring.seen(), 10u);
-  EXPECT_EQ(ring.size(), 4u);
-  const auto kept = ring.events();
-  ASSERT_EQ(kept.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(kept[i].slot, 6u + i);  // oldest first
-  EXPECT_NE(ring.dump().find("transmit"), std::string::npos);
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.seen(), 0u);
-}
-
-TEST(TraceSinks, FilteredForwardsOnlyMaskedKinds) {
-  std::vector<sim::TraceEvent> got;
-  TraceFn fn = filtered(kind_bit(sim::TraceEvent::Kind::kCollision),
-                        [&](const sim::TraceEvent& e) { got.push_back(e); });
-  fn(event(sim::TraceEvent::Kind::kTransmit, 1, 0, 1, 0));
-  fn(event(sim::TraceEvent::Kind::kCollision, 2, 0, 1, 0));
-  fn(event(sim::TraceEvent::Kind::kGenerated, 3, 0, 1, 0));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].kind, sim::TraceEvent::Kind::kCollision);
-}
-
-TEST(TraceSinks, FanOutDeliversToEverySinkInOrder) {
-  std::vector<int> order;
-  TraceFn fn = fan_out({[&](const sim::TraceEvent&) { order.push_back(1); },
-                        [&](const sim::TraceEvent&) { order.push_back(2); }});
-  fn(event(sim::TraceEvent::Kind::kTransmit, 0, 0, 1, 0));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  // Empty fan-out collapses to an empty TraceFn == tracing disabled.
-  EXPECT_FALSE(static_cast<bool>(fan_out({})));
-}
-
-TEST(TraceSinks, JsonlSinkWritesOneObjectPerLine) {
-  std::ostringstream out;
-  JsonlTraceSink sink(out);
-  sink(event(sim::TraceEvent::Kind::kTransmit, 12, 3, 4, 77));
-  sink(event(sim::TraceEvent::Kind::kQueueDrop, 13, 5, 6, 78));
-  sink.flush();
-  EXPECT_EQ(sink.events_written(), 2u);
-  EXPECT_EQ(out.str(),
-            "{\"kind\":\"transmit\",\"slot\":12,\"node\":3,\"peer\":4,\"packet\":77}\n"
-            "{\"kind\":\"queue_drop\",\"slot\":13,\"node\":5,\"peer\":6,\"packet\":78}\n");
-}
-
-// ---------------------------------------------------------------------------
-// JSONL trace -> replay -> stats round trip (the acceptance criterion).
-
-TEST(TraceReplay, TenThousandSlotRoundTripMatchesLiveStatsExactly) {
-  // A lossy, collision-prone run so every counter is exercised: slotted
-  // ALOHA on a random degree-bounded graph plus channel/sync error knobs.
-  constexpr std::size_t kN = 25;
-  util::Xoshiro256 rng(12);
-  const net::Graph g = net::random_bounded_degree_graph(kN, 4, 2 * kN, rng);
-  sim::SlottedAlohaMac mac(kN, 0.15);
-  sim::BernoulliTraffic traffic(kN, 0.02);
-
-  std::ostringstream trace_stream;
-  JsonlTraceSink sink(trace_stream);
-  sim::SimConfig config;
-  config.seed = 777;
-  config.packet_error_rate = 0.05;
-  config.sync_miss_rate = 0.03;
-  config.queue_capacity = 8;  // force queue drops too
-  config.trace = sink.fn();
-  sim::Simulator sim(g, mac, traffic, config);
-  sim.run(10000);
-  sink.flush();
-
-  const auto& live = sim.stats();
-  ASSERT_GT(live.delivered, 0u);
-  ASSERT_GT(live.collisions, 0u);
-  ASSERT_GT(live.channel_losses, 0u);
-  ASSERT_GT(live.sync_losses, 0u);
-
-  std::istringstream in(trace_stream.str());
-  const ReplayResult replay = replay_jsonl(in, kN);
-  EXPECT_TRUE(replay.errors.empty());
-  EXPECT_EQ(replay.events, sink.events_written());
-
-  // The headline acceptance counters, exactly.
-  EXPECT_EQ(replay.stats.delivered, live.delivered);
-  EXPECT_EQ(replay.stats.collisions, live.collisions);
-  EXPECT_EQ(replay.stats.transmissions, live.transmissions);
-  // And the full cross-check reports zero mismatches.
-  const auto mismatches = replay.check(live);
-  EXPECT_TRUE(mismatches.empty())
-      << "replay mismatches:\n"
-      << [&] {
-           std::string all;
-           for (const auto& m : mismatches) all += "  " + m + "\n";
-           return all;
-         }();
-}
-
-TEST(TraceReplay, FileRoundTripAndMismatchDetection) {
-  const std::string path = testing::TempDir() + "/ttdc_test_trace.jsonl";
-  {
-    JsonlTraceSink sink(path);
-    const core::Schedule s = core::non_sleeping_from_family(comb::tdma_family(4));
-    sim::DutyCycledScheduleMac mac(s);
-    sim::BernoulliTraffic traffic(4, 0.05);
-    sim::SimConfig config;
-    config.seed = 5;
-    config.trace = sink.fn();
-    sim::Simulator sim(net::ring_graph(4), mac, traffic, config);
-    sim.run(2000);
-    sink.flush();
-
-    const ReplayResult replay = replay_jsonl_file(path, 4);
-    EXPECT_TRUE(replay.errors.empty());
-    EXPECT_TRUE(replay.check(sim.stats()).empty());
-
-    // A doctored live-stats copy must be flagged.
-    sim::SimStats doctored = sim.stats();
-    doctored.delivered += 1;
-    EXPECT_FALSE(replay.check(doctored).empty());
-  }
-  std::remove(path.c_str());
-  EXPECT_THROW((void)replay_jsonl_file("/nonexistent/dir/trace.jsonl"),
-               std::runtime_error);
-}
-
-TEST(TraceReplay, MalformedLinesAreReportedNotFatal) {
-  std::istringstream in(
-      "{\"kind\":\"transmit\",\"slot\":1,\"node\":0,\"peer\":1,\"packet\":0}\n"
-      "not json at all\n"
-      "{\"kind\":\"unknown_kind\",\"slot\":2,\"node\":0,\"peer\":1,\"packet\":1}\n");
-  const ReplayResult replay = replay_jsonl(in, 2);
-  EXPECT_EQ(replay.events, 1u);
-  EXPECT_EQ(replay.stats.transmissions, 1u);
-  EXPECT_EQ(replay.errors.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

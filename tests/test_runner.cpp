@@ -1,5 +1,5 @@
 // Campaign runner: deterministic seed derivation, shared artifact caches,
-// order-independent aggregation, and the trace-sink guard.
+// order-independent aggregation, and nested parallel helpers.
 #include "runner/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -151,29 +151,6 @@ TEST(CampaignRunner, SetGraphRevertsToInternalRouting) {
   sim.set_graph(net::ring_graph(n));
   sim.run(400);
   EXPECT_GT(sim.stats().delivered, 0u);
-}
-
-TEST(CampaignRunner, TraceEventsReplayInCellIndexOrder) {
-  CampaignOptions opts;
-  opts.master_seed = 5;
-  opts.num_workers = 4;
-  std::vector<std::uint64_t> packet_cell_tags;
-  opts.trace = [&](const sim::TraceEvent& e) { packet_cell_tags.push_back(e.packet_id); };
-  Campaign c(opts);
-  // Each cell emits three events tagged with its index via packet_id.
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    c.add(cell_name("t", i), [i](CellContext& ctx) {
-      auto emit = ctx.trace_fn();
-      for (int k = 0; k < 3; ++k) {
-        emit(sim::TraceEvent{sim::TraceEvent::Kind::kGenerated, 0, 0, 0, i});
-      }
-    });
-  }
-  (void)c.run();
-  ASSERT_EQ(packet_cell_tags.size(), 15u);
-  for (std::size_t k = 0; k < packet_cell_tags.size(); ++k) {
-    EXPECT_EQ(packet_cell_tags[k], k / 3) << "event " << k;
-  }
 }
 
 TEST(CampaignRunner, CellsMayUseParallelHelpersReentrantly) {

@@ -1,6 +1,8 @@
-# Runs ttdc-trace with malformed or out-of-range numeric flags and packet
-# ids and expects every invocation to exit 2 with a message naming the flag,
-# before any dump is read or scenario run.
+# Records a dump with ttdc-trace and expects the recorded stream to rebuild
+# the run's live counters and to pass `check`. Then runs ttdc-trace with
+# malformed or out-of-range numeric flags and packet ids and expects every
+# invocation to exit 2 with a message naming the flag, before any dump is
+# read or scenario run.
 #
 #   cmake -DTRACE=<path to ttdc-trace> -DWORKDIR=<scratch dir>
 #         -P tools/check_trace_flags.cmake
@@ -9,12 +11,19 @@ if(NOT TRACE OR NOT WORKDIR)
 endif()
 
 # A real dump, so a command that ignored a bad flag would have data to print.
+# record exits 1 when the unwrapped stream does not rebuild the live SimStats.
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(dump "${WORKDIR}/flags.jsonl")
 execute_process(COMMAND "${TRACE}" record --out "${dump}" --slots 200
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${out}" "counter check: OK" matched)
+if(NOT rc EQUAL 0 OR matched EQUAL -1)
+  message(FATAL_ERROR "ttdc-trace record failed (exit ${rc}): ${out}${err}")
+endif()
+execute_process(COMMAND "${TRACE}" check "${dump}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ttdc-trace record failed (exit ${rc}): ${err}")
+  message(FATAL_ERROR "ttdc-trace check of a recorded dump failed (exit ${rc}): ${out}${err}")
 endif()
 
 # One invocation per entry: the name the message must contain, then the

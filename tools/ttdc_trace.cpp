@@ -6,14 +6,16 @@
 // collision hot-spots and who is colliding there, what one node saw slot by
 // slot. `perfetto` converts a dump for ui.perfetto.dev; `record` runs a
 // small built-in duty-cycled deployment with the recorder armed, for a
-// self-contained demo dump.
+// self-contained demo dump, and checks that the dump rebuilds the run's
+// live SimStats counters.
 //
 // Exit code 2 on bad usage, including a numeric flag or packet id that is
 // malformed or out of range (the message names it); 1 when a command finds
 // a problem (unparsable dump lines, a consistency violation, a missing
-// packet).
+// packet, a recorded stream that does not rebuild the live counters).
 #include <cctype>
 #include <cstdint>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -58,7 +60,7 @@ int usage() {
   std::cerr <<
       "usage: ttdc-trace <command> [args]\n"
       "\n"
-      "  summary <dump.jsonl>                 totals, truncation, consistency\n"
+      "  summary <dump.jsonl>                 rebuilt counters, truncation, consistency\n"
       "  worst-latency <dump.jsonl> [-k N]    slowest delivered packets (default 10)\n"
       "  top-collisions <dump.jsonl> [-k N]   receivers losing most to collisions\n"
       "  timeline <dump.jsonl> --node N       one node's events, slot by slot\n"
@@ -67,7 +69,8 @@ int usage() {
       "  perfetto <dump.jsonl> [--out F] [--slot-us X]\n"
       "                                       convert to trace-event JSON (ui.perfetto.dev)\n"
       "  record [--out F] [--slots N] [--nodes N] [--degree D] [--rate R]\n"
-      "         [--seed S] [--capacity C]     run a built-in scenario, dump its ring\n";
+      "         [--seed S] [--capacity C]     run a built-in scenario, dump its ring,\n"
+      "                                       check it against the live counters\n";
   return 2;
 }
 
@@ -158,27 +161,24 @@ void print_event(const FlightEvent& e) {
 int cmd_summary(const Args& args) {
   std::size_t parse_errors = 0;
   const FlightLog log = load(args.positional.at(0), parse_errors);
-  std::uint64_t delivered = 0, truncated = 0, collisions = 0, tx = 0;
-  for (const auto& h : log.packets()) {
-    delivered += h.delivered ? 1 : 0;
-    truncated += h.truncated ? 1 : 0;
-    collisions += h.collisions;
-    tx += h.tx_attempts;
-  }
-  std::cout << "events:        " << log.events().size() << "\n"
-            << "packets:       " << log.packets().size() << " (" << truncated
-            << " truncated by ring wrap)\n"
-            << "delivered:     " << delivered << "\n"
-            << "tx attempts:   " << tx << "\n"
-            << "collisions:    " << collisions << "\n";
+  const auto row = [](std::string_view label) -> std::ostream& {
+    return std::cout << std::left << std::setw(22) << std::string(label) + ':';
+  };
+  std::uint64_t truncated = 0;
+  for (const auto& h : log.packets()) truncated += h.truncated ? 1 : 0;
+  row("events") << log.events().size() << "\n";
+  row("packets") << log.packets().size() << " (" << truncated << " truncated by ring wrap)\n";
+  // The SimStats counters the stream rebuilds (exact for an unwrapped ring).
+  const ttdc::sim::SimStats stats = log.reconstructed_stats();
+  for (const auto& c : ttdc::obs::kStreamCounters) row(c.name) << stats.*c.field << "\n";
   if (!log.events().empty()) {
-    std::cout << "slot range:    [" << log.events().front().slot << ", "
-              << log.events().back().slot << "]\n";
+    row("slot range") << "[" << log.events().front().slot << ", " << log.events().back().slot
+                      << "]\n";
   }
   const auto violations = log.self_check();
-  std::cout << "consistency:   "
-            << (violations.empty() ? "OK" : std::to_string(violations.size()) + " violation(s)")
-            << "\n";
+  row("consistency")
+      << (violations.empty() ? "OK" : std::to_string(violations.size()) + " violation(s)")
+      << "\n";
   return (violations.empty() && parse_errors == 0) ? 0 : 1;
 }
 
@@ -301,7 +301,7 @@ int cmd_record(const Args& args) {
   sim::Simulator sim(g, mac, traffic, config);
   sim.run(slots);
 
-  const auto events = recorder.events();
+  auto events = recorder.events();
   if (!obs::write_flight_jsonl_file(out, events)) {
     std::cerr << "cannot write " << out << "\n";
     return 1;
@@ -312,6 +312,15 @@ int cmd_record(const Args& args) {
             << " L=" << duty.frame_length() << "\n"
             << "delivered " << sim.stats().delivered << "/" << sim.stats().generated
             << ", collisions " << sim.stats().collisions << "\n";
+  // A complete stream must rebuild the run's own counters exactly.
+  if (recorder.wrapped()) {
+    std::cout << "counter check: skipped (ring wrapped)\n";
+    return 0;
+  }
+  const auto mismatches = FlightLog(std::move(events)).self_check(sim.stats());
+  for (const auto& m : mismatches) std::cerr << "counter mismatch: " << m << "\n";
+  if (!mismatches.empty()) return 1;
+  std::cout << "counter check: OK (the stream rebuilds the live SimStats)\n";
   return 0;
 }
 
