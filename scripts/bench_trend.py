@@ -16,11 +16,18 @@ bench present in one snapshot but not the other, or an unreadable report
 all print a short explanation and the script moves on (or exits 0 when
 there is nothing at all to compare).
 
+With --e2e BEFORE AFTER it compares two traced bench/e2e ledgers
+(BENCH_e2e.trace.json from `bench/e2e/run.sh --trace`): per workload, every
+slot-loop phase's ns/slot with its share of sim.step.ns_per_slot on both
+sides, then the phase whose ns/slot moved most. A host mismatch and a
+workload missing from either side are one line each.
+
 Exit status is always 0 unless --strict is given (CI runs it non-fatally:
 the hard perf gates live in run_benches.sh --perf-check; this script is
 for humans watching drift).
 
 Usage: scripts/bench_trend.py [--band 0.10] [--history] [--strict]
+       scripts/bench_trend.py --e2e BEFORE AFTER [--band 0.10] [--strict]
 """
 
 import argparse
@@ -115,6 +122,95 @@ def compare(name, baseline_path, report_path, band, regressions):
     print()
 
 
+# The slot loop's phases in the bench/e2e ledger: self time of each span
+# per stepped slot. Together they add up to sim.step.ns_per_slot.
+E2E_PHASES = [
+    ("traffic", "sim.step.traffic.ns_per_slot"),
+    ("fill", "sim.mac.fill.ns_per_slot"),
+    ("collect", "sim.step.collect.ns_per_slot"),
+    ("resolve", "sim.step.resolve.ns_per_slot"),
+    ("energy", "sim.step.energy.ns_per_slot"),
+    ("self", "sim.step.self.ns_per_slot"),
+]
+E2E_STEP = "sim.step.ns_per_slot"
+E2E_HOST_KEYS = ("host.cpu", "host.cores")
+
+
+def e2e_workloads(path):
+    """{workload: report} from a BENCH_e2e(.trace).json, or (None, message)."""
+    report, err = load_report(path)
+    if err:
+        return None, err
+    workloads = report.get("workloads")
+    if not isinstance(workloads, dict):
+        return None, f"  ({path}: no 'workloads' object; not a bench/e2e report)"
+    return workloads, None
+
+
+def e2e_metric(report, name):
+    entry = report.get("metrics", {}).get(name)
+    if isinstance(entry, dict):
+        entry = entry.get("value")
+    return entry if isinstance(entry, (int, float)) else None
+
+
+def compare_e2e(before_path, after_path, band, regressions):
+    """Per-workload phase ledger of two traced e2e reports; returns problems."""
+    before, err_b = e2e_workloads(before_path)
+    after, err_a = e2e_workloads(after_path)
+    if err_b or err_a:
+        print("\n".join(e for e in (err_b, err_a) if e))
+        return ["unreadable report"]
+    print(f"before: {before_path}")
+    print(f"after:  {after_path}\n")
+    problems = []
+    for w in sorted(set(before) | set(after)):
+        if w not in after or w not in before:
+            side = "after" if w not in after else "before"
+            print(f"== {w} ==  missing from {side}; not compared\n")
+            problems.append(f"{w}: missing from {side}")
+            continue
+        b, a = before[w], after[w]
+        mismatched = [
+            f"{key} {b.get('params', {}).get(key)!r} vs {a.get('params', {}).get(key)!r}"
+            for key in E2E_HOST_KEYS
+            if b.get("params", {}).get(key) != a.get("params", {}).get(key)
+        ]
+        print(f"== {w} ==")
+        if mismatched:
+            print("  host mismatch: " + "; ".join(mismatched))
+            problems.append(f"{w}: host mismatch")
+        step_b, step_a = e2e_metric(b, E2E_STEP), e2e_metric(a, E2E_STEP)
+        if not step_b or not step_a:
+            print(f"  no {E2E_STEP} on both sides (untraced report?); not compared\n")
+            problems.append(f"{w}: untraced")
+            continue
+        print(f"  {'phase':10s} {'before ns/slot':>15s} {'share':>6s} "
+              f"{'after ns/slot':>14s} {'share':>6s} {'delta':>10s}")
+        moved = None
+        for label, key in E2E_PHASES + [("step", E2E_STEP)]:
+            vb, va = e2e_metric(b, key), e2e_metric(a, key)
+            if vb is None or va is None:
+                print(f"  {label:10s} {'MISSING':>15s}")
+                continue
+            delta = va - vb
+            print(f"  {label:10s} {vb:15.1f} {vb / step_b:6.1%} {va:14.1f} {va / step_a:6.1%} "
+                  f"{delta:+10.1f}")
+            if label == "step":
+                continue
+            if moved is None or abs(delta) > abs(moved[1]):
+                moved = (label, delta, vb / step_b, va / step_a)
+            if vb > 0 and (va - vb) / vb > band:
+                regressions.append(f"{w}:{key} {(va - vb) / vb:+.1%}")
+        if moved is not None:
+            label, delta, share_b, share_a = moved
+            direction = "grew" if delta > 0 else "shrank"
+            print(f"  moved most: {label} ({direction} {abs(delta):.1f} ns/slot, "
+                  f"share {share_b:.1%} -> {share_a:.1%})")
+        print()
+    return problems
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--band", type=float, default=0.10,
@@ -124,9 +220,19 @@ def main():
                          "archives instead of repo-root reports vs baselines")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 when any gated metric degrades out of band")
+    ap.add_argument("--e2e", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare the phase ledgers of two traced bench/e2e "
+                         "reports (BENCH_e2e.trace.json)")
     args = ap.parse_args()
 
     regressions = []
+    if args.e2e:
+        problems = compare_e2e(args.e2e[0], args.e2e[1], args.band, regressions)
+        if regressions:
+            print("phases that grew out of band (informational unless --strict):")
+            for r in regressions:
+                print(f"  {r}")
+        return 1 if args.strict and (problems or regressions) else 0
     if args.history:
         runs = history_runs()
         if len(runs) < 2:

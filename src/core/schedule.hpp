@@ -87,6 +87,15 @@ class Schedule {
     return r_pool_[r_of_[slot]];
   }
 
+  /// The pooled storage behind transmitters() and receivers(): each
+  /// distinct stored set once, and each slot's index into its pool, so
+  /// T[i] is transmit_pool()[transmit_index()[i]]. A whole-frame count can
+  /// visit each stored set once, weighted by how many slots share it.
+  [[nodiscard]] std::span<const util::SlotSet> transmit_pool() const { return t_pool_; }
+  [[nodiscard]] std::span<const std::uint32_t> transmit_index() const { return t_of_; }
+  [[nodiscard]] std::span<const util::SlotSet> receive_pool() const { return r_pool_; }
+  [[nodiscard]] std::span<const std::uint32_t> receive_index() const { return r_of_; }
+
   /// FNV-1a 64 digest of the storage: the shape, every pooled set as stored
   /// (util::SlotSet::fold_fnv1a64) and every slot's pool index. Any flipped
   /// bit changes it; costs O(stored sets + frame_length), so a shared set

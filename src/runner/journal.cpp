@@ -1,8 +1,10 @@
 #include "runner/journal.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/hash.hpp"
 
@@ -13,6 +15,14 @@ namespace {
 constexpr const char* kHeaderMagic = "ttdc-journal v1";
 
 std::uint64_t line_crc(const std::string& body) { return util::fnv1a64(body); }
+
+/// Parses all of `token` as an unsigned integer in `base` with
+/// std::from_chars (which takes no sign and no whitespace).
+bool whole_uint(std::string_view token, int base, std::uint64_t& out) {
+  const char* end = token.data() + token.size();
+  const auto [next, ec] = std::from_chars(token.data(), end, out, base);
+  return !token.empty() && ec == std::errc{} && next == end;
+}
 
 std::string crc_hex(std::uint64_t crc) {
   std::ostringstream os;
@@ -40,12 +50,19 @@ class Scanner {
     return word(w) && w == token;
   }
 
-  bool u64(std::uint64_t& out) {
+  /// One whole unsigned decimal token, at most `max`: no sign, no junk, no
+  /// overflow.
+  bool u64(std::uint64_t& out, std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
     std::string w;
-    if (!word(w) || w.empty()) return fail();
-    char* end = nullptr;
-    out = std::strtoull(w.c_str(), &end, 10);
-    return end == w.c_str() + w.size() || fail();
+    if (!word(w)) return false;
+    return (whole_uint(w, 10, out) && out <= max) || fail();
+  }
+
+  /// Reads a count of items that each take at least `min_bytes` of the
+  /// line, rejecting one the rest of the line cannot hold, so a short
+  /// hostile line never drives an allocation.
+  bool count(std::uint64_t& out, std::size_t min_bytes) {
+    return u64(out) && (out <= (s_.size() - pos_) / min_bytes || fail());
   }
 
   bool f64(double& out) {
@@ -94,8 +111,7 @@ void put_u64s(std::ostream& os, const std::vector<std::uint64_t>& v) {
 
 bool get_u64s(Scanner& sc, std::vector<std::uint64_t>& v) {
   std::uint64_t count = 0;
-  if (!sc.u64(count)) return false;
-  if (count > (std::uint64_t{1} << 32)) return false;  // sanity bound
+  if (!sc.count(count, 2)) return false;  // " <value>" per element
   v.resize(count);
   for (auto& x : v) {
     if (!sc.u64(x)) return false;
@@ -108,12 +124,9 @@ bool strip_verified_crc(const std::string& line, std::string& body) {
   const std::size_t mark = line.rfind(" crc ");
   if (mark == std::string::npos) return false;
   body = line.substr(0, mark);
-  const std::string hex = line.substr(mark + 5);
-  if (hex.empty()) return false;
-  char* end = nullptr;
-  const std::uint64_t stored = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + hex.size()) return false;
-  return stored == line_crc(body);
+  std::uint64_t stored = 0;
+  return whole_uint(std::string_view(line).substr(mark + 5), 16, stored) &&
+         stored == line_crc(body);
 }
 
 }  // namespace
@@ -163,8 +176,9 @@ bool CampaignJournal::parse_entry(const std::string& line, JournalEntry& out) {
   Scanner sc(body);
   out = JournalEntry{};
   std::uint64_t index = 0, attempts = 0, quarantined = 0;
-  if (!sc.expect("cell") || !sc.u64(index) || !sc.u64(attempts) || !sc.u64(quarantined) ||
-      !sc.bytes(out.error)) {
+  if (!sc.expect("cell") || !sc.u64(index, std::numeric_limits<std::size_t>::max()) ||
+      !sc.u64(attempts, std::numeric_limits<std::uint32_t>::max()) ||
+      !sc.u64(quarantined, 1) || !sc.bytes(out.error)) {
     return false;
   }
   out.index = static_cast<std::size_t>(index);
@@ -179,7 +193,7 @@ bool CampaignJournal::parse_entry(const std::string& line, JournalEntry& out) {
       !sc.u64(s.sync_losses) || !sc.u64(s.queue_drops) || !sc.u64(s.first_death_slot) ||
       !sc.u64(s.deaths) || !sc.u64(s.fault_crashes) || !sc.u64(s.fault_recoveries) ||
       !sc.u64(s.fault_battery_spikes) || !sc.u64(s.fault_jam_bursts) ||
-      !sc.u64(s.burst_losses) || !sc.u64(s.drift_losses) || !sc.u64(partial)) {
+      !sc.u64(s.burst_losses) || !sc.u64(s.drift_losses) || !sc.u64(partial, 1)) {
     return false;
   }
   s.partial = partial != 0;
@@ -189,7 +203,7 @@ bool CampaignJournal::parse_entry(const std::string& line, JournalEntry& out) {
   for (const std::uint64_t v : samples) s.latency.record(v);
 
   std::uint64_t rows = 0;
-  if (!sc.expect("V") || !sc.u64(rows) || rows > (std::uint64_t{1} << 32)) return false;
+  if (!sc.expect("V") || !sc.count(rows, 8)) return false;  // four " <value>" per row
   s.state_slots.resize(rows);
   for (auto& row : s.state_slots) {
     if (!sc.u64(row[0]) || !sc.u64(row[1]) || !sc.u64(row[2]) || !sc.u64(row[3])) {
@@ -200,9 +214,8 @@ bool CampaignJournal::parse_entry(const std::string& line, JournalEntry& out) {
   if (!sc.expect("W") || !get_u64s(sc, s.wake_transitions)) return false;
 
   std::uint64_t num_metrics = 0;
-  if (!sc.expect("M") || !sc.u64(num_metrics) || num_metrics > (std::uint64_t{1} << 24)) {
-    return false;
-  }
+  // " <key length> <key> <value>" per metric: at least five bytes.
+  if (!sc.expect("M") || !sc.count(num_metrics, 5)) return false;
   out.metrics.reserve(num_metrics);
   for (std::uint64_t i = 0; i < num_metrics; ++i) {
     std::string key;

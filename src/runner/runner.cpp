@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "obs/flight_query.hpp"
@@ -39,8 +42,18 @@ void Campaign::add(std::string name, CellFn fn) {
 
 int Campaign::resolved_workers() const {
   if (options_.num_workers > 0) return options_.num_workers;
-  if (const char* env = std::getenv("TTDC_NUM_THREADS")) {
-    const int parsed = std::atoi(env);
+  if (const char* env = std::getenv("TTDC_NUM_THREADS"); env != nullptr && *env != '\0') {
+    // A whole decimal in 1..1024, the range ttdc-campaign --workers takes;
+    // "0" means auto like an unset variable. Anything else would reach the
+    // OpenMP team size, so it is an error rather than a guess.
+    const std::string_view text(env);
+    int parsed = 0;
+    const auto [next, ec] = std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (ec != std::errc{} || next != text.data() + text.size() || parsed < 0 ||
+        parsed > 1024) {
+      throw std::invalid_argument("TTDC_NUM_THREADS='" + std::string(text) +
+                                  "': expected a whole number of worker threads in 0..1024");
+    }
     if (parsed > 0) return parsed;
   }
   return util::hardware_parallelism();

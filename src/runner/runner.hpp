@@ -250,8 +250,10 @@ struct CampaignOptions {
   /// When set, arms per-cell flight recorders and dumps outlier cells'
   /// rings at the barrier (see FlightCaptureOptions).
   std::optional<FlightCaptureOptions> flight_capture;
-  /// Worker team size for run(). 0 = $TTDC_NUM_THREADS when set, else the
-  /// OpenMP default (util::hardware_parallelism).
+  /// Worker team size for run(). 0 = $TTDC_NUM_THREADS when set to a whole
+  /// number in 1..1024, else the OpenMP default
+  /// (util::hardware_parallelism); the variable unset, empty or "0" means
+  /// that default too.
   int num_workers = 0;
   /// Optional campaign-level metrics registry (see CellContext::metrics).
   obs::MetricsRegistry* metrics = nullptr;
@@ -283,7 +285,9 @@ class Campaign {
   [[nodiscard]] CampaignResult run_serial();
 
   /// The worker count run() will use (options resolved against the
-  /// environment).
+  /// environment). Throws std::invalid_argument naming TTDC_NUM_THREADS
+  /// and its value when the variable holds anything else than unset,
+  /// empty or a whole decimal in 0..1024.
   [[nodiscard]] int resolved_workers() const;
 
  private:

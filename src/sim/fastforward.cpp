@@ -263,8 +263,9 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
     ff.pre_delivered_by_origin[v] = stats_.delivered_by_origin[v];
   }
 
-  // --- the frame itself, slot-accurate ---
-  for (std::uint64_t s = 0; s < period; ++s) step();
+  // --- the frame itself, slot-accurate (charged per frame when it can be:
+  // the stats and state it leaves are the per-slot path's) ---
+  step_frame(period);
 
   // --- taint checks: anything a replay could not reproduce exactly ---
   // rng_ advancing means a per-slot draw happened on some path the arming

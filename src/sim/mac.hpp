@@ -89,6 +89,18 @@ class MacProtocol {
   /// frame boundary.
   [[nodiscard]] virtual std::uint64_t fast_forward_period() const { return 0; }
 
+  /// The periodic schedule <T, R> this MAC follows, or null (the default).
+  /// Optional: advertising one lets the simulator charge each frame's
+  /// scheduled listening once per frame instead of per slot (DESIGN.md §8).
+  /// A MAC returning schedule S promises, for every slot s, that
+  /// fill_slot_sets() returns true with receivers = R[s mod L] and
+  /// transmitters = T[s mod L], and that fast_forward_period() is S's
+  /// frame length L; with T[i] ∩ R[i] = ∅ (every Schedule guarantees it) and
+  /// the batched sleep contract, each node's scheduled listen slots and
+  /// wakeups per frame are then closed forms of S. The schedule must
+  /// outlive the MAC.
+  [[nodiscard]] virtual const core::Schedule* periodic_schedule() const { return nullptr; }
+
   /// Topology-change hook. Topology-transparent MACs ignore it; the
   /// coloring TDMA must rebuild. Returns true if the MAC had to
   /// reconfigure (counted by the mobility experiment).
@@ -116,6 +128,12 @@ class DutyCycledScheduleMac final : public MacProtocol {
   [[nodiscard]] bool sender_gates_on_receiver() const override { return aware_; }
   [[nodiscard]] std::uint64_t fast_forward_period() const override {
     return schedule_.frame_length();  // deterministic: <T, R> repeats every frame
+  }
+  /// The simulator charges per frame only when this schedule's universe is
+  /// the simulated graph's (otherwise fill_slot_sets() falls back to the
+  /// scalar path).
+  [[nodiscard]] const core::Schedule* periodic_schedule() const override {
+    return &schedule_;
   }
 
  private:

@@ -1,9 +1,11 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <span>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -63,6 +65,7 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   }
   tx_nodes_.reserve(n);
   tx_targets_.reserve(n);
+  prev_tx_nodes_.reserve(n);
   b_transmit_ = to_units(config_.energy.energy_mj(RadioState::kTransmit, 1));
   b_receive_ = to_units(config_.energy.energy_mj(RadioState::kReceive, 1));
   b_listen_ = to_units(config_.energy.energy_mj(RadioState::kListen, 1));
@@ -305,22 +308,19 @@ void Simulator::inject(std::size_t origin, std::size_t destination) {
 void Simulator::run(std::uint64_t slots) {
   TTDC_DCHECK(now_ + slots >= now_, "slot counter would wrap: now ", now_, " + ", slots);
   const std::uint64_t end = now_ + slots;
-  if (ff_ == nullptr) {
-    while (now_ < end) step();
-    return;
-  }
-  // Fast-forward loop: at every frame boundary with a whole frame left in
-  // the run, offer the frame to the engine; everywhere else (the stretch to
-  // the next boundary after a fallback, ragged tail, period-0 MAC) step
-  // slot-accurately in a loop as tight as the disarmed one — the boundary
-  // probe must stay off the per-slot path or an armed-but-always-vetoed
-  // engine taxes every slot (the disarmed_overhead gate in
-  // bench_fastforward). The period is re-queried each boundary because it
-  // may change under a recoloring MAC.
+  // At every frame boundary with a whole frame left in the run, offer the
+  // frame to the fast-forward engine when it is armed, and otherwise run
+  // it as one unit (step_frame charges it per frame when it can). Everywhere
+  // else (the stretch to the next boundary, ragged tail, period-0 MAC) step
+  // slot-accurately in a loop as tight as a plain one — the boundary probe
+  // must stay off the per-slot path or an armed-but-always-vetoed engine
+  // taxes every slot (the disarmed_overhead gate in bench_fastforward). The
+  // period is re-queried each boundary because it may change under a
+  // recoloring MAC.
   while (now_ < end) {
     const std::uint64_t period = mac_.fast_forward_period();
-    if (period != 0 && now_ % period == 0 && end - now_ >= period &&
-        try_fast_forward(period, end)) {
+    if (period != 0 && now_ % period == 0 && end - now_ >= period) {
+      if (ff_ == nullptr || !try_fast_forward(period, end)) step_frame(period);
       continue;
     }
     std::uint64_t next = end;
@@ -355,7 +355,12 @@ void Simulator::step() {
   // they collide with any reception in their neighborhood.
   if (fault_world_) transmitting_ |= jam_active_;
   resolve_receptions();
-  if (mac_batched) {
+  if (charging_ != nullptr) {
+    TTDC_DCHECK(mac_batched && receivers_ == charging_->receivers(now_ - frame_start_) &&
+                    eligible_ == charging_->transmitters(now_ - frame_start_),
+                "MAC slot sets differ from its periodic_schedule() at slot ", now_);
+    charge_transmitters();
+  } else if (mac_batched) {
     account_energy_batched();
   } else {
     account_energy_scalar();
@@ -557,6 +562,10 @@ void Simulator::record_collision(std::size_t y, std::size_t x, std::uint64_t pac
 }
 
 void Simulator::kill_node(std::size_t v) {
+  // A transmitter can die in phase 3 of the slot it sent in; it leaves the
+  // slot's transmitter set then, so the set never holds a dead node (which
+  // audit_invariants() checks between run() calls).
+  transmitting_.reset(v);
   dead_.set(v);
   battery_[v] = 0;
   death_slot_[v] = now_;
@@ -750,6 +759,179 @@ void Simulator::account_energy_batched() {
     if (min_credit_ <= paid) settle_sleep_deaths(paid);
   }  // else: early-out — unlimited energy means no drain and no deaths.
   prev_awake_.copy_from(awake_now_);
+}
+
+// Charged frames: phase 3 split into a per-frame part and a per-slot part.
+// Under a periodic <T, R> a transmitter is never a scheduled listener
+// (T[i] ∩ R[i] = ∅), so a live node listens in exactly its ℓ(v) scheduled
+// slots whatever the traffic does, and wakes at each scheduled wake unless
+// a transmission moves it. The frame start charges ℓ(v) and the scheduled
+// wakes w'(v) — the slots 1..L-1 count plus slot 0's wake against the real
+// prev_awake_ — to every live node; each slot then charges only its
+// transmitters. A transmitter at frame slot i adds a wake when it slept at
+// i-1 (not in R[i-1] and not transmitting, or at slot 0 not in prev_awake_)
+// and cancels the scheduled wake at i+1 when it is in R[i+1] inside the
+// frame. Charging up front is exact only if nobody dies inside the frame,
+// which begin_charged_frame() proves before it charges anything.
+void Simulator::step_frame(std::uint64_t period) {
+  begin_charged_frame(period);
+  for (std::uint64_t s = 0; s < period; ++s) step();
+  charging_ = nullptr;
+}
+
+void Simulator::begin_charged_frame(std::uint64_t period) {
+  TTDC_PROF_SCOPE("sim.frame.charge");
+  charging_ = nullptr;
+  const core::Schedule* schedule = mac_.periodic_schedule();
+  const std::size_t n = graph_.num_nodes();
+  if (fault_armed_ || schedule == nullptr || schedule->num_nodes() != n ||
+      schedule->frame_length() != period) {
+    return;
+  }
+  if (frame_totals_.schedule != schedule) count_frame_totals(*schedule);
+  const FrameTotals& totals = frame_totals_;
+  const util::SlotSet& first = schedule->receivers(0);
+  // w'(v): the scheduled wakes, with slot 0's taken against prev_awake_.
+  const auto wakes = [&](std::size_t v) {
+    return static_cast<std::int64_t>(totals.wakes[v]) +
+           (first.test(v) && !prev_awake_.test(v) ? 1 : 0);
+  };
+  // The frame-start credit charge: scheduled listening and its wakeups.
+  const auto scheduled_cost = [&](std::size_t v, std::int64_t w) {
+    return static_cast<std::int64_t>(totals.listen[v]) * (b_listen_ - b_sleep_) +
+           w * b_wakeup_;
+  };
+  const bool battery_armed = config_.battery_mj > 0.0;
+  if (battery_armed) {
+    // No death inside the frame: a node's remaining budget never rises from
+    // slot to slot, so it suffices that the frame's worst-case charge leaves
+    // every live node above the sleep drain paid through the frame's end. A
+    // transmit slot costs at most its surcharge plus one wakeup; when that
+    // is negative (sleep dearer than transmit) the cheapest case is no
+    // transmission at all, hence the clamp at zero.
+    const std::int64_t paid = paid_through(now_ + period);
+    const std::int64_t tx_worst =
+        std::max<std::int64_t>(0, b_transmit_ - b_sleep_ + b_wakeup_);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (dead_.test(v)) continue;
+      const std::int64_t worst = battery_[v] - scheduled_cost(v, wakes(v)) -
+                                 static_cast<std::int64_t>(totals.transmit[v]) * tx_worst;
+      if (worst <= paid) return;
+    }
+  }
+  std::int64_t bound = std::numeric_limits<std::int64_t>::max();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (dead_.test(v)) continue;
+    const std::int64_t w = wakes(v);
+    stats_.state_slots[v][kListenIdx] += totals.listen[v];
+    stats_.wake_transitions[v] += static_cast<std::uint64_t>(w);
+    if (battery_armed) {
+      battery_[v] -= scheduled_cost(v, w);
+      bound = std::min(bound, battery_[v]);
+    }
+  }
+  if (battery_armed) min_credit_ = bound;
+  frame_start_ = now_;
+  charging_ = schedule;
+}
+
+void Simulator::charge_transmitters() {
+  TTDC_PROF_SCOPE("sim.step.energy");
+  const core::Schedule& schedule = *charging_;
+  const auto i = static_cast<std::size_t>(now_ - frame_start_);
+  const std::size_t last = schedule.frame_length() - 1;
+  const bool battery_armed = config_.battery_mj > 0.0;
+  // No fault plan is armed, so transmitting_ holds exactly tx_nodes_
+  // (ascending, as phase 1 visits them).
+  for (const std::size_t v : tx_nodes_) {
+    ++stats_.state_slots[v][kTransmitIdx];
+    const bool was_awake =
+        i == 0 ? prev_awake_.test(v)
+               : schedule.receivers(i - 1).test(v) ||
+                     std::binary_search(prev_tx_nodes_.begin(), prev_tx_nodes_.end(), v);
+    const bool cancels = i < last && schedule.receivers(i + 1).test(v);
+    std::int64_t credit = b_transmit_ - b_sleep_;
+    if (!was_awake && !cancels) {
+      ++stats_.wake_transitions[v];
+      credit += b_wakeup_;
+    } else if (was_awake && cancels) {
+      --stats_.wake_transitions[v];
+      credit -= b_wakeup_;
+    }
+    if (battery_armed) {
+      battery_[v] -= credit;
+      min_credit_ = std::min(min_credit_, battery_[v]);
+    }
+  }
+  if (i == last) {
+    prev_awake_.copy_from(schedule.receivers(last));
+    prev_awake_.subtract(dead_);
+    prev_awake_ |= transmitting_;
+  } else {
+    prev_tx_nodes_.assign(tx_nodes_.begin(), tx_nodes_.end());
+  }
+}
+
+void Simulator::count_frame_totals(const core::Schedule& schedule) {
+  TTDC_PROF_SCOPE("sim.frame.totals");
+  const std::size_t n = schedule.num_nodes();
+  const std::size_t frame = schedule.frame_length();
+  FrameTotals& totals = frame_totals_;
+  totals.listen.assign(n, 0);
+  totals.wakes.assign(n, 0);
+  totals.transmit.assign(n, 0);
+  // Each distinct stored set once, weighted by the slots that index it.
+  const auto count_pool = [](std::span<const util::SlotSet> pool,
+                             std::span<const std::uint32_t> index,
+                             std::vector<std::uint32_t>& out) {
+    std::vector<std::uint32_t> slots(pool.size(), 0);
+    for (const std::uint32_t p : index) ++slots[p];
+    for (std::size_t p = 0; p < pool.size(); ++p) {
+      if (slots[p] == 0) continue;
+      pool[p].for_each([&](std::size_t v) { out[v] += slots[p]; });
+    }
+  };
+  count_pool(schedule.receive_pool(), schedule.receive_index(), totals.listen);
+  count_pool(schedule.transmit_pool(), schedule.transmit_index(), totals.transmit);
+  // Scheduled wakes at slots 1..L-1: each distinct (R[i-1], R[i]) pair of
+  // pool indices once, sorted so equal pairs are adjacent, contributing
+  // R[i] \ R[i-1] (word by word for a dense R[i]: 1.5-2x faster than a
+  // membership test per member on the bench/e2e recipe).
+  const std::span<const util::SlotSet> r_pool = schedule.receive_pool();
+  const std::span<const std::uint32_t> r_of = schedule.receive_index();
+  std::vector<std::uint64_t> pairs;
+  pairs.reserve(frame);
+  for (std::size_t i = 1; i < frame; ++i) {
+    if (r_of[i - 1] != r_of[i]) {
+      pairs.push_back(std::uint64_t{r_of[i - 1]} << 32 | r_of[i]);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  constexpr std::size_t kBits = util::DynamicBitset::kWordBits;
+  const std::size_t words = (n + kBits - 1) / kBits;
+  for (std::size_t k = 0; k < pairs.size();) {
+    std::size_t end = k + 1;
+    while (end < pairs.size() && pairs[end] == pairs[k]) ++end;
+    const auto multiplicity = static_cast<std::uint32_t>(end - k);
+    const util::SlotSet& before = r_pool[pairs[k] >> 32];
+    const util::SlotSet& after = r_pool[pairs[k] & 0xffffffffu];
+    if (!after.is_dense()) {
+      after.for_each([&](std::size_t v) {
+        if (!before.test(v)) totals.wakes[v] += multiplicity;
+      });
+    } else {
+      for (std::size_t w = 0; w < words; ++w) {
+        util::SlotSet::Word bits = after.word(w) & ~before.word(w);
+        while (bits != 0) {
+          totals.wakes[w * kBits + static_cast<std::size_t>(std::countr_zero(bits))] +=
+              multiplicity;
+          bits &= bits - 1;
+        }
+      }
+    }
+    k = end;
+  }
+  totals.schedule = &schedule;
 }
 
 void Simulator::settle_sleep_deaths(std::int64_t paid) {

@@ -133,6 +133,9 @@ class Simulator {
             const SimConfig& config = {});
 
   /// Runs `slots` additional slots (cumulative; stats keep accumulating).
+  /// Whole frames of a MAC's periodic_schedule() inside the call may be
+  /// charged per frame (DESIGN.md §8); stats(), alive_count(),
+  /// remaining_battery_mj() and audit_invariants() are exact between calls.
   void run(std::uint64_t slots);
 
   /// Swaps the topology (churn). Invalidates the routing cache; notifies
@@ -234,6 +237,24 @@ class Simulator {
   /// queried for every alive node that neither transmits nor receives.
   void account_energy_scalar();
   void account_energy_batched();                 // phase 3, set-driven
+
+  // --- charged frames (phase 3 per frame, DESIGN.md §8) ---
+  /// Runs the `period` slots from the frame boundary now_; run() calls it
+  /// only when the whole frame lies inside the current call. The frame is
+  /// charged when begin_charged_frame() accepts it and stepped through the
+  /// per-slot phase 3 otherwise.
+  void step_frame(std::uint64_t period);
+  /// Accepts the frame for charging — every live node paid its scheduled
+  /// listen slots and wakeups up front, charging_ set — when no fault plan
+  /// is armed, the MAC advertises a periodic_schedule() over this graph
+  /// with frame length `period`, and (with batteries) no live node can die
+  /// inside the frame whatever transmits. Otherwise it changes nothing.
+  void begin_charged_frame(std::uint64_t period);
+  /// Phase 3 inside a charged frame: only this slot's transmitters, with
+  /// the wakeups a transmission adds or cancels.
+  void charge_transmitters();
+  /// Per-node counts over one frame of `schedule` (see FrameTotals).
+  void count_frame_totals(const core::Schedule& schedule);
   void kill_node(std::size_t v);
   /// Sleep drain every live node has paid over `slots` slots, in battery
   /// units (the implicit part of the credit representation, see battery_).
@@ -431,9 +452,24 @@ class Simulator {
   std::int64_t b_transmit_ = 0, b_receive_ = 0, b_listen_ = 0, b_sleep_ = 0;
   std::int64_t b_wakeup_ = 0;
 
+  // Charged frames. A periodic <T, R> makes each node's scheduled activity
+  // per frame a closed form, counted once per simulator (at the first frame
+  // offered for charging, so constructors stay cheap) over the schedule's
+  // pooled sets, each distinct set visited once with its multiplicity.
+  struct FrameTotals {
+    const core::Schedule* schedule = nullptr;  // the schedule counted, null before
+    std::vector<std::uint32_t> listen;    // #{i : v ∈ R[i]}
+    std::vector<std::uint32_t> wakes;     // #{i ≥ 1 : v ∈ R[i], v ∉ R[i-1]}
+    std::vector<std::uint32_t> transmit;  // #{i : v ∈ T[i]}
+  };
+  FrameTotals frame_totals_;
+  const core::Schedule* charging_ = nullptr;  // non-null inside a charged frame
+  std::uint64_t frame_start_ = 0;             // first slot of the charged frame
+  std::vector<std::size_t> prev_tx_nodes_;    // charged frame: last slot's tx_nodes_
+
   // Fast-forward engine state; null whenever the arming conditions in the
-  // constructor do not hold, in which case run() is byte-for-byte the
-  // plain stepping loop.
+  // constructor do not hold, in which case run() steps every frame itself
+  // (step_frame) without consulting the engine.
   std::unique_ptr<FastForwardState> ff_;
 
   static constexpr std::uint64_t kNeverDied = ~std::uint64_t{0};

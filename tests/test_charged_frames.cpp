@@ -1,0 +1,404 @@
+// Charged frames (DESIGN.md §8): under a MAC that advertises its periodic
+// <T, R>, the simulator charges each whole frame's scheduled listening and
+// wakeups once at the frame start and only transmitters per slot. These
+// tests hold that path to the per-slot phase 3 of ScalarOnlyMac, which does
+// not advertise a schedule: a seeded randomized differential over the
+// scenario space, targeted cases for the slot-0 wake, the no-death bound
+// and its clamp, and the closed form of a silent network's frame.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "combinatorics/params.hpp"
+#include "core/builders.hpp"
+#include "core/construct.hpp"
+#include "core/node_slots.hpp"
+#include "net/topology.hpp"
+#include "sim/mac.hpp"
+#include "sim/simulator.hpp"
+#include "support/drain_model.hpp"
+#include "support/scalar_only_mac.hpp"
+#include "support/stats_equal.hpp"
+
+namespace ttdc::sim {
+namespace {
+
+using core::Schedule;
+
+/// No packets, ever (lookahead-capable, so fast-forward can arm).
+class SilentTraffic final : public TrafficSource {
+ public:
+  void generate(std::uint64_t, util::Xoshiro256&, const EmitFn&) override {}
+  [[nodiscard]] bool supports_lookahead() const override { return true; }
+};
+
+/// One packet origin -> destination every slot: origin never runs dry.
+class SteadySource final : public TrafficSource {
+ public:
+  SteadySource(std::size_t origin, std::size_t destination)
+      : origin_(origin), destination_(destination) {}
+  void generate(std::uint64_t, util::Xoshiro256&, const EmitFn& emit) override {
+    emit(origin_, destination_);
+  }
+
+ private:
+  std::size_t origin_;
+  std::size_t destination_;
+};
+
+/// A 6-slot schedule over 4 nodes in which node 0 transmits in the last
+/// slot and listens in slot 0, and node 2 listens in both (so the boot
+/// frame's slot-0 wake differs from the cyclic one).
+Schedule edge_schedule() {
+  const std::vector<std::vector<std::size_t>> t = {{1}, {0}, {3}, {2}, {1}, {0}};
+  const std::vector<std::vector<std::size_t>> r = {{0, 2}, {1, 3}, {0, 2},
+                                                   {1, 3}, {2, 3}, {1, 2}};
+  std::vector<util::SlotSet> ts, rs;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    ts.emplace_back(4);
+    rs.emplace_back(4);
+    for (const std::size_t v : t[i]) ts.back().set(v);
+    for (const std::size_t v : r[i]) rs.back().set(v);
+  }
+  return Schedule(4, std::move(ts), std::move(rs));
+}
+
+struct RunOutcome {
+  SimStats stats;
+  std::vector<double> remaining;
+  std::size_t alive = 0;
+};
+
+/// Runs `slots` slots in chunks of `chunk` (0 = one call) and snapshots the
+/// end state; audit_invariants() between chunks.
+RunOutcome run_split(Simulator& sim, std::uint64_t slots, std::uint64_t chunk) {
+  const std::uint64_t end = sim.now() + slots;
+  while (sim.now() < end) {
+    sim.run(chunk == 0 ? end - sim.now() : std::min(chunk, end - sim.now()));
+    sim.audit_invariants();
+  }
+  RunOutcome out;
+  out.stats = sim.stats();
+  for (std::size_t v = 0; v < sim.graph().num_nodes(); ++v) {
+    out.remaining.push_back(sim.remaining_battery_mj(v));
+  }
+  out.alive = sim.alive_count();
+  return out;
+}
+
+void expect_same_outcome(const RunOutcome& oracle, const RunOutcome& charged) {
+  expect_identical_stats(oracle.stats, charged.stats);
+  EXPECT_EQ(oracle.remaining, charged.remaining);
+  EXPECT_EQ(oracle.alive, charged.alive);
+}
+
+/// Runs the edge schedule on a 4-ring with the given traffic maker and
+/// config, under ScalarOnlyMac in one call and bare in whole frames (and in
+/// one call), and asserts identical outcomes. Returns the oracle's.
+template <typename MakeTraffic>
+RunOutcome expect_edge_schedule_matches(MakeTraffic make_traffic, const SimConfig& config,
+                                        std::uint64_t slots, bool aware = true) {
+  const Schedule s = edge_schedule();
+  DutyCycledScheduleMac inner(s, aware);
+  ScalarOnlyMac scalar(inner);
+  auto oracle_traffic = make_traffic();
+  Simulator oracle_sim(net::ring_graph(4), scalar, *oracle_traffic, config);
+  const RunOutcome oracle = run_split(oracle_sim, slots, 0);
+  for (const std::uint64_t chunk : {std::uint64_t{0}, std::uint64_t{s.frame_length()}}) {
+    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+    DutyCycledScheduleMac mac(s, aware);
+    auto traffic = make_traffic();
+    Simulator sim(net::ring_graph(4), mac, *traffic, config);
+    expect_same_outcome(oracle, run_split(sim, slots, chunk));
+  }
+  return oracle;
+}
+
+TEST(ChargedFrames, TransmissionInLastSlotCancelsSlotZeroWake) {
+  // Node 0 transmits in slot L-1 of every frame and listens in slot 0 of
+  // the next, so it is awake across the boundary: no wake at slot 0, which
+  // R[L-1] alone would predict. One wake per frame (at slot L-1) after the
+  // boot frame's two.
+  for (const bool aware : {true, false}) {
+    SCOPED_TRACE(aware ? "aware senders" : "naive senders");
+    const RunOutcome out = expect_edge_schedule_matches(
+        [] { return std::make_unique<SteadySource>(0, 1); }, {.seed = 5}, 6 * 10, aware);
+    EXPECT_EQ(out.stats.wake_transitions[0], 2u + 9u);
+    EXPECT_EQ(out.stats.state_slots[0][static_cast<std::size_t>(RadioState::kTransmit)], 20u);
+  }
+}
+
+TEST(ChargedFrames, BootFrameWakesListenersOfSlotZero) {
+  // Node 2 listens in slots L-1 and 0: in steady state that is one run, but
+  // from boot (nobody awake before slot 0) slot 0 is a wake of its own.
+  for (const bool hybrid : {false, true}) {
+    SimConfig config{.seed = 6};
+    config.hybrid_pipeline = hybrid;
+    const RunOutcome out = expect_edge_schedule_matches(
+        [] { return std::make_unique<SilentTraffic>(); }, config, 6 * 3);
+    // recv(2) = {0, 2, 4, 5}: cyclic runs {4, 5, 0} and {2}.
+    EXPECT_EQ(out.stats.wake_transitions[2], 3u * 2u + 1u);
+  }
+}
+
+TEST(ChargedFrames, TransmitterSurchargeKillsOnExactSlot) {
+  // Transmitting is expensive and listening nearly free, so node 0 dies of
+  // its own transmissions: at its transmit slot 6*3 + 5, the last slot of
+  // the fourth frame. A bound that ignored the transmit term would charge
+  // that frame and miss the death.
+  EnergyModel e;
+  e.transmit_mw = 400.0;
+  e.listen_mw = 0.5;
+  e.receive_mw = 0.5;
+  const Schedule s = edge_schedule();
+  const std::uint64_t death = 6 * 3 + 5;
+  ASSERT_TRUE(s.transmitters(death % 6).test(0));
+  const std::int64_t budget = model_drain(s, 0, /*transmits=*/true, e, death + 1)[death];
+  SimConfig config{.seed = 7};
+  config.energy = e;
+  config.battery_mj = static_cast<double>(budget) / 1e9;
+  ASSERT_EQ(units(config.battery_mj), budget);
+  const RunOutcome out = expect_edge_schedule_matches(
+      [] { return std::make_unique<SteadySource>(0, 1); }, config, 6 * 6);
+  EXPECT_EQ(out.stats.first_death_slot, death);
+  EXPECT_EQ(out.stats.deaths, 1u);
+}
+
+TEST(ChargedFrames, SleepDearerThanTransmitStillDiesOnExactSlot) {
+  // With sleep dearer than transmit + wakeup a transmit slot is cheaper
+  // than not transmitting, so the bound must not credit transmissions that
+  // may never happen: in a silent network every node pays full sleep. Node
+  // 0 listens least, so it drains fastest and dies first, on the last slot
+  // of the third frame.
+  EnergyModel e;
+  e.sleep_mw = 200.0;
+  const Schedule s = edge_schedule();
+  const std::uint64_t death = 6 * 2 + 5;
+  const std::int64_t budget = model_drain(s, 0, /*transmits=*/false, e, death + 1)[death];
+  std::uint64_t first = ~std::uint64_t{0};
+  for (std::size_t v = 0; v < 4; ++v) {
+    first = std::min(first, model_death_slot(model_drain(s, v, false, e, 6 * 6), budget));
+  }
+  ASSERT_EQ(first, death);
+  SimConfig config{.seed = 8};
+  config.energy = e;
+  config.battery_mj = static_cast<double>(budget) / 1e9;
+  ASSERT_EQ(units(config.battery_mj), budget);
+  for (const bool fast_forward : {false, true}) {
+    config.fast_forward = fast_forward;
+    const RunOutcome out = expect_edge_schedule_matches(
+        [] { return std::make_unique<SilentTraffic>(); }, config, 6 * 6);
+    EXPECT_EQ(out.stats.first_death_slot, death);
+  }
+}
+
+/// Number of maximal cyclic runs of members in a bitset over L slots.
+std::size_t cyclic_runs(const util::DynamicBitset& slots) {
+  const std::size_t frame = slots.size();
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < frame; ++i) {
+    if (slots.test(i) && !slots.test((i + frame - 1) % frame)) ++runs;
+  }
+  return runs;
+}
+
+TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
+  // A silent network from boot over k whole frames: every node listens
+  // k·|recv(x)| slots, wakes k times per cyclic run of recv(x) plus once at
+  // boot when it listens in both slot L-1 and slot 0, and its remaining
+  // budget is what those counts cost.
+  // αR = n/2 puts three nodes in both R[L-1] and R[0].
+  constexpr std::size_t kN = 20, kD = 3;
+  const Schedule s = core::construct_duty_cycled(
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(kN, kD), kN)), kD, 4,
+      kN / 2);
+  const core::NodeSlots slots(s);
+  const std::size_t frame = s.frame_length();
+  const std::uint64_t k = 4;
+  const EnergyModel e;
+  const double battery_mj = 1e6;
+  std::size_t boot_wakes = 0;
+  for (const bool hybrid : {false, true}) {
+    for (const bool fast_forward : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "hybrid " << hybrid << " ff " << fast_forward);
+      DutyCycledScheduleMac mac(s);
+      SilentTraffic traffic;
+      SimConfig config{.seed = 9};
+      config.hybrid_pipeline = hybrid;
+      config.fast_forward = fast_forward;
+      config.battery_mj = battery_mj;
+      util::Xoshiro256 rng(10);
+      Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, traffic, config);
+      sim.run(k * frame);
+      const SimStats& st = sim.stats();
+      boot_wakes = 0;
+      for (std::size_t x = 0; x < kN; ++x) {
+        const std::uint64_t listen = slots.recv(x).count();
+        const bool boot = s.receivers(0).test(x) && s.receivers(frame - 1).test(x);
+        boot_wakes += boot ? 1 : 0;
+        const std::uint64_t wakes = k * cyclic_runs(slots.recv(x)) + (boot ? 1 : 0);
+        EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kListen)], k * listen);
+        EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kTransmit)], 0u);
+        EXPECT_EQ(st.wake_transitions[x], wakes);
+        const std::int64_t spent =
+            static_cast<std::int64_t>(k * listen) * units(e.energy_mj(RadioState::kListen, 1)) +
+            static_cast<std::int64_t>(k * (frame - listen)) *
+                units(e.energy_mj(RadioState::kSleep, 1)) +
+            static_cast<std::int64_t>(wakes) * units(e.wakeup_mj);
+        EXPECT_EQ(sim.remaining_battery_mj(x),
+                  static_cast<double>(units(battery_mj) - spent) / 1e9);
+      }
+    }
+  }
+  EXPECT_GT(boot_wakes, 0u) << "the schedule exercises no boot wake";
+}
+
+// ---------------------------------------------------------------------------
+// Seeded randomized differential: the charged path against ScalarOnlyMac
+// over random schedules, senders, traffic, batteries, energy models, set
+// representations, fast-forward and run() splits.
+
+struct Scenario {
+  std::size_t n = 0, degree = 0, alpha_t = 0, alpha_r = 0;
+  bool aware = true;
+  bool lookahead = false;  // LookaheadConvergecastTraffic, else Bernoulli
+  double rate = 0.0;
+  int energy = 0;  // 0 stock, 1 sleep_mw = 70, 2 sleep_mw = 200
+  double battery_mj = 0.0;
+  bool hybrid = false;
+  bool fast_forward = false;
+  int split = 0;  // 0 one call, 1 per frame, 2 random lengths, 3 1-7 slots
+  std::uint64_t slots = 0;
+  std::uint64_t seed = 0;
+
+  [[nodiscard]] std::string describe() const {
+    std::ostringstream os;
+    os << "n=" << n << " D=" << degree << " aT=" << alpha_t << " aR=" << alpha_r
+       << " aware=" << aware << " lookahead=" << lookahead << " rate=" << rate
+       << " energy=" << energy << " battery_mj=" << battery_mj << " hybrid=" << hybrid
+       << " ff=" << fast_forward << " split=" << split << " slots=" << slots
+       << " seed=" << seed;
+    return os.str();
+  }
+};
+
+EnergyModel energy_model(int which) {
+  EnergyModel e;
+  if (which == 1) e.sleep_mw = 70.0;
+  if (which == 2) e.sleep_mw = 200.0;
+  return e;
+}
+
+const Schedule& cached_schedule(std::size_t n, std::size_t d, std::size_t at, std::size_t ar) {
+  static std::map<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>,
+                  std::unique_ptr<Schedule>>
+      cache;
+  auto& slot = cache[{n, d, at, ar}];
+  if (slot == nullptr) {
+    slot = std::make_unique<Schedule>(core::construct_duty_cycled(
+        core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, d), n)), d, at, ar));
+  }
+  return *slot;
+}
+
+Scenario draw_scenario(std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {  // inclusive
+    return lo + rng.below(hi - lo + 1);
+  };
+  Scenario sc;
+  sc.seed = seed;
+  sc.n = pick(6, 40);
+  sc.degree = pick(2, std::min<std::uint64_t>(5, sc.n - 1));
+  sc.alpha_t = pick(1, 4);
+  sc.alpha_r = pick(std::max<std::uint64_t>(1, sc.n / 5), std::max<std::uint64_t>(1, sc.n / 2));
+  sc.alpha_r = std::min(sc.alpha_r, sc.n - sc.alpha_t);
+  sc.aware = rng.bernoulli(0.5);
+  sc.lookahead = rng.bernoulli(0.5);
+  const double rates[] = {0.0, 0.002, 0.01, 0.05};
+  sc.rate = rates[rng.below(4)];
+  sc.energy = static_cast<int>(rng.below(3));
+  sc.hybrid = rng.bernoulli(0.5);
+  sc.fast_forward = rng.bernoulli(0.5);
+  sc.split = static_cast<int>(rng.below(4));
+  const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
+  const std::uint64_t frame = s.frame_length();
+  const std::uint64_t frames = frame > 400 ? 2 : pick(2, 4);
+  sc.slots = frames * frame + rng.below(frame);
+  if (rng.bernoulli(0.5)) {
+    // A budget around what a typical listener spends over the run, so some
+    // nodes die and some do not.
+    const EnergyModel e = energy_model(sc.energy);
+    const double duty = static_cast<double>(sc.alpha_r) / static_cast<double>(sc.n);
+    const double per_slot = duty * e.energy_mj(RadioState::kListen, 1) +
+                            (1.0 - duty) * e.energy_mj(RadioState::kSleep, 1);
+    const double fraction = 0.3 + 1.2 * rng.uniform01();
+    sc.battery_mj = std::round(fraction * per_slot * static_cast<double>(sc.slots) * 1e3) / 1e3;
+  }
+  return sc;
+}
+
+std::unique_ptr<TrafficSource> make_traffic(const Scenario& sc) {
+  if (sc.lookahead) {
+    return std::make_unique<LookaheadConvergecastTraffic>(sc.n, 0, sc.rate, sc.seed ^ 0xabc);
+  }
+  return std::make_unique<BernoulliTraffic>(sc.n, sc.rate);
+}
+
+/// Asserts the scenario's outcome equals the oracle's; returns the
+/// oracle's death count.
+std::uint64_t expect_scenario_matches(const Scenario& sc) {
+  const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
+  SimConfig config{.seed = sc.seed};
+  config.hybrid_pipeline = sc.hybrid;
+  config.fast_forward = sc.fast_forward;
+  config.energy = energy_model(sc.energy);
+  config.battery_mj = sc.battery_mj;
+  util::Xoshiro256 graph_rng(sc.seed ^ 0x9e3779b97f4a7c15ull);
+  const net::Graph graph =
+      net::random_bounded_degree_graph(sc.n, sc.degree, 2 * sc.n, graph_rng);
+
+  DutyCycledScheduleMac inner(s, sc.aware);
+  ScalarOnlyMac scalar(inner);
+  auto oracle_traffic = make_traffic(sc);
+  Simulator oracle_sim(graph, scalar, *oracle_traffic, config);
+  const RunOutcome oracle = run_split(oracle_sim, sc.slots, 0);
+
+  DutyCycledScheduleMac mac(s, sc.aware);
+  auto traffic = make_traffic(sc);
+  Simulator sim(graph, mac, *traffic, config);
+  const std::uint64_t frame = s.frame_length();
+  util::Xoshiro256 split_rng(sc.seed ^ 0x5b17);
+  while (sim.now() < sc.slots) {
+    std::uint64_t chunk = sc.slots - sim.now();
+    if (sc.split == 1) chunk = frame;
+    if (sc.split == 2) chunk = 1 + split_rng.below(2 * frame);
+    if (sc.split == 3) chunk = 1 + split_rng.below(7);
+    sim.run(std::min(chunk, sc.slots - sim.now()));
+    sim.audit_invariants();
+  }
+  expect_same_outcome(oracle, run_split(sim, 0, 0));
+  return oracle.stats.deaths;
+}
+
+TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
+  constexpr std::uint64_t kCases = 1000;
+  std::size_t with_deaths = 0;
+  for (std::uint64_t c = 0; c < kCases; ++c) {
+    const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
+    SCOPED_TRACE(sc.describe());
+    with_deaths += expect_scenario_matches(sc) > 0 ? 1 : 0;
+    if (::testing::Test::HasFailure()) break;  // one reproducible seed is enough
+  }
+  EXPECT_GT(with_deaths, kCases / 10);
+}
+
+}  // namespace
+}  // namespace ttdc::sim

@@ -12,6 +12,7 @@
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/drain_model.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/sleeper_mac.hpp"
 #include "support/stats_equal.hpp"
@@ -206,5 +207,72 @@ TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
   }
 }
 
+
+// The listener counterpart: under DutyCycledScheduleMac the simulator
+// charges whole frames' scheduled listening up front (DESIGN.md §8), so a
+// listener's death inside a frame lands on its exact slot only if the
+// no-death bound hands that frame to the per-slot phase 3. Silent network:
+// every node's drain is a pure function of the schedule (drain_model.hpp).
+TEST(Lifetime, ListenerDiesMidFrameOnExactSlot) {
+  constexpr std::size_t kN = 20, kD = 3;
+  const Schedule s = core::construct_duty_cycled(
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(kN, kD), kN)), kD, 4,
+      kN / 2);
+  const std::uint64_t frame = s.frame_length();
+  const EnergyModel energy;
+  // The node that has drained most by the middle of the third frame dies
+  // first, at its next listen slot.
+  const std::uint64_t middle = 2 * frame + frame / 2;
+  std::size_t x = 0;
+  std::vector<std::vector<std::int64_t>> drain(kN);
+  for (std::size_t v = 0; v < kN; ++v) {
+    drain[v] = model_drain(s, v, /*transmits=*/false, energy, 6 * frame);
+    if (drain[v][middle] > drain[x][middle]) x = v;
+  }
+  std::uint64_t death = middle;
+  while (!s.receivers(death % frame).test(x)) ++death;
+  ASSERT_LT(death, 3 * frame - 1);  // strictly inside the third frame
+  const std::int64_t budget = drain[x][death];
+  ASSERT_EQ(units(static_cast<double>(budget) / 1e9), budget);
+  std::uint64_t first = ~std::uint64_t{0};
+  for (std::size_t v = 0; v < kN; ++v) first = std::min(first, model_death_slot(drain[v], budget));
+  ASSERT_EQ(first, death);
+
+  struct Outcome {
+    SimStats stats;
+    std::vector<std::vector<double>> remaining;  // [checkpoint][node]
+  };
+  // Checkpoints on frame boundaries only, so the dying frame runs whole.
+  const std::vector<std::uint64_t> checkpoints = {2 * frame, 3 * frame, 6 * frame};
+  const auto run = [&](bool scalar_only, bool fast_forward) {
+    DutyCycledScheduleMac mac(s);
+    ScalarOnlyMac scalar_mac(mac);
+    BernoulliTraffic silent(kN, 0.0);
+    SimConfig config;
+    config.seed = 11;
+    config.battery_mj = static_cast<double>(budget) / 1e9;
+    config.fast_forward = fast_forward;
+    util::Xoshiro256 rng(12);
+    Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng),
+                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac, silent, config);
+    Outcome out;
+    for (const std::uint64_t checkpoint : checkpoints) {
+      sim.run(checkpoint - sim.now());
+      std::vector<double> remaining(kN);
+      for (std::size_t v = 0; v < kN; ++v) remaining[v] = sim.remaining_battery_mj(v);
+      out.remaining.push_back(std::move(remaining));
+    }
+    out.stats = sim.stats();
+    return out;
+  };
+  const Outcome reference = run(/*scalar_only=*/true, /*fast_forward=*/false);
+  EXPECT_EQ(reference.stats.first_death_slot, death);
+  for (const bool fast_forward : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "fast_forward=" << fast_forward);
+    const Outcome charged = run(/*scalar_only=*/false, fast_forward);
+    expect_identical_stats(reference.stats, charged.stats);
+    EXPECT_EQ(reference.remaining, charged.remaining);
+  }
+}
 }  // namespace
 }  // namespace ttdc::sim

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
@@ -161,6 +163,78 @@ TEST(CampaignJournal, ParseRejectsTamperedLine) {
   ASSERT_NE(pos, std::string::npos);
   line[pos] = '7';
   EXPECT_FALSE(CampaignJournal::parse_entry(line, out));
+}
+
+// Every integer is one whole unsigned decimal token within its field's
+// range, and every count must fit in the rest of the line. Each hostile
+// line below carries a valid checksum, so only the parser stands between
+// it and the merge.
+TEST(CampaignJournal, ParseRejectsMalformedIntegersAndHostileCounts) {
+  const std::string body = CampaignJournal::serialize_entry(representative_entry());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    const std::size_t pos = body.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    std::string b = body;
+    b.replace(pos, from.size(), to);
+    return with_crc(b);
+  };
+  // "cell 7 2 0 0  S 400 123 ..." (an empty error string between the two
+  // spaces) and "L 5 9 2 2 40 1 V 2 ..." as written.
+  ASSERT_EQ(body.rfind("cell 7 2 0 0  S 400 123 ", 0), 0u) << body;
+  const std::vector<std::pair<std::string, std::string>> hostile = {
+      {"S 400 123 ", "S 400 -1 "},                    // generated -1
+      {"S 400 ", "S +7 "},                            // explicit sign
+      {"S 400 ", "S 99999999999999999999 "},          // past 2^64 - 1
+      {"cell 7 2 ", "cell 7 4294967297 "},            // attempts past 2^32 - 1
+      {"cell 7 2 0 ", "cell 7 2 2 "},                 // quarantined not 0/1
+      {"cell 7 ", "cell -1 "},                        // index -1
+      {"S 400 ", "S 4x0 "},                           // junk inside a token
+      {"L 5 ", "L 50000000 "},                        // counts the line cannot hold
+      {"V 2 ", "V 50000000 "},
+      {"O 2 ", "O 50000000 "},
+      {"W 2 ", "W 50000000 "},
+      {"M 2 ", "M 50000000 "},
+      {"L 5 ", "L 6 "},                               // one more than present
+  };
+  for (const auto& [from, to] : hostile) {
+    JournalEntry out;
+    EXPECT_FALSE(CampaignJournal::parse_entry(replaced(from, to), out)) << to;
+  }
+  // partial is the last S field, just before " L".
+  const std::size_t partial = body.find(" L ") - 1;
+  std::string two = body;
+  two[partial] = '2';
+  JournalEntry out;
+  EXPECT_FALSE(CampaignJournal::parse_entry(with_crc(two), out));
+  // The checksum is one whole hex token too.
+  EXPECT_FALSE(CampaignJournal::parse_entry(body + " crc +" + with_crc(body).substr(
+                                                                  body.size() + 5),
+                                            out));
+  EXPECT_FALSE(CampaignJournal::parse_entry(with_crc(body) + "g", out));
+  EXPECT_FALSE(CampaignJournal::parse_entry(body + " crc ", out));
+
+  // Boundary values round-trip exactly.
+  JournalEntry edge;
+  edge.index = std::numeric_limits<std::size_t>::max();
+  edge.attempts = std::numeric_limits<std::uint32_t>::max();
+  edge.quarantined = true;
+  edge.stats.slots_run = std::numeric_limits<std::uint64_t>::max();
+  edge.stats.first_death_slot = std::numeric_limits<std::uint64_t>::max();
+  edge.stats.partial = true;
+  edge.stats.latency.record(std::numeric_limits<std::uint64_t>::max());
+  edge.stats.wake_transitions = {0, std::numeric_limits<std::uint64_t>::max()};
+  const std::string edge_body = CampaignJournal::serialize_entry(edge);
+  JournalEntry back;
+  ASSERT_TRUE(CampaignJournal::parse_entry(with_crc(edge_body), back)) << edge_body;
+  EXPECT_EQ(CampaignJournal::serialize_entry(back), edge_body);
+  EXPECT_EQ(back.index, edge.index);
+  EXPECT_EQ(back.attempts, edge.attempts);
+  EXPECT_TRUE(back.quarantined);
+  EXPECT_TRUE(back.stats.partial);
+  JournalEntry empty;
+  ASSERT_TRUE(CampaignJournal::parse_entry(with_crc(CampaignJournal::serialize_entry(empty)),
+                                           back));
+  EXPECT_EQ(CampaignJournal::serialize_entry(back), CampaignJournal::serialize_entry(empty));
 }
 
 TEST(CampaignJournal, TornTailDropsItselfAndEverythingAfter) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -194,5 +197,46 @@ TEST(CampaignRunner, EmptyCampaignRunsClean) {
   EXPECT_NE(r.aggregate_json().find("\"cells\":[]"), std::string::npos);
 }
 
+
+// TTDC_NUM_THREADS sizes the OpenMP team, so only a whole decimal in the
+// range ttdc-campaign --workers takes is accepted; unset, empty and "0"
+// mean auto. Checked through resolved_workers() alone: run() is never
+// handed an out-of-range count.
+TEST(CampaignRunner, NumThreadsEnvironmentIsValidated) {
+  const char* saved = std::getenv("TTDC_NUM_THREADS");
+  const std::optional<std::string> original =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  const Campaign c{CampaignOptions{}};
+  const int automatic = util::hardware_parallelism();
+
+  unsetenv("TTDC_NUM_THREADS");
+  EXPECT_EQ(c.resolved_workers(), automatic);
+  for (const auto& [value, expected] : std::vector<std::pair<std::string, int>>{
+           {"", automatic}, {"0", automatic}, {"1", 1}, {"7", 7}, {"1024", 1024}}) {
+    setenv("TTDC_NUM_THREADS", value.c_str(), 1);
+    EXPECT_EQ(c.resolved_workers(), expected) << "'" << value << "'";
+  }
+  for (const std::string value :
+       {"4abc", "+3", "100000", "99999999999", "-1", "1025", " 3", "3 ", "0x10", "abc"}) {
+    setenv("TTDC_NUM_THREADS", value.c_str(), 1);
+    try {
+      (void)c.resolved_workers();
+      ADD_FAILURE() << "accepted TTDC_NUM_THREADS='" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("TTDC_NUM_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  }
+  // An explicit worker count never reads the variable.
+  const Campaign pinned{CampaignOptions{.num_workers = 3}};
+  EXPECT_EQ(pinned.resolved_workers(), 3);
+
+  if (original) {
+    setenv("TTDC_NUM_THREADS", original->c_str(), 1);
+  } else {
+    unsetenv("TTDC_NUM_THREADS");
+  }
+}
 }  // namespace
 }  // namespace ttdc::runner
