@@ -9,12 +9,10 @@
 // and the ratio is too noisy to gate; the metropolitan sizes proper are
 // bench_megascale's job).
 //
-// Two informational ladders record where the hybrid sparse/dense pipeline
-// (SimConfig::hybrid_pipeline) overtakes the dense one: n<N>_hybrid_*
-// under the gated Bernoulli workload, and n<N>_saturated_{batched,hybrid}_*
-// under SaturatedFlows (every node backlogged toward a neighbour). Emits
-// BENCH_sim_hotpath.json (consumed by scripts/run_benches.sh --perf-check
-// for regression tracking against the committed baseline).
+// An informational ladder, n<N>_saturated_batched_*, records the batched
+// rate under SaturatedFlows (every node backlogged toward a neighbour).
+// Emits BENCH_sim_hotpath.json (consumed by scripts/run_benches.sh
+// --perf-check for regression tracking against the committed baseline).
 #include <algorithm>
 #include <cstddef>
 #include <iostream>
@@ -40,14 +38,12 @@ using namespace ttdc;
 
 constexpr std::uint64_t kWarmup = 2000;
 constexpr int kPairs = 9;
-constexpr int kSaturatedPairs = 5;
+constexpr int kSaturatedReps = 5;
 constexpr double kGateN = 400;
 constexpr double kGateSpeedup = 3.0;
 
 // Timed slots scale down with n so every row costs comparable wall time.
 std::uint64_t timed_slots(std::size_t n) { return 4'000'000 / n; }
-
-enum class Pipeline { kScalarOnly, kDense, kHybrid };
 
 /// Every node backlogged toward one random neighbour (the worst case of
 /// Theorems 2-4).
@@ -61,7 +57,7 @@ std::vector<std::pair<std::size_t, std::size_t>> saturated_flows(const net::Grap
   return flows;
 }
 
-double slot_rate_once(const net::Graph& g, const core::Schedule& duty, Pipeline pipeline,
+double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool scalar_only,
                       bool saturated) {
   sim::DutyCycledScheduleMac mac(duty);
   sim::ScalarOnlyMac scalar_mac(mac);
@@ -73,10 +69,8 @@ double slot_rate_once(const net::Graph& g, const core::Schedule& duty, Pipeline 
   } else {
     traffic = std::make_unique<sim::BernoulliTraffic>(g.num_nodes(), 0.01);
   }
-  sim::SimConfig config{.seed = 7};
-  config.hybrid_pipeline = pipeline == Pipeline::kHybrid;
-  sim::MacProtocol& driven =
-      pipeline == Pipeline::kScalarOnly ? static_cast<sim::MacProtocol&>(scalar_mac) : mac;
+  const sim::SimConfig config{.seed = 7};
+  sim::MacProtocol& driven = scalar_only ? static_cast<sim::MacProtocol&>(scalar_mac) : mac;
   sim::Simulator sim(g, driven, *traffic, config);
   running = &sim;
   sim.run(kWarmup);
@@ -96,7 +90,7 @@ int main() {
   report.param("reference", "scalar_only_mac");
   report.param("traffic", "bernoulli_0.01");
   report.param("pairs", static_cast<std::int64_t>(kPairs));
-  report.param("saturated_pairs", static_cast<std::int64_t>(kSaturatedPairs));
+  report.param("saturated_reps", static_cast<std::int64_t>(kSaturatedReps));
   report.param("warmup_slots", static_cast<std::int64_t>(kWarmup));
   report.param("gate_n", static_cast<std::int64_t>(kGateN));
   report.param("gate_speedup", kGateSpeedup);
@@ -104,8 +98,7 @@ int main() {
   bool gate_ok = false;
   double gate_speedup = 0.0;
   std::cout << "simulator hot path (slots/sec; scalar = MAC behind ScalarOnlyMac)\n"
-            << "    n     scalar/s    batched/s     hybrid/s  speedup"
-            << "  sat.batched/s   sat.hybrid/s\n";
+            << "    n     scalar/s    batched/s  speedup  sat.batched/s\n";
   for (std::size_t n : {50, 100, 200, 400, 800, 1600, 3200}) {
     util::Xoshiro256 rng(3);
     const net::Graph g = net::random_bounded_degree_graph(n, 4, 2 * n, rng);
@@ -114,40 +107,34 @@ int main() {
         n / 3);
     // Back-to-back scalar/batched pairs scored by the median per-pair
     // ratio: pairing cancels clock drift, the median discards load spikes
-    // (same methodology as the ring-sink budget in bench_scalability). The
-    // hybrid rep rides in the same round so all three see the same load.
-    std::vector<double> ratios, scalar_rates, batched_rates, hybrid_rates;
-    slot_rate_once(g, duty, Pipeline::kDense, false);  // shared warmup rep, untimed
+    // (same methodology as the ring-sink budget in bench_scalability).
+    std::vector<double> ratios, scalar_rates, batched_rates;
+    slot_rate_once(g, duty, /*scalar_only=*/false, /*saturated=*/false);  // warmup, untimed
     for (int rep = 0; rep < kPairs; ++rep) {
-      const double s = slot_rate_once(g, duty, Pipeline::kScalarOnly, false);
-      const double b = slot_rate_once(g, duty, Pipeline::kDense, false);
+      const double s = slot_rate_once(g, duty, /*scalar_only=*/true, /*saturated=*/false);
+      const double b = slot_rate_once(g, duty, /*scalar_only=*/false, /*saturated=*/false);
       scalar_rates.push_back(s);
       batched_rates.push_back(b);
-      hybrid_rates.push_back(slot_rate_once(g, duty, Pipeline::kHybrid, false));
       ratios.push_back(b / s);
     }
     std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
     const double speedup = ratios[kPairs / 2];
-    // Saturated rows: dense vs hybrid only (max over interleaved reps).
-    std::vector<double> sat_batched_rates, sat_hybrid_rates;
-    for (int rep = 0; rep < kSaturatedPairs; ++rep) {
-      sat_batched_rates.push_back(slot_rate_once(g, duty, Pipeline::kDense, true));
-      sat_hybrid_rates.push_back(slot_rate_once(g, duty, Pipeline::kHybrid, true));
+    // Saturated row: batched only (max over reps).
+    std::vector<double> sat_batched_rates;
+    for (int rep = 0; rep < kSaturatedReps; ++rep) {
+      sat_batched_rates.push_back(
+          slot_rate_once(g, duty, /*scalar_only=*/false, /*saturated=*/true));
     }
     const double scalar = max_of(scalar_rates);
     const double batched = max_of(batched_rates);
-    const double hybrid = max_of(hybrid_rates);
     const double sat_batched = max_of(sat_batched_rates);
-    const double sat_hybrid = max_of(sat_hybrid_rates);
-    std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << hybrid << "  "
-              << speedup << "x  " << sat_batched << "  " << sat_hybrid << "\n";
+    std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << speedup << "x  "
+              << sat_batched << "\n";
     std::string key = "n";
     key += std::to_string(n);
     report.metric(key + "_scalar_slots_per_sec", scalar);
     report.metric(key + "_batched_slots_per_sec", batched);
-    report.metric(key + "_hybrid_slots_per_sec", hybrid);
     report.metric(key + "_saturated_batched_slots_per_sec", sat_batched);
-    report.metric(key + "_saturated_hybrid_slots_per_sec", sat_hybrid);
     // The extended ladder rows (n > 800) are informational only: no
     // *_speedup key, so --perf-check never gates them.
     if (n <= 800) report.metric(key + "_speedup", speedup);

@@ -74,7 +74,8 @@ cmake -B "$build_dir" -S "$repo_root"
 
 # compare_baseline <report.json> <baseline.json>
 # Gates every *_speedup metric at 25% below baseline; *_slots_per_sec
-# metrics named in the baseline are printed for context only.
+# metrics named in the baseline are printed for context only (as "missing"
+# when the current report lacks one).
 compare_baseline() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
@@ -90,7 +91,8 @@ failures = []
 for key, base in sorted(baseline.items()):
     if key.endswith("_slots_per_sec"):
         cur = current.get(key)
-        print(f"  {key}: baseline {base:.4g}, current {cur:.4g} (informational)")
+        shown = "missing" if cur is None else f"{cur:.4g}"
+        print(f"  {key}: baseline {base:.4g}, current {shown} (informational)")
         continue
     if not key.endswith("_speedup"):
         continue

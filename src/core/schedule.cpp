@@ -30,9 +30,6 @@ void check_pool(const std::vector<util::SlotSet>& pool, std::size_t num_nodes) {
     if (set.size() != num_nodes) {
       throw std::invalid_argument("Schedule: slot sets must range over the node universe");
     }
-    if (set.is_pinned_dense()) {
-      throw std::invalid_argument("Schedule: slot sets must not be pinned dense");
-    }
   }
 }
 
@@ -100,8 +97,7 @@ void Schedule::audit_invariants() const {
               "Schedule: per-slot arrays out of step at L=", L);
   for (const auto* pool : {&t_pool_, &r_pool_}) {
     for (const util::SlotSet& set : *pool) {
-      TTDC_DCHECK(set.size() == num_nodes_ && !set.is_pinned_dense(),
-                  "Schedule: pooled set not over the node universe, or pinned dense");
+      TTDC_DCHECK(set.size() == num_nodes_, "Schedule: pooled set not over the node universe");
     }
   }
   for (std::size_t i = 0; i < L; ++i) {

@@ -7,12 +7,12 @@
 //
 // Schedule stores <T, R> once, slot-major, the way the simulator reads it
 // (Figure 2): each T[i] and R[i] is a util::SlotSet whose representation
-// follows its population, so a duty-cycled T[i] of at most αT* ids is a
-// short id list and an R[i] of αR = n/3 ids a bitset. Slots index into
-// pools of sets, so a set that many slots share (Construct's windows) is
-// stored once. The node-major sets tran(x) and recv(x) of the analyses live
-// in core::NodeSlots (core/node_slots.hpp), which the checkers build per
-// call.
+// follows its population above 256 nodes, so a duty-cycled T[i] of at most
+// αT* ids is a short id list and an R[i] of αR = n/3 ids a bitset. Slots
+// index into pools of sets, so a set that many slots share (Construct's
+// windows) is stored once. The node-major sets tran(x) and recv(x) of the
+// analyses live in core::NodeSlots (core/node_slots.hpp), which the
+// checkers build per call.
 #pragma once
 
 #include <cstddef>
@@ -31,15 +31,13 @@ using util::DynamicBitset;
 
 /// Immutable <T, R> schedule over `num_nodes` nodes and `frame_length` slots.
 ///
-/// A const Schedule is safe to read from many threads at once: its sets are
-/// never pinned dense, so SlotSet::count() and every other const query only
-/// read.
+/// A const Schedule is safe to read from many threads at once: a const
+/// util::SlotSet is read-only.
 class Schedule {
  public:
   /// Builds from per-slot transmitter/receiver sets over the nodes.
   /// Throws std::invalid_argument unless |transmit| == |receive| > 0, all
-  /// sets share the node universe, none is pinned dense, and
-  /// T[i] ∩ R[i] = ∅ for every slot.
+  /// sets share the node universe and T[i] ∩ R[i] = ∅ for every slot.
   Schedule(std::size_t num_nodes, std::vector<util::SlotSet> transmit,
            std::vector<util::SlotSet> receive);
 
@@ -103,8 +101,8 @@ class Schedule {
   /// equality: equal schedules stored differently digest differently.
   [[nodiscard]] std::uint64_t storage_checksum() const;
 
-  /// Re-verifies the construction invariants (universe sizes, unpinned
-  /// sets, pool indices, per-slot T[i] ∩ R[i] = ∅, cached sizes). The constructor
+  /// Re-verifies the construction invariants (universe sizes, pool
+  /// indices, per-slot T[i] ∩ R[i] = ∅, cached sizes). The constructor
   /// establishes them and the class is immutable, so this only fires on
   /// memory corruption or a bad const_cast; compiled out (no-op) unless
   /// contract checks are enabled.

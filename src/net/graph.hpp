@@ -2,8 +2,8 @@
 //
 // The simulator and the topology-transparency experiments need concrete
 // members of N_n^D: graphs with at most n nodes whose degrees never exceed
-// D. Adjacency rows are hybrid util::SlotSet node sets (collision
-// resolution in the simulator is a neighborhood-intersection query): a
+// D. Adjacency rows are util::SlotSet node sets (collision resolution in
+// the simulator is a neighborhood-intersection query): above 256 nodes a
 // degree-capped row stays a sorted sparse vector, so a metropolitan-scale
 // graph costs O(n·D) memory instead of the O(n²/8) bytes dense bitset rows
 // would need — the difference between 1.25 GB and a few MB at n = 10⁵.
@@ -32,7 +32,7 @@ class Graph {
     return adjacency_[a].test(b);
   }
 
-  /// Neighborhood of x as a hybrid node set over [0, n).
+  /// Neighborhood of x as a node set over [0, n).
   [[nodiscard]] const util::SlotSet& neighbors(std::size_t x) const {
     return adjacency_[x];
   }

@@ -48,15 +48,6 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   min_credit_ = to_units(config_.battery_mj);
   dead_ = util::SlotSet(n);
   death_slot_.assign(n, kNeverDied);
-  if (!config_.hybrid_pipeline) {
-    // Dense mode: every per-slot set frozen dense, so the pipeline's cost
-    // profile (and its perf baselines) is exactly the pre-hybrid one.
-    for (util::SlotSet* set :
-         {&transmitting_, &receivers_, &eligible_, &backlogged_, &unroutable_head_,
-          &prev_awake_, &listen_, &awake_now_, &woke_, &scratch_, &dead_}) {
-      set->pin_dense();
-    }
-  }
   routing_view_ = config_.shared_routing != nullptr ? config_.shared_routing : &routing_;
   if (config_.shared_routing != nullptr) {
     TTDC_ASSERT(config_.shared_routing->cached_destinations() == n,
@@ -86,11 +77,6 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
     jamming_ = util::SlotSet(n);
     jam_active_ = util::SlotSet(n);
     fault_out_ = util::SlotSet(n);
-    if (!config_.hybrid_pipeline) {
-      for (util::SlotSet* set : {&down_, &jamming_, &jam_active_, &fault_out_}) {
-        set->pin_dense();
-      }
-    }
     down_since_.assign(n, 0);
   }
   if (config_.metrics != nullptr) {
@@ -385,7 +371,7 @@ void Simulator::collect_transmissions(bool mac_batched) {
   // When no queue head is unroutable (the steady state of a connected
   // deployment) the visit set below is a subset of eligible_, so the
   // per-visit eligibility test is a constant `true`; hoisting it saves a
-  // sparse-membership search per visited node on the hybrid pipeline. The
+  // sparse-membership search per visited node when eligible_ is sparse. The
   // emptiness check is taken before the loop — no pop below can create an
   // unroutable head, because pops only happen when one already exists.
   const bool all_eligible = mac_batched && unroutable_head_.none();
@@ -784,7 +770,11 @@ void Simulator::begin_charged_frame(std::uint64_t period) {
   charging_ = nullptr;
   const core::Schedule* schedule = mac_.periodic_schedule();
   const std::size_t n = graph_.num_nodes();
-  if (fault_armed_ || schedule == nullptr || schedule->num_nodes() != n ||
+  // An armed plan changes a frame only through its events or continuous
+  // processes; an inert one leaves the run bit-identical to an unarmed run,
+  // so its frames are charged like the unarmed run's.
+  const bool faults_act = fault_world_ || fault_drift_ || fault_ge_;
+  if (faults_act || schedule == nullptr || schedule->num_nodes() != n ||
       schedule->frame_length() != period) {
     return;
   }

@@ -56,16 +56,6 @@ struct SimConfig {
   /// sync_miss_rate (transmitter misaligned with the slot grid).
   double packet_error_rate = 0.0;
   double sync_miss_rate = 0.0;
-  /// Hybrid sparse/dense pipeline (DESIGN.md §13). When set, the per-slot
-  /// node sets keep their adaptive util::SlotSet representation, so phase
-  /// costs scale with the slot's ACTIVE population instead of n — the
-  /// metropolitan-scale regime where low duty cycle means almost everyone
-  /// sleeps. When clear (the default), every per-slot set is pinned dense
-  /// and the pipeline is byte-for-byte the pre-hybrid word-parallel one.
-  /// Either way SimStats are bit-identical: representation never changes
-  /// semantics, and the golden megascale tests assert exactly that (all
-  /// five MACs, faults armed and disarmed).
-  bool hybrid_pipeline = false;
   /// Optional metrics registry. When set, the simulator registers
   /// `ttdc_sim_*_total` counters and a `ttdc_sim_latency_slots` histogram
   /// at construction and bumps them live on the hot path (one pre-resolved
@@ -393,9 +383,9 @@ class Simulator {
 
   // Per-slot scratch, kept here so the steady-state hot path never touches
   // the allocator (the zero-allocation invariant, DESIGN.md §8). All node
-  // sets are hybrid SlotSets: pinned dense outside the hybrid pipeline
-  // (making the dense pipeline exactly the pre-hybrid word-parallel one),
-  // adaptive under SimConfig::hybrid_pipeline.
+  // sets are util::SlotSets, which pick their own representation: dense up
+  // to 256 nodes, by population above (DESIGN.md §13), so phase costs
+  // follow the slot's active population at large n.
   std::vector<std::size_t> tx_nodes_;
   std::vector<std::size_t> tx_targets_;
   util::SlotSet transmitting_;  // this slot's transmitters

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 #include <utility>
 
 #include "util/hash.hpp"
@@ -26,10 +25,10 @@ SlotSet::SlotSet(std::size_t universe_size, std::vector<std::uint32_t> sorted_me
                                  std::greater_equal<>()) == sorted_members.end() &&
                   (sorted_members.empty() || sorted_members.back() < size_),
               "SlotSet: ids not strictly increasing below ", size_);
-  if (count_ > promote_threshold(size_)) {
+  dense_ = dense_for(count_);
+  if (dense_) {
     bits_ = DynamicBitset(size_);
     for (std::uint32_t m : sorted_members) bits_.set(m);
-    dense_ = true;
   } else {
     sparse_ = std::move(sorted_members);
   }
@@ -73,24 +72,11 @@ void SlotSet::demote() {
   bits_.for_each([&](std::size_t m) { sparse_.push_back(static_cast<std::uint32_t>(m)); });
   dense_ = false;
   count_ = sparse_.size();
-  count_valid_ = true;
-}
-
-void SlotSet::pin_dense() {
-  if (!dense_) promote();
-  pinned_ = true;
 }
 
 void SlotSet::set(std::size_t pos) {
   TTDC_CHECK_BOUNDS(pos, size_);
   if (dense_) {
-    if (pinned_) {
-      // Pinned sets skip count maintenance entirely so this stays the
-      // one-store DynamicBitset::set the dense pipeline was built on.
-      bits_.set(pos);
-      count_valid_ = false;
-      return;
-    }
     if (!bits_.test(pos)) {
       bits_.set(pos);
       ++count_;
@@ -112,11 +98,6 @@ void SlotSet::set(std::size_t pos) {
 void SlotSet::reset(std::size_t pos) {
   TTDC_CHECK_BOUNDS(pos, size_);
   if (dense_) {
-    if (pinned_) {
-      bits_.reset(pos);
-      count_valid_ = false;
-      return;
-    }
     if (bits_.test(pos)) {
       bits_.reset(pos);
       --count_;
@@ -131,79 +112,55 @@ void SlotSet::reset(std::size_t pos) {
 }
 
 void SlotSet::reset_all() {
-  if (pinned_) {
+  if (dense_for(0)) {
     bits_.reset_all();
   } else {
     dense_ = false;
     sparse_.clear();
   }
   count_ = 0;
-  count_valid_ = true;
 }
 
 void SlotSet::set_all() {
-  count_ = size_;
-  count_valid_ = true;
-  if (pinned_ || size_ > promote_threshold(size_)) {
-    if (!dense_) {
-      ensure_dense_storage();
-      sparse_.clear();
-      dense_ = true;
-    }
-    bits_.set_all();
-  } else {
-    // Universe small enough that a full sparse vector is within threshold.
-    dense_ = false;
-    sparse_.resize(size_);
-    std::iota(sparse_.begin(), sparse_.end(), std::uint32_t{0});
+  // Dense at every size: above kDenseUniverse positions the whole
+  // universe exceeds the promote threshold.
+  if (!dense_) {
+    ensure_dense_storage();
+    sparse_.clear();
+    dense_ = true;
   }
+  bits_.set_all();
+  count_ = size_;
 }
 
 void SlotSet::flip_all() {
-  const std::size_t flipped = size_ - count();
+  const std::size_t flipped = size_ - count_;
   if (!dense_) promote();
   bits_.flip_all();
   count_ = flipped;
-  count_valid_ = true;
   maybe_demote();
 }
 
 void SlotSet::copy_from(const SlotSet& other) {
   TTDC_ASSERT(size_ == other.size_, "SlotSet::copy_from universe mismatch: ", size_,
               " vs ", other.size_);
-  if (pinned_) {
-    if (other.dense_) {
-      bits_.copy_from(other.bits_);
-      count_ = other.count_;
-      count_valid_ = other.count_valid_;
-    } else {
-      ensure_dense_storage();
-      for (std::uint32_t m : other.sparse_) bits_.set(m);
-      count_ = other.count_;
-      count_valid_ = true;
-    }
-    return;
-  }
   if (other.dense_) {
     if (bits_.size() != size_) bits_ = DynamicBitset(size_);
     bits_.copy_from(other.bits_);
     dense_ = true;
     sparse_.clear();
-    count_ = other.count();
-    count_valid_ = true;
   } else {
     sparse_ = other.sparse_;  // assign reuses capacity
     dense_ = false;
-    count_ = sparse_.size();
-    count_valid_ = true;
   }
+  count_ = other.count_;
 }
 
 void SlotSet::copy_from(const DynamicBitset& other) {
   TTDC_ASSERT(size_ == other.size(), "SlotSet::copy_from universe mismatch: ", size_,
               " vs ", other.size());
   const std::size_t c = other.count();
-  if (pinned_ || c > promote_threshold(size_)) {
+  if (dense_for(c)) {
     if (bits_.size() != size_) bits_ = DynamicBitset(size_);
     bits_.copy_from(other);
     dense_ = true;
@@ -214,7 +171,6 @@ void SlotSet::copy_from(const DynamicBitset& other) {
     other.for_each([&](std::size_t m) { sparse_.push_back(static_cast<std::uint32_t>(m)); });
   }
   count_ = c;
-  count_valid_ = true;
 }
 
 SlotSet& SlotSet::operator|=(const SlotSet& other) {
@@ -222,15 +178,7 @@ SlotSet& SlotSet::operator|=(const SlotSet& other) {
   if (dense_) {
     if (other.dense_) {
       bits_ |= other.bits_;
-      if (pinned_) {
-        count_valid_ = false;
-      } else {
-        count_ = bits_.count();
-        count_valid_ = true;
-      }
-    } else if (pinned_) {
-      for (std::uint32_t m : other.sparse_) bits_.set(m);
-      count_valid_ = false;
+      count_ = bits_.count();
     } else {
       for (std::uint32_t m : other.sparse_) {
         if (!bits_.test(m)) {
@@ -246,7 +194,6 @@ SlotSet& SlotSet::operator|=(const SlotSet& other) {
     promote();
     bits_ |= other.bits_;
     count_ = bits_.count();
-    count_valid_ = true;
     maybe_demote();
     return *this;
   }
@@ -279,37 +226,19 @@ SlotSet& SlotSet::operator&=(const SlotSet& other) {
   }
   if (other.dense_) {
     bits_ &= other.bits_;
-    if (pinned_) {
-      count_valid_ = false;
-    } else {
-      count_ = bits_.count();
-      count_valid_ = true;
-      maybe_demote();
-    }
+    count_ = bits_.count();
+    maybe_demote();
     return *this;
   }
-  // Dense ∩ sparse: the result is a subset of the sparse side, so at most
-  // promote_threshold members — go (or stay, when pinned, dense) with an
-  // O(|other| + words) rebuild.
-  if (pinned_) {
-    auto& survivors = merge_scratch();
-    survivors.clear();
-    for (std::uint32_t m : other.sparse_) {
-      if (bits_.test(m)) survivors.push_back(m);
-    }
-    bits_.reset_all();
-    for (std::uint32_t m : survivors) bits_.set(m);
-    count_ = survivors.size();
-    count_valid_ = true;
-    return *this;
-  }
+  // Dense ∩ sparse (so a universe above kDenseUniverse): the result is a
+  // subset of the sparse side, so at most promote_threshold members — go
+  // sparse with an O(|other|) rebuild.
   sparse_.clear();
   for (std::uint32_t m : other.sparse_) {
     if (bits_.test(m)) sparse_.push_back(m);
   }
   dense_ = false;
   count_ = sparse_.size();
-  count_valid_ = true;
   return *this;
 }
 
@@ -326,18 +255,8 @@ SlotSet& SlotSet::subtract(const SlotSet& other) {
   }
   if (other.dense_) {
     bits_.subtract(other.bits_);
-    if (pinned_) {
-      count_valid_ = false;
-    } else {
-      count_ = bits_.count();
-      count_valid_ = true;
-      maybe_demote();
-    }
-    return *this;
-  }
-  if (pinned_) {
-    for (std::uint32_t m : other.sparse_) bits_.reset(m);
-    count_valid_ = false;
+    count_ = bits_.count();
+    maybe_demote();
     return *this;
   }
   for (std::uint32_t m : other.sparse_) {
@@ -441,7 +360,7 @@ DynamicBitset SlotSet::to_dense_bitset() const {
 
 std::vector<std::size_t> SlotSet::to_vector() const {
   std::vector<std::size_t> out;
-  out.reserve(count());
+  out.reserve(count_);
   for_each([&](std::size_t m) { out.push_back(m); });
   return out;
 }

@@ -1,4 +1,4 @@
-// Hybrid sparse/dense node sets for the megascale simulator pipeline.
+// Sparse/dense node sets for the simulator and the schedule model.
 //
 // A SlotSet is a set over a fixed universe [0, size()) that stores its
 // members either as a sorted vector of indices (sparse) or as a
@@ -7,25 +7,24 @@
 // when almost everyone sleeps — the regime the paper's duty-cycled
 // schedules are designed for. Every operation is representation-
 // transparent: two SlotSets holding the same members are equal and behave
-// identically regardless of how either stores them, which is what lets the
-// hybrid pipeline stay bit-identical to the dense batched one (DESIGN.md
-// §13).
+// identically regardless of how either stores them (DESIGN.md §13).
 //
-// Representation policy (hysteresis, so counts oscillating around a single
-// threshold never flap):
-//   * promote sparse -> dense when count() exceeds promote_threshold(n)
-//     (= max(16, n/32), the memory/scan break-even);
-//   * demote dense -> sparse when a member-removing operation leaves
-//     count() below demote_threshold(n) (= promote/2);
-//   * inside the band [demote, promote] the current representation is
-//     sticky;
-//   * copy_from() adopts the source's representation, clear() always
-//     returns to empty-sparse, and pin_dense() freezes the set dense
-//     forever (the dense batched pipeline pins every per-slot set, making
-//     its cost profile — and its perf baselines — identical to the
-//     pre-hybrid DynamicBitset code).
+// Representation policy, decided here alone (no caller can force one):
+//   * a universe of at most kDenseUniverse = 256 positions (4 words) is
+//     dense from construction and never demotes — scanning 4 words costs
+//     less than keeping an id list;
+//   * above that, a set promotes sparse -> dense when count() exceeds
+//     promote_threshold(n) (= max(16, n/32), the memory/scan break-even)
+//     and demotes dense -> sparse when a member-removing operation leaves
+//     count() below demote_threshold(n) (= promote/2); inside the band the
+//     current representation is sticky, so counts oscillating around one
+//     threshold never flap;
+//   * copy_from(const SlotSet&) adopts the source's representation, and
+//     reset_all() returns a large-universe set to empty-sparse.
 //
-// The dense word storage is kept allocated across demotions and the sparse
+// count() is maintained eagerly by every operation, so a const SlotSet is
+// read-only by its type and safe to read from many threads at once. The
+// dense word storage is kept allocated across demotions and the sparse
 // vector keeps its capacity across promotions, so steady-state per-slot use
 // never touches the allocator.
 #pragma once
@@ -45,10 +44,18 @@ class SlotSet {
  public:
   using Word = DynamicBitset::Word;
 
+  /// Universes of at most this many positions are stored dense.
+  static constexpr std::size_t kDenseUniverse = 256;
+
+  /// The empty universe: dense, no words.
   SlotSet() = default;
 
-  /// Empty set over the universe [0, universe_size), sparse.
-  explicit SlotSet(std::size_t universe_size) : size_(universe_size) {}
+  /// Empty set over the universe [0, universe_size): dense (its words
+  /// allocated here) up to kDenseUniverse positions, sparse above.
+  explicit SlotSet(std::size_t universe_size)
+      : size_(universe_size),
+        dense_(universe_size <= kDenseUniverse),
+        bits_(dense_ ? universe_size : 0) {}
 
   SlotSet(std::size_t universe_size, std::initializer_list<std::size_t> members)
       : SlotSet(universe_size) {
@@ -65,36 +72,23 @@ class SlotSet {
     const std::size_t scan = universe_size / 32;
     return scan < 16 ? 16 : scan;
   }
-  /// Population count below which an (unpinned) dense set demotes back to
-  /// sparse. Strictly below the promote threshold: the gap is the
-  /// hysteresis band.
+  /// Population count below which a dense set demotes back to sparse.
+  /// Strictly below the promote threshold (the gap is the hysteresis
+  /// band), and 0 — never — up to kDenseUniverse positions.
   [[nodiscard]] static std::size_t demote_threshold(std::size_t universe_size) {
-    return promote_threshold(universe_size) / 2;
+    return universe_size <= kDenseUniverse ? 0 : promote_threshold(universe_size) / 2;
   }
 
   /// Universe size (addressable positions), not the cardinality.
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Number of members. O(1) except for a pinned-dense set mutated by bulk
-  /// ops since the last query (recomputed by popcount on demand).
-  [[nodiscard]] std::size_t count() const {
-    if (!count_valid_) {
-      count_ = bits_.count();
-      count_valid_ = true;
-    }
-    return count_;
-  }
+  /// Number of members. O(1).
+  [[nodiscard]] std::size_t count() const { return count_; }
 
   [[nodiscard]] bool none() const { return count() == 0; }
   [[nodiscard]] bool any() const { return !none(); }
 
   [[nodiscard]] bool is_dense() const { return dense_; }
-  [[nodiscard]] bool is_pinned_dense() const { return pinned_; }
-
-  /// Freezes the set in dense representation: no representation decisions,
-  /// no eager count maintenance — exactly a DynamicBitset with a vtable-free
-  /// mode branch. The dense batched pipeline pins all its per-slot sets.
-  void pin_dense();
 
   [[nodiscard]] bool test(std::size_t pos) const {
     TTDC_CHECK_BOUNDS(pos, size_);
@@ -105,20 +99,19 @@ class SlotSet {
   void set(std::size_t pos);
   void reset(std::size_t pos);
 
-  /// Empties the set. Unpinned sets return to the sparse representation
-  /// (count 0 is below every demote threshold); pinned sets stay dense.
+  /// Empties the set: sparse above kDenseUniverse positions (count 0 is
+  /// below every demote threshold there), dense up to it.
   void reset_all();
-  /// Fills the set with the whole universe (dense unless the universe is
-  /// tiny enough that sparse would hold it anyway).
+  /// Fills the set with the whole universe (dense at every size).
   void set_all();
   /// Complement within the universe.
   void flip_all();
 
   /// *this = other. Requires equal universes. Adopts the source
-  /// representation unless *this is pinned dense (then densifies).
+  /// representation.
   void copy_from(const SlotSet& other);
   /// *this = the members of a DynamicBitset over the same universe; picks
-  /// the representation by the source's population (or dense when pinned).
+  /// the representation by the source's population.
   void copy_from(const DynamicBitset& other);
 
   SlotSet& operator|=(const SlotSet& other);
@@ -204,24 +197,23 @@ class SlotSet {
   /// Index of pos in sparse_, or sparse_.size() when absent.
   [[nodiscard]] std::size_t sparse_find(std::uint32_t pos) const;
   [[nodiscard]] Word sparse_word(std::size_t w) const;
+  /// The representation a set of `members` ids is built in from scratch.
+  [[nodiscard]] bool dense_for(std::size_t members) const {
+    return size_ <= kDenseUniverse || members > promote_threshold(size_);
+  }
   void promote();
   void demote();
   void maybe_promote() {
     if (!dense_ && count_ > promote_threshold(size_)) promote();
   }
   void maybe_demote() {
-    if (dense_ && !pinned_ && count_valid_ && count_ < demote_threshold(size_)) demote();
+    if (dense_ && count_ < demote_threshold(size_)) demote();
   }
   void ensure_dense_storage();
 
   std::size_t size_ = 0;
-  // count_ is authoritative whenever count_valid_; sparse mode keeps it
-  // valid always (== sparse_.size()), pinned-dense bulk ops invalidate it
-  // and count() recomputes lazily so the pinned hot path pays nothing.
-  mutable std::size_t count_ = 0;
-  bool dense_ = false;
-  bool pinned_ = false;
-  mutable bool count_valid_ = true;
+  std::size_t count_ = 0;  // == sparse_.size() when sparse
+  bool dense_ = true;
   std::vector<std::uint32_t> sparse_;  // sorted, unique; valid when !dense_
   DynamicBitset bits_;                 // valid when dense_; storage kept across demotions
 };

@@ -26,6 +26,7 @@
 #include "support/drain_model.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/stats_equal.hpp"
+#include "util/slot_set.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -138,14 +139,10 @@ TEST(ChargedFrames, TransmissionInLastSlotCancelsSlotZeroWake) {
 TEST(ChargedFrames, BootFrameWakesListenersOfSlotZero) {
   // Node 2 listens in slots L-1 and 0: in steady state that is one run, but
   // from boot (nobody awake before slot 0) slot 0 is a wake of its own.
-  for (const bool hybrid : {false, true}) {
-    SimConfig config{.seed = 6};
-    config.hybrid_pipeline = hybrid;
-    const RunOutcome out = expect_edge_schedule_matches(
-        [] { return std::make_unique<SilentTraffic>(); }, config, 6 * 3);
-    // recv(2) = {0, 2, 4, 5}: cyclic runs {4, 5, 0} and {2}.
-    EXPECT_EQ(out.stats.wake_transitions[2], 3u * 2u + 1u);
-  }
+  const RunOutcome out = expect_edge_schedule_matches(
+      [] { return std::make_unique<SilentTraffic>(); }, {.seed = 6}, 6 * 3);
+  // recv(2) = {0, 2, 4, 5}: cyclic runs {4, 5, 0} and {2}.
+  EXPECT_EQ(out.stats.wake_transitions[2], 3u * 2u + 1u);
 }
 
 TEST(ChargedFrames, TransmitterSurchargeKillsOnExactSlot) {
@@ -225,36 +222,33 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
   const EnergyModel e;
   const double battery_mj = 1e6;
   std::size_t boot_wakes = 0;
-  for (const bool hybrid : {false, true}) {
-    for (const bool fast_forward : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "hybrid " << hybrid << " ff " << fast_forward);
-      DutyCycledScheduleMac mac(s);
-      SilentTraffic traffic;
-      SimConfig config{.seed = 9};
-      config.hybrid_pipeline = hybrid;
-      config.fast_forward = fast_forward;
-      config.battery_mj = battery_mj;
-      util::Xoshiro256 rng(10);
-      Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, traffic, config);
-      sim.run(k * frame);
-      const SimStats& st = sim.stats();
-      boot_wakes = 0;
-      for (std::size_t x = 0; x < kN; ++x) {
-        const std::uint64_t listen = slots.recv(x).count();
-        const bool boot = s.receivers(0).test(x) && s.receivers(frame - 1).test(x);
-        boot_wakes += boot ? 1 : 0;
-        const std::uint64_t wakes = k * cyclic_runs(slots.recv(x)) + (boot ? 1 : 0);
-        EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kListen)], k * listen);
-        EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kTransmit)], 0u);
-        EXPECT_EQ(st.wake_transitions[x], wakes);
-        const std::int64_t spent =
-            static_cast<std::int64_t>(k * listen) * units(e.energy_mj(RadioState::kListen, 1)) +
-            static_cast<std::int64_t>(k * (frame - listen)) *
-                units(e.energy_mj(RadioState::kSleep, 1)) +
-            static_cast<std::int64_t>(wakes) * units(e.wakeup_mj);
-        EXPECT_EQ(sim.remaining_battery_mj(x),
-                  static_cast<double>(units(battery_mj) - spent) / 1e9);
-      }
+  for (const bool fast_forward : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "ff " << fast_forward);
+    DutyCycledScheduleMac mac(s);
+    SilentTraffic traffic;
+    SimConfig config{.seed = 9};
+    config.fast_forward = fast_forward;
+    config.battery_mj = battery_mj;
+    util::Xoshiro256 rng(10);
+    Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, traffic, config);
+    sim.run(k * frame);
+    const SimStats& st = sim.stats();
+    boot_wakes = 0;
+    for (std::size_t x = 0; x < kN; ++x) {
+      const std::uint64_t listen = slots.recv(x).count();
+      const bool boot = s.receivers(0).test(x) && s.receivers(frame - 1).test(x);
+      boot_wakes += boot ? 1 : 0;
+      const std::uint64_t wakes = k * cyclic_runs(slots.recv(x)) + (boot ? 1 : 0);
+      EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kListen)], k * listen);
+      EXPECT_EQ(st.state_slots[x][static_cast<std::size_t>(RadioState::kTransmit)], 0u);
+      EXPECT_EQ(st.wake_transitions[x], wakes);
+      const std::int64_t spent =
+          static_cast<std::int64_t>(k * listen) * units(e.energy_mj(RadioState::kListen, 1)) +
+          static_cast<std::int64_t>(k * (frame - listen)) *
+              units(e.energy_mj(RadioState::kSleep, 1)) +
+          static_cast<std::int64_t>(wakes) * units(e.wakeup_mj);
+      EXPECT_EQ(sim.remaining_battery_mj(x),
+                static_cast<double>(units(battery_mj) - spent) / 1e9);
     }
   }
   EXPECT_GT(boot_wakes, 0u) << "the schedule exercises no boot wake";
@@ -262,8 +256,9 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
 
 // ---------------------------------------------------------------------------
 // Seeded randomized differential: the charged path against ScalarOnlyMac
-// over random schedules, senders, traffic, batteries, energy models, set
-// representations, fast-forward and run() splits.
+// over random schedules, senders, traffic, batteries, energy models,
+// fast-forward and run() splits, with a bounded share of networks above
+// util::SlotSet::kDenseUniverse nodes, where sets follow their population.
 
 struct Scenario {
   std::size_t n = 0, degree = 0, alpha_t = 0, alpha_r = 0;
@@ -272,7 +267,6 @@ struct Scenario {
   double rate = 0.0;
   int energy = 0;  // 0 stock, 1 sleep_mw = 70, 2 sleep_mw = 200
   double battery_mj = 0.0;
-  bool hybrid = false;
   bool fast_forward = false;
   int split = 0;  // 0 one call, 1 per frame, 2 random lengths, 3 1-7 slots
   std::uint64_t slots = 0;
@@ -282,9 +276,8 @@ struct Scenario {
     std::ostringstream os;
     os << "n=" << n << " D=" << degree << " aT=" << alpha_t << " aR=" << alpha_r
        << " aware=" << aware << " lookahead=" << lookahead << " rate=" << rate
-       << " energy=" << energy << " battery_mj=" << battery_mj << " hybrid=" << hybrid
-       << " ff=" << fast_forward << " split=" << split << " slots=" << slots
-       << " seed=" << seed;
+       << " energy=" << energy << " battery_mj=" << battery_mj << " ff=" << fast_forward
+       << " split=" << split << " slots=" << slots << " seed=" << seed;
     return os.str();
   }
 };
@@ -308,6 +301,8 @@ const Schedule& cached_schedule(std::size_t n, std::size_t d, std::size_t at, st
   return *slot;
 }
 
+constexpr std::uint64_t kLargeEvery = 50;
+
 Scenario draw_scenario(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {  // inclusive
@@ -315,22 +310,36 @@ Scenario draw_scenario(std::uint64_t seed) {
   };
   Scenario sc;
   sc.seed = seed;
-  sc.n = pick(6, 40);
-  sc.degree = pick(2, std::min<std::uint64_t>(5, sc.n - 1));
-  sc.alpha_t = pick(1, 4);
-  sc.alpha_r = pick(std::max<std::uint64_t>(1, sc.n / 5), std::max<std::uint64_t>(1, sc.n / 2));
-  sc.alpha_r = std::min(sc.alpha_r, sc.n - sc.alpha_t);
+  if (rng.below(kLargeEvery) == 0) {
+    // More than 256 nodes, so the sets follow their population; half the
+    // draws keep αR within the promote threshold, so R[i] is sparse too.
+    // D ≤ 3 and a large αT keep the frame, which grows as n²/(αT·αR),
+    // short: the oracle's per-slot cost grows with n.
+    sc.n = pick(util::SlotSet::kDenseUniverse + 1, 300);
+    sc.degree = pick(2, 3);
+    sc.alpha_t = pick(12, 16);
+    sc.alpha_r = rng.bernoulli(0.5) ? pick(12, util::SlotSet::promote_threshold(sc.n))
+                                    : pick(sc.n / 5, sc.n / 2);
+  } else {
+    sc.n = pick(6, 40);
+    sc.degree = pick(2, std::min<std::uint64_t>(5, sc.n - 1));
+    sc.alpha_t = pick(1, 4);
+    sc.alpha_r =
+        pick(std::max<std::uint64_t>(1, sc.n / 5), std::max<std::uint64_t>(1, sc.n / 2));
+    sc.alpha_r = std::min(sc.alpha_r, sc.n - sc.alpha_t);
+  }
   sc.aware = rng.bernoulli(0.5);
   sc.lookahead = rng.bernoulli(0.5);
   const double rates[] = {0.0, 0.002, 0.01, 0.05};
   sc.rate = rates[rng.below(4)];
   sc.energy = static_cast<int>(rng.below(3));
-  sc.hybrid = rng.bernoulli(0.5);
   sc.fast_forward = rng.bernoulli(0.5);
   sc.split = static_cast<int>(rng.below(4));
   const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
   const std::uint64_t frame = s.frame_length();
-  const std::uint64_t frames = frame > 400 ? 2 : pick(2, 4);
+  const std::uint64_t frames = sc.n > util::SlotSet::kDenseUniverse ? 1
+                               : frame > 400                         ? 2
+                                                                     : pick(2, 4);
   sc.slots = frames * frame + rng.below(frame);
   if (rng.bernoulli(0.5)) {
     // A budget around what a typical listener spends over the run, so some
@@ -357,7 +366,6 @@ std::unique_ptr<TrafficSource> make_traffic(const Scenario& sc) {
 std::uint64_t expect_scenario_matches(const Scenario& sc) {
   const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
   SimConfig config{.seed = sc.seed};
-  config.hybrid_pipeline = sc.hybrid;
   config.fast_forward = sc.fast_forward;
   config.energy = energy_model(sc.energy);
   config.battery_mj = sc.battery_mj;
@@ -390,14 +398,16 @@ std::uint64_t expect_scenario_matches(const Scenario& sc) {
 
 TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   constexpr std::uint64_t kCases = 1000;
-  std::size_t with_deaths = 0;
+  std::size_t with_deaths = 0, large = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
     SCOPED_TRACE(sc.describe());
     with_deaths += expect_scenario_matches(sc) > 0 ? 1 : 0;
+    large += sc.n > util::SlotSet::kDenseUniverse ? 1 : 0;
     if (::testing::Test::HasFailure()) break;  // one reproducible seed is enough
   }
   EXPECT_GT(with_deaths, kCases / 10);
+  EXPECT_GT(large, kCases / kLargeEvery / 2);
 }
 
 }  // namespace

@@ -117,7 +117,6 @@ RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan
   cfg.seed = 0xCAFE + n;
   cfg.battery_mj = battery_mj;
   cfg.fault_plan = plan;
-  cfg.hybrid_pipeline = n >= 800;
   cfg.fast_forward = fast_forward;
   cfg.recorder = recorder;
   Simulator sim(world.graph, *mac, traffic, cfg);

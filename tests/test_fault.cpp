@@ -351,9 +351,10 @@ TEST(FaultWorld, UnboundedDriftEventuallyLosesTransmissions) {
 TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
   // The cost contract in SimConfig: fault randomness never touches the
   // simulator's own RNG, so an armed plan with nothing in it reproduces the
-  // unarmed run exactly.
+  // unarmed run exactly — also with batteries, where the bare MAC's whole
+  // frames are charged at once (DESIGN.md §8) armed or not.
   const FaultPlan empty(std::vector<FaultEvent>{}, kN);
-  auto run_with = [&](const FaultPlan* plan, bool scalar) {
+  auto run_with = [&](const FaultPlan* plan, bool scalar, double battery_mj) {
     const Schedule s = duty_schedule();
     DutyCycledScheduleMac mac(s);
     ScalarOnlyMac scalar_mac(mac);
@@ -362,15 +363,23 @@ TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
     cfg.seed = 47;
     cfg.packet_error_rate = 0.01;  // exercise the channel RNG stream too
     cfg.fault_plan = plan;
+    cfg.battery_mj = battery_mj;
     Simulator sim(test_graph(), scalar ? static_cast<MacProtocol&>(scalar_mac) : mac,
                   traffic, cfg);
     sim.run(kSlots);
     return sim.stats();
   };
-  for (bool scalar : {false, true}) {
-    const SimStats armed = run_with(&empty, scalar);
-    const SimStats unarmed = run_with(nullptr, scalar);
-    expect_identical_stats(armed, unarmed);
+  for (const double battery_mj : {0.0, 1000.0}) {
+    for (bool scalar : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "battery " << battery_mj << " scalar " << scalar);
+      const SimStats armed = run_with(&empty, scalar, battery_mj);
+      const SimStats unarmed = run_with(nullptr, scalar, battery_mj);
+      expect_identical_stats(armed, unarmed);
+      if (battery_mj > 0.0) {
+        EXPECT_GT(armed.deaths, 0u);
+        expect_identical_stats(armed, run_with(&empty, !scalar, battery_mj));
+      }
+    }
   }
 }
 

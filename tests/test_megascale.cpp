@@ -1,9 +1,10 @@
 // The megascale pipeline (DESIGN.md §13): golden SimStats equality between
-// the dense batched pipeline (every per-slot set pinned dense) and the
-// hybrid pipeline (adaptive sparse/dense SlotSets). Covers all five in-tree
-// MACs, faults armed and disarmed, and several sizes — plus the DomainGrid
-// invariants the grid-accelerated unit-disk builder leans on and the
-// O(batch) traffic source the megascale bench drives.
+// each MAC's batched slot sets and the same MAC behind ScalarOnlyMac, at
+// sizes on both sides of util::SlotSet::kDenseUniverse (dense sets up to
+// 256 nodes, sets that follow their population above). Covers all five
+// in-tree MACs, faults armed and disarmed — plus the DomainGrid invariants
+// the grid-accelerated unit-disk builder leans on and the O(batch) traffic
+// source the megascale bench drives.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +22,9 @@
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/scalar_only_mac.hpp"
 #include "support/stats_equal.hpp"
+#include "util/slot_set.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -95,33 +98,36 @@ std::unique_ptr<MacProtocol> make_mac(MacKind kind, const TestWorld& world) {
 }
 
 SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
-                   bool hybrid) {
+                   bool scalar_only) {
   const std::size_t n = world.graph.num_nodes();
   auto mac = make_mac(kind, world);
+  ScalarOnlyMac scalar(*mac);
   ConvergecastTraffic traffic(n, /*sink=*/0, 0.01);
   SimConfig cfg;
   cfg.seed = 0xCAFE + n;
   cfg.packet_error_rate = 0.01;
   cfg.fault_plan = plan;
-  cfg.hybrid_pipeline = hybrid;
-  Simulator sim(world.graph, *mac, traffic, cfg);
+  Simulator sim(world.graph, scalar_only ? static_cast<MacProtocol&>(scalar) : *mac, traffic,
+                cfg);
   sim.run(kSlots);
   return sim.stats();  // stats() finalizes the derived sleep counters
 }
 
-// The headline golden gate: dense batched vs hybrid, all five MACs, faults
-// armed and disarmed, n ∈ {50, 400, 800}.
-TEST(MegascaleGolden, HybridMatchesDenseBatchedAllMacs) {
-  for (const std::size_t n : {std::size_t{50}, std::size_t{400}, std::size_t{800}}) {
+// The headline golden gate: batched vs ScalarOnlyMac, all five MACs, faults
+// armed and disarmed, at n = 50 and 256 (dense sets) and 257 and 800 (sets
+// that follow their population).
+TEST(MegascaleGolden, AllMacsMatchScalarOnlyOnBothSidesOfDenseUniverse) {
+  constexpr std::size_t kEdge = util::SlotSet::kDenseUniverse;
+  for (const std::size_t n : {std::size_t{50}, kEdge, kEdge + 1, std::size_t{800}}) {
     const TestWorld world = make_world(n, 0xBEEF + n);
     const FaultPlan plan = make_fault_plan(n, 0x5AFE + n);
     for (const MacKind kind :
          {MacKind::kDutyCycled, MacKind::kAloha, MacKind::kUncoordinated,
           MacKind::kCommonActive, MacKind::kColoringTdma}) {
       for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
-        const SimStats dense = run_world(world, kind, p, /*hybrid=*/false);
-        const SimStats hybrid = run_world(world, kind, p, /*hybrid=*/true);
-        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(dense, hybrid))
+        const SimStats scalar = run_world(world, kind, p, /*scalar_only=*/true);
+        const SimStats batched = run_world(world, kind, p, /*scalar_only=*/false);
+        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(scalar, batched))
             << "n=" << n << " mac=" << mac_name(kind)
             << " faults=" << (p != nullptr);
       }

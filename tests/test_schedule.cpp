@@ -62,7 +62,7 @@ TEST(Schedule, RejectsLengthMismatch) {
                std::invalid_argument);
 }
 
-TEST(Schedule, RejectsForeignUniverseAndPinnedSlotSets) {
+TEST(Schedule, RejectsForeignUniverseSlotSets) {
   const auto build = [](util::SlotSet t, util::SlotSet r) {
     std::vector<util::SlotSet> tv, rv;
     tv.push_back(std::move(t));
@@ -72,11 +72,6 @@ TEST(Schedule, RejectsForeignUniverseAndPinnedSlotSets) {
   EXPECT_NO_THROW(build(util::SlotSet(3, {0}), util::SlotSet(3, {1, 2})));
   EXPECT_THROW(build(util::SlotSet(4, {0}), util::SlotSet(3, {1})), std::invalid_argument);
   EXPECT_THROW(build(util::SlotSet(3, {0}), util::SlotSet(3, {0, 1})), std::invalid_argument);
-  // A pinned set's count() writes its cache, so a schedule shared across
-  // threads must not hold one.
-  util::SlotSet pinned(3, {1});
-  pinned.pin_dense();
-  EXPECT_THROW(build(util::SlotSet(3, {0}), std::move(pinned)), std::invalid_argument);
 }
 
 TEST(Schedule, PooledSlotsShareSetsAndCheckIndices) {

@@ -2,9 +2,9 @@
 // between every MAC protocol's batched slot sets and the same MAC driven
 // node-at-a-time through ScalarOnlyMac, the batched MAC slot-set contract,
 // the lazy routing cache, the ring-buffer packet queue, and the
-// zero-allocation steady-state invariant of Simulator::step() on both the
-// dense and the hybrid pipeline (verified with a global operator-new
-// counting hook).
+// zero-allocation steady-state invariant of Simulator::step() with dense
+// and with population-following slot sets (verified with a global
+// operator-new counting hook).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,15 +62,15 @@ constexpr std::size_t kN = 36;
 constexpr std::size_t kD = 4;
 constexpr std::uint64_t kSlots = 10000;
 
-net::Graph test_graph(std::uint64_t seed = 21) {
+net::Graph test_graph(std::uint64_t seed = 21, std::size_t n = kN) {
   util::Xoshiro256 rng(seed);
-  return net::random_bounded_degree_graph(kN, kD, 2 * kN, rng);
+  return net::random_bounded_degree_graph(n, kD, 2 * n, rng);
 }
 
-Schedule duty_schedule() {
+Schedule duty_schedule(std::size_t n = kN, std::size_t alpha_r = kN / 3) {
   return core::construct_duty_cycled(
-      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(kN, kD), kN)), kD, 4,
-      kN / 3);
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, kD), n)), kD, 4,
+      alpha_r);
 }
 
 /// Runs the same (graph, MAC factory, traffic factory, config) with the MAC
@@ -330,14 +330,17 @@ TEST(PacketQueueRing, WrapsAroundWithoutLosingFifoOrder) {
 // ------------------------------------------------------- zero allocations
 
 TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
-  const Schedule s = duty_schedule();
-  for (const bool hybrid : {false, true}) {
-    SCOPED_TRACE(hybrid ? "hybrid pipeline" : "dense pipeline");
+  // Dense sets at n = 36. At n = 300 the sets follow their population,
+  // and αR = 12 keeps R[i] and the listener sets sparse, so the sparse
+  // merges run every slot and must reuse their own capacity (a union that
+  // swapped buffers with the merge scratch allocates here).
+  for (const auto& [n, alpha_r] : {std::pair<std::size_t, std::size_t>{kN, kN / 3}, {300, 12}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " aR=" << alpha_r);
+    const Schedule s = duty_schedule(n, alpha_r);
     DutyCycledScheduleMac mac(s);
-    ConvergecastTraffic traffic(kN, 0, 0.02);  // single sink: one routing column
-    SimConfig config{.seed = 200};
-    config.hybrid_pipeline = hybrid;
-    Simulator sim(test_graph(), mac, traffic, config);
+    ConvergecastTraffic traffic(n, 0, 0.02);  // single sink: one routing column
+    const SimConfig config{.seed = 200};
+    Simulator sim(test_graph(21, n), mac, traffic, config);
     sim.run(3000);  // steady state: routing column built, queues saturated
     // Latency samples are the one unbounded buffer; pre-size it for the
     // measured window (the paper's experiments do the same via reserve()).

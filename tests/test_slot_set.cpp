@@ -1,12 +1,13 @@
-// util::SlotSet — hybrid sparse/dense node sets (DESIGN.md §13).
+// util::SlotSet — sparse/dense node sets (DESIGN.md §13).
 //
 // The central property: a SlotSet is semantically a set over [0, n)
-// regardless of representation. The randomized tests drive long operation
-// sequences through a SlotSet and a reference DynamicBitset in lockstep and
-// assert element-for-element equality after every step — including
-// sequences engineered to oscillate across the promote/demote hysteresis
-// band, where a representation bug would show up as members appearing or
-// vanishing at the switch.
+// regardless of representation, and the representation follows one rule
+// inside SlotSet (dense up to 256 positions, by population above). The
+// randomized tests drive long operation sequences through a SlotSet and a
+// reference DynamicBitset in lockstep and assert element-for-element
+// equality after every step — including sequences engineered to oscillate
+// across the promote/demote hysteresis band, where a representation bug
+// would show up as members appearing or vanishing at the switch.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -39,6 +40,27 @@ void expect_matches(const SlotSet& s, const DynamicBitset& ref, const char* what
     ++seen;
   });
   EXPECT_EQ(seen, ref.count()) << what;
+}
+
+/// A set over a universe above SlotSet::kDenseUniverse holding `members`,
+/// whose count lies inside the hysteresis band, stored as asked: sparse by
+/// adding them, dense by overfilling past the promote threshold and
+/// removing the extras again.
+SlotSet in_band(std::size_t n, const std::vector<std::size_t>& members, bool dense) {
+  SlotSet s(n);
+  for (std::size_t v : members) s.set(v);
+  if (dense) {
+    std::vector<std::size_t> extras;
+    for (std::size_t v = 0; s.count() <= SlotSet::promote_threshold(n); ++v) {
+      if (!s.test(v)) {
+        s.set(v);
+        extras.push_back(v);
+      }
+    }
+    for (std::size_t v : extras) s.reset(v);
+  }
+  EXPECT_EQ(s.is_dense(), dense) << "count " << s.count() << " outside the band at n=" << n;
+  return s;
 }
 
 TEST(SlotSet, StartsSparseAndPromotesAtThreshold) {
@@ -93,32 +115,91 @@ TEST(SlotSet, HysteresisBandIsSticky) {
   EXPECT_TRUE(s.is_dense());
 }
 
-TEST(SlotSet, PinnedDenseNeverDemotes) {
-  SlotSet s(2048);
-  s.pin_dense();
-  EXPECT_TRUE(s.is_dense());
-  EXPECT_TRUE(s.is_pinned_dense());
-  s.set(7);
-  s.reset(7);
-  s.reset_all();
-  EXPECT_TRUE(s.is_dense());
+// The one representation rule for small universes: up to kDenseUniverse
+// = 256 positions a set is dense from every constructor and stays dense
+// through every operation, its count exact throughout; at 257 it starts
+// sparse.
+TEST(SlotSet, SmallUniversesAreDenseFromEveryPath) {
+  ASSERT_EQ(SlotSet::kDenseUniverse, 256u);
+  EXPECT_TRUE(SlotSet().is_dense());
+  for (const std::size_t n : {1u, 64u, 255u, 256u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const std::size_t last = n - 1;
+    EXPECT_TRUE(SlotSet(n).is_dense());
+    EXPECT_TRUE(SlotSet(n, {last}).is_dense());
+    EXPECT_TRUE(SlotSet(n, std::vector<std::uint32_t>{}).is_dense());
+    EXPECT_TRUE(SlotSet(n, std::vector<std::uint32_t>{0}).is_dense());
+
+    SlotSet s(n);
+    DynamicBitset ref(n);
+    const auto check = [&](const char* what) {
+      EXPECT_TRUE(s.is_dense()) << what;
+      expect_matches(s, ref, what);
+    };
+    s.set(last);
+    ref.set(last);
+    check("set");
+    s.reset(last);
+    ref.reset(last);
+    check("reset to empty");
+    s.set_all();
+    ref.set_all();
+    check("set_all");
+    s.reset_all();
+    ref.reset_all();
+    check("reset_all");
+    s.flip_all();
+    ref.flip_all();
+    check("flip_all from empty");
+    s.flip_all();
+    ref.flip_all();
+    check("flip_all to empty");
+
+    const SlotSet one(n, {0});
+    const DynamicBitset ref_one(n, {0});
+    s.copy_from(one);
+    ref.copy_from(ref_one);
+    check("copy_from(SlotSet)");
+    s.copy_from(DynamicBitset(n));
+    ref.reset_all();
+    check("copy_from(empty DynamicBitset)");
+    s.copy_from(ref_one);
+    ref.copy_from(ref_one);
+    check("copy_from(DynamicBitset)");
+    s &= SlotSet(n);
+    ref.reset_all();
+    check("&= empty");
+    s |= one;
+    ref |= ref_one;
+    check("|=");
+    s.subtract(one);
+    ref.subtract(ref_one);
+    check("subtract");
+    s.set_all();
+    ref.set_all();
+    s &= one;
+    ref &= ref_one;
+    check("&=");
+  }
+  const std::size_t big = SlotSet::kDenseUniverse + 1;
+  EXPECT_FALSE(SlotSet(big).is_dense());
+  EXPECT_FALSE(SlotSet(big, {0}).is_dense());
+  EXPECT_FALSE(SlotSet(big, std::vector<std::uint32_t>{0}).is_dense());
+  SlotSet s(big);
   s.set_all();
-  s.flip_all();
   EXPECT_TRUE(s.is_dense());
-  EXPECT_EQ(s.count(), 0u);
-  // copy_from a sparse source densifies rather than adopting.
-  SlotSet sparse(2048, {3, 5, 11});
-  ASSERT_FALSE(sparse.is_dense());
-  s.copy_from(sparse);
-  EXPECT_TRUE(s.is_dense());
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_TRUE(s == sparse);
+  s.reset_all();
+  EXPECT_FALSE(s.is_dense());
+  s.copy_from(DynamicBitset(big, {0}));
+  EXPECT_FALSE(s.is_dense());
 }
 
 TEST(SlotSet, EqualityIsRepresentationTransparent) {
-  SlotSet sparse(1024, {1, 64, 900});
-  SlotSet dense(1024, {1, 64, 900});
-  dense.pin_dense();
+  // n = 1024: the band is [16, 32] members.
+  std::vector<std::size_t> members = {1, 64, 900};
+  for (std::size_t v = 100; members.size() < 20; v += 37) members.push_back(v);
+  const SlotSet sparse = in_band(1024, members, false);
+  SlotSet dense = in_band(1024, members, true);
   ASSERT_FALSE(sparse.is_dense());
   ASSERT_TRUE(dense.is_dense());
   EXPECT_TRUE(sparse == dense);
@@ -142,19 +223,19 @@ TEST(SlotSet, CopyFromAdoptsSourceRepresentation) {
 }
 
 TEST(SlotSet, IntersectionCountAcrossAllRepresentationPairs) {
-  const std::size_t n = 1024;
-  // a: {0, 4, 8, ...}; b: {0, 6, 12, ...}; intersection = multiples of 12.
+  // n = 4096: the band is [64, 128] members. a: {0, 40, 80, ...} (103
+  // members); b: {0, 60, 120, ...} (69); intersection = multiples of 120.
+  const std::size_t n = 4096;
   const auto build = [n](std::size_t stride, bool dense) {
-    SlotSet s(n);
-    if (dense) s.pin_dense();
-    for (std::size_t v = 0; v < n; v += stride) s.set(v);
-    return s;
+    std::vector<std::size_t> members;
+    for (std::size_t v = 0; v < n; v += stride) members.push_back(v);
+    return in_band(n, members, dense);
   };
-  const std::size_t expected = (n + 11) / 12;  // |multiples of lcm(4,6) in [0,n)|
+  const std::size_t expected = (n + 119) / 120;  // |multiples of lcm(40,60) in [0,n)|
   for (bool a_dense : {false, true}) {
     for (bool b_dense : {false, true}) {
-      const SlotSet a = build(4, a_dense);
-      const SlotSet b = build(6, b_dense);
+      const SlotSet a = build(40, a_dense);
+      const SlotSet b = build(60, b_dense);
       EXPECT_EQ(a.intersection_count(b), expected)
           << "a_dense=" << a_dense << " b_dense=" << b_dense;
       EXPECT_EQ(b.intersection_count(a), expected);
@@ -163,8 +244,8 @@ TEST(SlotSet, IntersectionCountAcrossAllRepresentationPairs) {
       EXPECT_EQ(a.intersection_count(b.to_dense_bitset()), expected);
     }
   }
-  const SlotSet evens = build(2, false);
-  SlotSet odds(n);
+  SlotSet evens(n), odds(n);
+  for (std::size_t v = 0; v < n; v += 2) evens.set(v);
   for (std::size_t v = 1; v < n; v += 2) odds.set(v);
   EXPECT_EQ(evens.intersection_count(odds), 0u);
   EXPECT_FALSE(evens.intersects(odds));
@@ -271,63 +352,6 @@ TEST(SlotSet, RandomOperationSequencesMatchReferenceBitset) {
       EXPECT_EQ(s.to_vector(), ref.to_vector());
       EXPECT_TRUE(s.to_dense_bitset() == ref);
     }
-  }
-}
-
-// Same sequences with the SlotSet pinned dense: pinning changes cost, never
-// semantics.
-TEST(SlotSet, PinnedRandomSequencesMatchReferenceBitset) {
-  const std::size_t n = 700;
-  util::Xoshiro256 rng(0xF00D);
-  SlotSet s(n);
-  s.pin_dense();
-  DynamicBitset ref(n);
-  SlotSet other(n);  // unpinned: exercises mixed-representation operands
-  DynamicBitset ref_other(n);
-  for (int step = 0; step < 300; ++step) {
-    if (step % 5 == 0) {
-      other.reset_all();
-      ref_other.reset_all();
-      const double p = rng.uniform01() * 0.3;
-      for (std::size_t v = 0; v < n; ++v) {
-        if (rng.bernoulli(p)) {
-          other.set(v);
-          ref_other.set(v);
-        }
-      }
-    }
-    switch (rng.below(6)) {
-      case 0: {
-        const auto v = static_cast<std::size_t>(rng.below(n));
-        s.set(v);
-        ref.set(v);
-        break;
-      }
-      case 1: {
-        const auto v = static_cast<std::size_t>(rng.below(n));
-        s.reset(v);
-        ref.reset(v);
-        break;
-      }
-      case 2:
-        s |= other;
-        ref |= ref_other;
-        break;
-      case 3:
-        s &= other;
-        ref &= ref_other;
-        break;
-      case 4:
-        s.subtract(other);
-        ref.subtract(ref_other);
-        break;
-      default:
-        s.flip_all();
-        ref.flip_all();
-        break;
-    }
-    ASSERT_TRUE(s.is_dense()) << "pinned set demoted at step " << step;
-    ASSERT_NO_FATAL_FAILURE(expect_matches(s, ref, "pinned sequence")) << "step " << step;
   }
 }
 

@@ -32,6 +32,7 @@ set(cases
   "--cell-timeout|inf"
   "--cell-timeout|1s"
   "--shard-workers|2"
+  "--hybrid"
   "--slots")
 
 set(failures 0)

@@ -2,8 +2,8 @@
 // (DESIGN.md §14).
 //
 // The repo's load-bearing guarantee — bit-identical aggregates at any worker
-// count, on resume from a killed journal, and across scalar/batched/hybrid
-// pipelines — is a *source* property: it dies the moment an unordered
+// count, on resume from a killed journal, and across scalar-only/batched
+// MAC paths — is a *source* property: it dies the moment an unordered
 // container's iteration order escapes into a fold, a wall-clock read feeds
 // sim state, or a float reduction runs in thread-completion order. Golden
 // tests catch the symptom after the fact; this analyzer stops the hazard

@@ -57,8 +57,6 @@ int usage(const char* argv0) {
       << "  --cell-timeout SEC    per-cell watchdog, >= 0; 0 disables (default 0)\n"
       << "  --fault-intensity X   0 disarms faults; (0,1] scales crash/link/jam\n"
       << "                        rates of the per-cell FaultPlan (default 0)\n"
-      << "  --hybrid              adaptive sparse/dense slot sets per cell\n"
-      << "                        (bit-identical stats; see DESIGN.md #13)\n"
       << "  --out PATH            write the aggregate JSON here (default stdout)\n";
   return 2;
 }
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
   std::uint64_t slots = 20000, master_seed = 0x5eed;
   double rate = 0.003, fault_intensity = 0.0, cell_timeout = 0.0;
   int workers = 0, max_attempts = 3;
-  bool serial = false, resume = true, hybrid = false;
+  bool serial = false, resume = true;
   std::string journal_path, out_path;
 
   constexpr std::string_view kTool = "ttdc-campaign";
@@ -112,8 +110,6 @@ int main(int argc, char** argv) {
       ok = (v = value()) && parse_real(kTool, arg, v, 0.0, kAnyReal, cell_timeout);
     } else if (arg == "--fault-intensity") {
       ok = (v = value()) && parse_real(kTool, arg, v, 0.0, 1.0, fault_intensity);
-    } else if (arg == "--hybrid") {
-      hybrid = true;
     } else if (arg == "--out") {
       ok = (v = value()) != nullptr;
       if (ok) out_path = v;
@@ -142,8 +138,7 @@ int main(int argc, char** argv) {
     std::string name("cell");
     name += std::to_string(c);
     campaign.add(std::move(name),
-                 [&grid, n, slots, rate, fault_intensity,
-                  hybrid](runner::CellContext& ctx) {
+                 [&grid, n, slots, rate, fault_intensity](runner::CellContext& ctx) {
                    // best_plan picks valid family parameters for any n (a
                    // fixed polynomial family only covers n <= q^(k+1)).
                    std::string key("base:best(n=");
@@ -159,7 +154,6 @@ int main(int argc, char** argv) {
                    sim::SimConfig cfg;
                    cfg.seed = ctx.seed();
                    cfg.shared_routing = routing.get();
-                   cfg.hybrid_pipeline = hybrid;
                    std::unique_ptr<sim::FaultPlan> plan;
                    if (fault_intensity > 0.0) {
                      sim::FaultPlanConfig fc;
