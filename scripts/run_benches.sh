@@ -18,6 +18,8 @@
 # bench_fastforward) and compares
 # them against the committed baselines
 # (bench/baselines/), failing on a >25% regression of any *_speedup metric.
+# A failing bench does not stop the check: every bench runs and prints a
+# verdict line, and the script exits non-zero at the end if any failed.
 # The speedups are gated because the paired measurement cancels machine
 # load and clock drift; absolute slots/sec are printed for context but not
 # gated (they halve under a concurrent build). Regenerate a baseline (copy
@@ -118,20 +120,39 @@ EOF
 if [ "$perf_check" -eq 1 ]; then
   cmake --build "$build_dir" -j "$(nproc)" --target bench_sim_hotpath bench_campaign \
     bench_fault_resilience bench_megascale bench_fastforward
+  # Every gated bench runs and prints a verdict: a failure (the bench's own
+  # gate, a missing report or baseline, a regression against the baseline)
+  # is recorded and the check goes on to the next bench.
   status=0
+  failed=()
   for spec in "bench_sim_hotpath:" "bench_campaign:--perf-check" "bench_fault_resilience:" \
               "bench_megascale:" "bench_fastforward:"; do
     name="${spec%%:*}"
     flag="${spec#*:}"
     echo "=== $name (perf check) ==="
-    # shellcheck disable=SC2086
-    "$build_dir/bench/$name" $flag
     report="$bench_dir/BENCH_${name#bench_}.json"
     baseline="$repo_root/bench/baselines/BENCH_${name#bench_}.baseline.json"
-    [ -s "$report" ] || { echo "MISSING REPORT: $report" >&2; exit 1; }
-    [ -s "$baseline" ] || { echo "MISSING BASELINE: $baseline" >&2; exit 1; }
-    compare_baseline "$report" "$baseline" || status=1
+    rm -f "$report"  # a report from an earlier run must not stand in for this one
+    verdict=""
+    # shellcheck disable=SC2086
+    "$build_dir/bench/$name" $flag || verdict="bench gate failed"
+    if [ ! -s "$report" ]; then
+      verdict="${verdict:+$verdict; }missing report $report"
+    elif [ ! -s "$baseline" ]; then
+      verdict="${verdict:+$verdict; }missing baseline $baseline"
+    elif ! compare_baseline "$report" "$baseline"; then
+      verdict="${verdict:+$verdict; }regression against the baseline"
+    fi
+    echo "=== $name verdict: ${verdict:-ok} ==="
+    if [ -n "$verdict" ]; then
+      status=1
+      failed+=("$name: $verdict")
+    fi
   done
+  if [ "$status" -ne 0 ]; then
+    echo "perf check FAILED:" >&2
+    printf '  %s\n' "${failed[@]}" >&2
+  fi
   exit "$status"
 fi
 

@@ -28,7 +28,9 @@ DomainGrid::DomainGrid(const Positions& pos, double radius) {
   std::size_t desired = kMaxCellsPerAxis;
   if (radius >= 1.0) {
     desired = 1;
-  } else if (radius > 0.0) {
+  } else if (radius * static_cast<double>(kMaxCellsPerAxis) > 1.0) {
+    // Only here is 1/radius below the lattice bound, so the conversion is
+    // in range (a tiny radius would overflow it).
     desired = static_cast<std::size_t>(1.0 / radius);
   }
   const auto occupancy_cap =

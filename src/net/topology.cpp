@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 
 namespace ttdc::net {
@@ -97,15 +99,14 @@ Graph unit_disk_graph(const Positions& pos, double radius, std::size_t max_degre
                       const DomainGrid& grid) {
   const std::size_t n = pos.x.size();
   Graph g(n);
-  // Candidate edges sorted by length; accept greedily under the degree cap,
-  // so the pruning removes the longest (weakest) links first. Candidates
-  // come from each node's 3x3 cell neighborhood — the grid invariant
-  // guarantees every pair within `radius` is enumerated — and the sort key
-  // carries (a, b) as a tie-break so the result is independent of cell
-  // bucket order.
+  // Candidate edges in (length, a, b) order; accept greedily under the
+  // degree cap, so the pruning removes the longest (weakest) links first.
+  // Candidates come from each node's 3x3 cell neighborhood — the grid
+  // invariant guarantees every pair within `radius` is enumerated — and the
+  // (a, b) tie-break makes the result independent of cell bucket order.
   struct Cand {
     double dist;
-    std::size_t a, b;
+    std::uint32_t a, b;  // DomainGrid node ids are 32-bit
   };
   std::vector<Cand> cands;
   for (std::size_t a = 0; a < n; ++a) {
@@ -114,15 +115,43 @@ Graph unit_disk_graph(const Positions& pos, double radius, std::size_t max_degre
       const double dx = pos.x[a] - pos.x[b];
       const double dy = pos.y[a] - pos.y[b];
       const double dist = std::sqrt(dx * dx + dy * dy);
-      if (dist <= radius) cands.push_back({dist, a, b});
+      if (dist <= radius) {
+        cands.push_back({dist, static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b)});
+      }
     });
   }
-  std::sort(cands.begin(), cands.end(), [](const Cand& l, const Cand& r) {
+  // The order is one comparison sort's, built as a counting sort: bucket
+  // each candidate by dist · (buckets / radius), which rounds monotonically
+  // in dist, so the buckets come in distance order, then sort each (small)
+  // bucket by the full key. A zero or tiny radius (an infinite scale) puts
+  // everything in bucket 0.
+  const std::size_t buckets = std::max<std::size_t>(cands.size(), 1);
+  const double scale = static_cast<double>(buckets) / radius;
+  const bool one_bucket = !(radius > 0.0) || !std::isfinite(scale);
+  const auto bucket_of = [&](double dist) -> std::size_t {
+    if (one_bucket) return 0;
+    const double b = dist * scale;
+    return b < static_cast<double>(buckets) ? static_cast<std::size_t>(b) : buckets - 1;
+  };
+  const auto key_less = [](const Cand& l, const Cand& r) {
     if (l.dist != r.dist) return l.dist < r.dist;
     if (l.a != r.a) return l.a < r.a;
     return l.b < r.b;
-  });
-  for (const auto& c : cands) {
+  };
+  // begin[i] is bucket i's first slot until the scatter advances it to the
+  // bucket's end, where bucket i + 1 begins.
+  std::vector<std::size_t> begin(buckets + 1, 0);
+  for (const Cand& c : cands) ++begin[bucket_of(c.dist) + 1];
+  for (std::size_t i = 0; i < buckets; ++i) begin[i + 1] += begin[i];
+  std::vector<Cand> sorted(cands.size());
+  for (const Cand& c : cands) sorted[begin[bucket_of(c.dist)]++] = c;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < buckets; ++i) {
+    const std::size_t last = begin[i];
+    if (last - first > 1) std::sort(sorted.begin() + first, sorted.begin() + last, key_less);
+    first = last;
+  }
+  for (const auto& c : sorted) {
     if (g.degree(c.a) < max_degree && g.degree(c.b) < max_degree) g.add_edge(c.a, c.b);
   }
   return g;

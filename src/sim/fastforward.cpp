@@ -398,6 +398,10 @@ void Simulator::replay_frame(const FastForwardState::Entry& entry, std::uint64_t
       backlogged_.set(post.node);
       refresh_head_routability(post.node);
     }
+    // The rewrite bypasses queue_pop, so it reports the queues it emptied.
+    for (const FastForwardState::PreQueue& pre : entry.pre_queues) {
+      if (queues_[pre.node].empty()) traffic_.on_queue_drained(pre.node);
+    }
   }
 
   stats_.transmissions += entry.transmissions * k;

@@ -514,6 +514,12 @@ void Simulator::resolve_receptions() {
   }
 }
 
+void Simulator::queue_drained(std::size_t node) {
+  backlogged_.reset(node);
+  unroutable_head_.reset(node);
+  traffic_.on_queue_drained(node);
+}
+
 void Simulator::record_head_of_line(std::size_t node) {
   const Packet& head = queues_[node].front();
   const std::size_t hop = routing_view_->next_hop(node, head.destination);

@@ -164,7 +164,7 @@ class Simulator {
   [[nodiscard]] const net::Graph& graph() const { return graph_; }
   [[nodiscard]] std::uint64_t now() const { return now_; }
 
-  /// Backlog probe for SaturatedFlows.
+  /// Backlog probe for SaturatedFlows (the probe its contract requires).
   [[nodiscard]] std::size_t queue_size(std::size_t node) const {
     return queues_[node].size();
   }
@@ -304,13 +304,16 @@ class Simulator {
   void queue_pop(std::size_t node) {
     queues_[node].pop();
     if (queues_[node].empty()) {
-      backlogged_.reset(node);
-      unroutable_head_.reset(node);
+      queue_drained(node);
     } else {
       refresh_head_routability(node);
       if (recording_) record_head_of_line(node);
     }
   }
+  /// `node`'s queue just became empty: clears its mirror bits and tells the
+  /// traffic source (TrafficSource::on_queue_drained). Out of line so that
+  /// queue_pop stays small enough to inline into phase 1's per-node walk.
+  void queue_drained(std::size_t node);
   void refresh_head_routability(std::size_t node) {
     const std::size_t hop = routing_view_->next_hop(node, queues_[node].front().destination);
     if (hop == static_cast<std::size_t>(-1)) {

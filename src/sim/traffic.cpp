@@ -1,11 +1,56 @@
 #include "sim/traffic.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace ttdc::sim {
+
+SaturatedFlows::SaturatedFlows(std::vector<std::pair<std::size_t, std::size_t>> flows,
+                               BacklogFn backlog)
+    : flows_(std::move(flows)), backlog_(std::move(backlog)), pending_(flows_.size()) {
+  pending_.set_all();
+  // Counting sort of the flow indices by source, ascending within a source.
+  std::size_t sources = 0;
+  for (const auto& [src, dst] : flows_) sources = std::max(sources, src + 1);
+  first_flow_.assign(sources + 1, 0);
+  for (const auto& [src, dst] : flows_) ++first_flow_[src + 1];
+  for (std::size_t v = 0; v < sources; ++v) first_flow_[v + 1] += first_flow_[v];
+  flows_by_source_.resize(flows_.size());
+  std::vector<std::uint32_t> next(first_flow_.begin(), first_flow_.end() - 1);
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    flows_by_source_[next[flows_[f].first]++] = static_cast<std::uint32_t>(f);
+  }
+}
+
+void SaturatedFlows::generate(std::uint64_t, util::Xoshiro256&, const EmitFn& emit) {
+  // Ascending flow order, as a scan of every flow would emit. emit() only
+  // pushes, so no bit of pending_ changes under the walk but the ones it
+  // clears itself.
+  constexpr std::size_t kBits = util::DynamicBitset::kWordBits;
+  for (std::size_t w = 0; w < pending_.words().size(); ++w) {
+    for (util::DynamicBitset::Word bits = pending_.word(w); bits != 0; bits &= bits - 1) {
+      const std::size_t f = w * kBits + static_cast<std::size_t>(std::countr_zero(bits));
+      const auto& [src, dst] = flows_[f];
+      if (backlog_(src) == 0) {
+        emit(src, dst);
+      } else {
+        pending_.reset(f);
+      }
+    }
+  }
+}
+
+void SaturatedFlows::on_queue_drained(std::size_t node) {
+  if (node + 1 >= first_flow_.size()) return;  // no flow starts here
+  for (std::uint32_t i = first_flow_[node]; i < first_flow_[node + 1]; ++i) {
+    pending_.set(flows_by_source_[i]);
+  }
+}
 
 LookaheadConvergecastTraffic::LookaheadConvergecastTraffic(std::size_t num_nodes,
                                                            std::size_t sink, double rate,

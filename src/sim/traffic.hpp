@@ -7,6 +7,7 @@
 
 #include "net/graph.hpp"
 #include "net/routing.hpp"
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::sim {
@@ -46,29 +47,45 @@ class TrafficSource {
     (void)from;
     return kNoEmission;
   }
+
+  /// Called by the simulator whenever `node`'s queue becomes empty: a hop
+  /// success or an unroutable drop took its last packet, or a replayed
+  /// frame left it empty. These are the only ways a queue shrinks, so a
+  /// source that tracks backlogs needs no other signal. Default: ignored.
+  virtual void on_queue_drained(std::size_t node) { (void)node; }
 };
 
 /// Saturated directed flows: each (src, dst) flow keeps the source
-/// backlogged — the simulator tells the source how many packets the origin
-/// currently holds via the `backlog` probe and the source tops it up to 1.
-/// This reproduces the paper's worst case: "each neighbor has a packet to
-/// transmit" in every eligible slot.
+/// backlogged — the `backlog` probe reports how many packets the origin
+/// holds and the source tops it up to 1. This reproduces the paper's worst
+/// case: "each neighbor has a packet to transmit" in every eligible slot.
+///
+/// The probe must report the origin's queue length in the simulator that
+/// drives this source (Simulator::queue_size), because generate() probes
+/// only the pending flows: every flow starts pending, leaves once its probe
+/// reads non-zero, and rejoins when on_queue_drained() reports its source.
+/// A queue shrinks only through the paths that notify and generate() only
+/// adds packets, so every flow it skips would have read a non-zero backlog:
+/// the emissions, in flow order, are those of probing every flow every
+/// slot. A rejected emission (dead or crashed origin) leaves the flow
+/// pending, so it is retried every slot.
 class SaturatedFlows final : public TrafficSource {
  public:
   using BacklogFn = std::function<std::size_t(std::size_t)>;
 
-  SaturatedFlows(std::vector<std::pair<std::size_t, std::size_t>> flows, BacklogFn backlog)
-      : flows_(std::move(flows)), backlog_(std::move(backlog)) {}
+  SaturatedFlows(std::vector<std::pair<std::size_t, std::size_t>> flows, BacklogFn backlog);
 
-  void generate(std::uint64_t, util::Xoshiro256&, const EmitFn& emit) override {
-    for (const auto& [src, dst] : flows_) {
-      if (backlog_(src) == 0) emit(src, dst);
-    }
-  }
+  void generate(std::uint64_t, util::Xoshiro256&, const EmitFn& emit) override;
+  void on_queue_drained(std::size_t node) override;
 
  private:
   std::vector<std::pair<std::size_t, std::size_t>> flows_;
   BacklogFn backlog_;
+  util::DynamicBitset pending_;  // flow indices generate() probes
+  // Node -> flows with that source: flows_by_source_[first_flow_[v] ..
+  // first_flow_[v + 1]), for every v below first_flow_.size() - 1.
+  std::vector<std::uint32_t> first_flow_;
+  std::vector<std::uint32_t> flows_by_source_;
 };
 
 /// Light random traffic: each node independently generates a packet with
