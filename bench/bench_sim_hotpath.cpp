@@ -10,7 +10,10 @@
 // bench_megascale's job).
 //
 // An informational ladder, n<N>_saturated_batched_*, records the batched
-// rate under SaturatedFlows (every node backlogged toward a neighbour).
+// rate under SaturatedFlows (every node backlogged toward a neighbour), and
+// another, n<N>_run1_batched_*, the batched rate when the timed window is
+// driven as run(1) calls, so that every slot is a one-slot span: a span
+// cost that grows with n shows there (DESIGN.md §8).
 // Emits BENCH_sim_hotpath.json (consumed by scripts/run_benches.sh
 // --perf-check for regression tracking against the committed baseline).
 #include <algorithm>
@@ -39,6 +42,7 @@ using namespace ttdc;
 constexpr std::uint64_t kWarmup = 2000;
 constexpr int kPairs = 9;
 constexpr int kSaturatedReps = 5;
+constexpr int kRun1Reps = 5;
 constexpr double kGateN = 400;
 constexpr double kGateSpeedup = 3.0;
 
@@ -57,8 +61,9 @@ std::vector<std::pair<std::size_t, std::size_t>> saturated_flows(const net::Grap
   return flows;
 }
 
+/// `chunk` > 0 drives the timed window as run(chunk) calls instead of one.
 double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool scalar_only,
-                      bool saturated) {
+                      bool saturated, std::uint64_t chunk = 0) {
   sim::DutyCycledScheduleMac mac(duty);
   sim::ScalarOnlyMac scalar_mac(mac);
   sim::Simulator* running = nullptr;
@@ -76,7 +81,11 @@ double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool scal
   sim.run(kWarmup);
   const std::uint64_t timed = timed_slots(g.num_nodes());
   util::Timer timer;
-  sim.run(timed);
+  if (chunk == 0) {
+    sim.run(timed);
+  } else {
+    for (std::uint64_t done = 0; done < timed; done += chunk) sim.run(chunk);
+  }
   return static_cast<double>(timed) / timer.seconds();
 }
 
@@ -91,6 +100,7 @@ int main() {
   report.param("traffic", "bernoulli_0.01");
   report.param("pairs", static_cast<std::int64_t>(kPairs));
   report.param("saturated_reps", static_cast<std::int64_t>(kSaturatedReps));
+  report.param("run1_reps", static_cast<std::int64_t>(kRun1Reps));
   report.param("warmup_slots", static_cast<std::int64_t>(kWarmup));
   report.param("gate_n", static_cast<std::int64_t>(kGateN));
   report.param("gate_speedup", kGateSpeedup);
@@ -98,7 +108,7 @@ int main() {
   bool gate_ok = false;
   double gate_speedup = 0.0;
   std::cout << "simulator hot path (slots/sec; scalar = MAC behind ScalarOnlyMac)\n"
-            << "    n     scalar/s    batched/s  speedup  sat.batched/s\n";
+            << "    n     scalar/s    batched/s  speedup  sat.batched/s  run1.batched/s\n";
   for (std::size_t n : {50, 100, 200, 400, 800, 1600, 3200}) {
     util::Xoshiro256 rng(3);
     const net::Graph g = net::random_bounded_degree_graph(n, 4, 2 * n, rng);
@@ -125,16 +135,24 @@ int main() {
       sat_batched_rates.push_back(
           slot_rate_once(g, duty, /*scalar_only=*/false, /*saturated=*/true));
     }
+    // One-slot spans: batched only (max over reps).
+    std::vector<double> run1_batched_rates;
+    for (int rep = 0; rep < kRun1Reps; ++rep) {
+      run1_batched_rates.push_back(slot_rate_once(g, duty, /*scalar_only=*/false,
+                                                  /*saturated=*/false, /*chunk=*/1));
+    }
     const double scalar = max_of(scalar_rates);
     const double batched = max_of(batched_rates);
     const double sat_batched = max_of(sat_batched_rates);
+    const double run1_batched = max_of(run1_batched_rates);
     std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << speedup << "x  "
-              << sat_batched << "\n";
+              << sat_batched << "  " << run1_batched << "\n";
     std::string key = "n";
     key += std::to_string(n);
     report.metric(key + "_scalar_slots_per_sec", scalar);
     report.metric(key + "_batched_slots_per_sec", batched);
     report.metric(key + "_saturated_batched_slots_per_sec", sat_batched);
+    report.metric(key + "_run1_batched_slots_per_sec", run1_batched);
     // The extended ladder rows (n > 800) are informational only: no
     // *_speedup key, so --perf-check never gates them.
     if (n <= 800) report.metric(key + "_speedup", speedup);

@@ -263,9 +263,9 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
     ff.pre_delivered_by_origin[v] = stats_.delivered_by_origin[v];
   }
 
-  // --- the frame itself, slot-accurate (charged per frame when it can be:
-  // the stats and state it leaves are the per-slot path's) ---
-  step_frame(period);
+  // --- the frame itself, slot-accurate (charged as one span when it can
+  // be: the stats and state it leaves are the per-slot path's) ---
+  step_span(now_ + period);
 
   // --- taint checks: anything a replay could not reproduce exactly ---
   // rng_ advancing means a per-slot draw happened on some path the arming

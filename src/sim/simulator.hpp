@@ -123,8 +123,11 @@ class Simulator {
             const SimConfig& config = {});
 
   /// Runs `slots` additional slots (cumulative; stats keep accumulating).
-  /// Whole frames of a MAC's periodic_schedule() inside the call may be
-  /// charged per frame (DESIGN.md §8); stats(), alive_count(),
+  /// Under a MAC with a fast_forward_period() the call is cut at frame
+  /// boundaries into spans (whole frames and the ragged head and tail the
+  /// call's ends leave), each offered to fast-forward when whole and
+  /// otherwise stepped by step_span(), which charges a periodic_schedule()
+  /// per span (DESIGN.md §8); stats(), alive_count(),
   /// remaining_battery_mj() and audit_invariants() are exact between calls.
   void run(std::uint64_t slots);
 
@@ -228,22 +231,22 @@ class Simulator {
   void account_energy_scalar();
   void account_energy_batched();                 // phase 3, set-driven
 
-  // --- charged frames (phase 3 per frame, DESIGN.md §8) ---
-  /// Runs the `period` slots from the frame boundary now_; run() calls it
-  /// only when the whole frame lies inside the current call. The frame is
-  /// charged when begin_charged_frame() accepts it and stepped through the
-  /// per-slot phase 3 otherwise.
-  void step_frame(std::uint64_t period);
-  /// Accepts the frame for charging — every live node paid its scheduled
-  /// listen slots and wakeups up front, charging_ set — when no fault plan
-  /// is armed, the MAC advertises a periodic_schedule() over this graph
-  /// with frame length `period`, and (with batteries) no live node can die
-  /// inside the frame whatever transmits. Otherwise it changes nothing.
-  void begin_charged_frame(std::uint64_t period);
-  /// Phase 3 inside a charged frame: only this slot's transmitters, with
+  // --- charged spans (phase 3 per span, DESIGN.md §8) ---
+  /// Steps the slots [now_, stop), which run() keeps inside one frame. The
+  /// span is charged when begin_charged_span() accepts it and stepped
+  /// through the per-slot phase 3 otherwise.
+  void step_span(std::uint64_t stop);
+  /// Accepts the span [now_, stop) for charging — every live node paid its
+  /// scheduled listen slots and wakeups in the span up front, charging_
+  /// set — when no fault plan acts, the MAC advertises a
+  /// periodic_schedule() over this graph, the span lies inside one of its
+  /// frames, and (with batteries) no live node can die inside the span
+  /// whatever transmits. Otherwise it changes nothing.
+  void begin_charged_span(std::uint64_t stop);
+  /// Phase 3 inside a charged span: only this slot's transmitters, with
   /// the wakeups a transmission adds or cancels.
   void charge_transmitters();
-  /// Per-node counts over one frame of `schedule` (see FrameTotals).
+  /// Per-node counts over one whole frame of `schedule` (see FrameTotals).
   void count_frame_totals(const core::Schedule& schedule);
   void kill_node(std::size_t v);
   /// Sleep drain every live node has paid over `slots` slots, in battery
@@ -445,10 +448,12 @@ class Simulator {
   std::int64_t b_transmit_ = 0, b_receive_ = 0, b_listen_ = 0, b_sleep_ = 0;
   std::int64_t b_wakeup_ = 0;
 
-  // Charged frames. A periodic <T, R> makes each node's scheduled activity
-  // per frame a closed form, counted once per simulator (at the first frame
-  // offered for charging, so constructors stay cheap) over the schedule's
-  // pooled sets, each distinct set visited once with its multiplicity.
+  // Charged spans. A periodic <T, R> makes each node's scheduled activity
+  // over a stretch of frame slots a closed form, counted over the
+  // schedule's pooled sets, each distinct set visited once with its
+  // multiplicity. A whole frame's counts are kept per node: counted once
+  // per simulator, at the first whole frame offered for charging, so
+  // constructors stay cheap.
   struct FrameTotals {
     const core::Schedule* schedule = nullptr;  // the schedule counted, null before
     std::vector<std::uint32_t> listen;    // #{i : v ∈ R[i]}
@@ -456,13 +461,25 @@ class Simulator {
     std::vector<std::uint32_t> transmit;  // #{i : v ∈ T[i]}
   };
   FrameTotals frame_totals_;
-  const core::Schedule* charging_ = nullptr;  // non-null inside a charged frame
-  std::uint64_t frame_start_ = 0;             // first slot of the charged frame
-  std::vector<std::size_t> prev_tx_nodes_;    // charged frame: last slot's tx_nodes_
+  // A partial span is charged straight from its distinct pooled sets. Its
+  // scratch is sized once to its bounds (the pool sizes and the frame
+  // length) at the first partial span, so no later span allocates and a
+  // run that never cuts a frame never allocates it.
+  struct SpanScratch {
+    std::vector<std::uint32_t> multiplicity;  // per pool index; zero between spans
+    std::vector<std::uint32_t> pools;         // pool indices the span's slots use
+    std::vector<std::uint64_t> pairs;         // (R[i-1], R[i]) pool-index pairs
+  };
+  SpanScratch span_;
+  const core::Schedule* charging_ = nullptr;  // non-null inside a charged span
+  std::uint64_t frame_start_ = 0;             // first slot of the charged span's frame
+  std::size_t span_first_ = 0;                // the charged span's first and last
+  std::size_t span_last_ = 0;                 // frame slots
+  std::vector<std::size_t> prev_tx_nodes_;    // charged span: last slot's tx_nodes_
 
   // Fast-forward engine state; null whenever the arming conditions in the
-  // constructor do not hold, in which case run() steps every frame itself
-  // (step_frame) without consulting the engine.
+  // constructor do not hold, in which case run() steps every span itself
+  // (step_span) without consulting the engine.
   std::unique_ptr<FastForwardState> ff_;
 
   static constexpr std::uint64_t kNeverDied = ~std::uint64_t{0};

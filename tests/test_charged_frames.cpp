@@ -1,10 +1,13 @@
-// Charged frames (DESIGN.md §8): under a MAC that advertises its periodic
-// <T, R>, the simulator charges each whole frame's scheduled listening and
-// wakeups once at the frame start and only transmitters per slot. These
-// tests hold that path to the per-slot phase 3 of ScalarOnlyMac, which does
-// not advertise a schedule: a seeded randomized differential over the
-// scenario space, targeted cases for the slot-0 wake, the no-death bound
-// and its clamp, and the closed form of a silent network's frame.
+// Charged spans (DESIGN.md §8): under a MAC that advertises its periodic
+// <T, R>, the simulator charges the scheduled listening and wakeups of each
+// span it steps inside one frame (a whole frame, or the ragged head and
+// tail a run() boundary leaves) once at the span start and only
+// transmitters per slot. These tests hold that path to the per-slot phase 3
+// of ScalarOnlyMac, which does not advertise a schedule: a seeded
+// randomized differential over the scenario space, every span start and
+// end of a short schedule, targeted cases for the slot-0 wake, the
+// no-death bound and its clamp, and the closed form of a silent network's
+// frames, whole and cut.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "combinatorics/params.hpp"
@@ -101,8 +105,10 @@ void expect_same_outcome(const RunOutcome& oracle, const RunOutcome& charged) {
 }
 
 /// Runs the edge schedule on a 4-ring with the given traffic maker and
-/// config, under ScalarOnlyMac in one call and bare in whole frames (and in
-/// one call), and asserts identical outcomes. Returns the oracle's.
+/// config, under ScalarOnlyMac in one call and bare in one call and in
+/// chunks of every length from 1 to L+1 (so every span start and end meets
+/// the schedule's transmitters), and asserts identical outcomes. Returns the
+/// oracle's.
 template <typename MakeTraffic>
 RunOutcome expect_edge_schedule_matches(MakeTraffic make_traffic, const SimConfig& config,
                                         std::uint64_t slots, bool aware = true) {
@@ -112,7 +118,7 @@ RunOutcome expect_edge_schedule_matches(MakeTraffic make_traffic, const SimConfi
   auto oracle_traffic = make_traffic();
   Simulator oracle_sim(net::ring_graph(4), scalar, *oracle_traffic, config);
   const RunOutcome oracle = run_split(oracle_sim, slots, 0);
-  for (const std::uint64_t chunk : {std::uint64_t{0}, std::uint64_t{s.frame_length()}}) {
+  for (std::uint64_t chunk = 0; chunk <= s.frame_length() + 1; ++chunk) {
     SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
     DutyCycledScheduleMac mac(s, aware);
     auto traffic = make_traffic();
@@ -210,7 +216,9 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
   // A silent network from boot over k whole frames: every node listens
   // k·|recv(x)| slots, wakes k times per cyclic run of recv(x) plus once at
   // boot when it listens in both slot L-1 and slot 0, and its remaining
-  // budget is what those counts cost.
+  // budget is what those counts cost. The same k frames run once in one
+  // call and once in seeded ragged chunks, whose spans start and end
+  // anywhere in a frame; the closed form holds for both.
   // αR = n/2 puts three nodes in both R[L-1] and R[0].
   constexpr std::size_t kN = 20, kD = 3;
   const Schedule s = core::construct_duty_cycled(
@@ -222,8 +230,9 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
   const EnergyModel e;
   const double battery_mj = 1e6;
   std::size_t boot_wakes = 0;
-  for (const bool fast_forward : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "ff " << fast_forward);
+  for (const auto& [fast_forward, ragged] :
+       {std::pair{false, false}, {true, false}, {false, true}, {true, true}}) {
+    SCOPED_TRACE(::testing::Message() << "ff " << fast_forward << " ragged " << ragged);
     DutyCycledScheduleMac mac(s);
     SilentTraffic traffic;
     SimConfig config{.seed = 9};
@@ -231,7 +240,14 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
     config.battery_mj = battery_mj;
     util::Xoshiro256 rng(10);
     Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, traffic, config);
-    sim.run(k * frame);
+    util::Xoshiro256 chunks(11);
+    std::size_t cuts = 0;  // calls that end inside a frame
+    while (sim.now() < k * frame) {
+      const std::uint64_t chunk = ragged ? 1 + chunks.below(frame) : k * frame;
+      sim.run(std::min(chunk, k * frame - sim.now()));
+      cuts += sim.now() % frame != 0 ? 1 : 0;
+    }
+    EXPECT_EQ(cuts > 0, ragged);
     const SimStats& st = sim.stats();
     boot_wakes = 0;
     for (std::size_t x = 0; x < kN; ++x) {
@@ -398,15 +414,20 @@ std::uint64_t expect_scenario_matches(const Scenario& sc) {
 
 TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   constexpr std::uint64_t kCases = 1000;
-  std::size_t with_deaths = 0, large = 0;
+  // Ragged splits (2 and 3) cut frames into partial spans; those with
+  // deaths exercise the partial spans' no-death bound.
+  std::size_t with_deaths = 0, ragged_with_deaths = 0, large = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
     SCOPED_TRACE(sc.describe());
-    with_deaths += expect_scenario_matches(sc) > 0 ? 1 : 0;
+    const bool deaths = expect_scenario_matches(sc) > 0;
+    with_deaths += deaths ? 1 : 0;
+    ragged_with_deaths += deaths && sc.split >= 2 ? 1 : 0;
     large += sc.n > util::SlotSet::kDenseUniverse ? 1 : 0;
     if (::testing::Test::HasFailure()) break;  // one reproducible seed is enough
   }
   EXPECT_GT(with_deaths, kCases / 10);
+  EXPECT_GT(ragged_with_deaths, kCases / 10);
   EXPECT_GT(large, kCases / kLargeEvery / 2);
 }
 

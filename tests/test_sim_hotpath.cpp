@@ -338,7 +338,9 @@ TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
   // merges run every slot and must reuse their own capacity (a union that
   // swapped buffers with the merge scratch allocates here). Each runs under
   // a convergecast and under SaturatedFlows, whose drain notifications
-  // and pending-set walk must not allocate either.
+  // and pending-set walk must not allocate either. The measured window is
+  // cut into ragged run() calls of 1, 7, L-1 and L+3 slots, so it charges
+  // partial spans of every kind as well as whole frames.
   for (const auto& [n, alpha_r] : {std::pair<std::size_t, std::size_t>{kN, kN / 3}, {300, 12}}) {
     for (const bool saturated : {false, true}) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " aR=" << alpha_r
@@ -364,13 +366,24 @@ TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
       const SimConfig config{.seed = 200};
       Simulator sim(graph, mac, *traffic, config);
       probe = &sim;
-      sim.run(3000);  // steady state: routing columns built, queues saturated
+      const std::uint64_t frame = s.frame_length();
+      const std::uint64_t chunks[] = {1, 7, frame - 1, frame + 3};
+      const auto run_ragged = [&](std::uint64_t slots) {
+        const std::uint64_t end = sim.now() + slots;
+        for (std::size_t k = 0; sim.now() < end; ++k) {
+          sim.run(std::min(chunks[k % 4], end - sim.now()));
+        }
+      };
+      // Steady state: routing columns built, queues saturated, and the
+      // span scratch sized by the first partial spans.
+      sim.run(3000);
+      run_ragged(2 * frame + 11);
       // Latency samples are the one unbounded buffer; pre-size it for the
       // measured window (the paper's experiments do the same via reserve()).
       // A delivery needs a transmitter, so n per slot bounds the window's.
       sim.reserve_latency(sim.stats().latency.count() + 2000 * n);
       const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-      sim.run(2000);
+      run_ragged(2000);
       const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
       EXPECT_EQ(after - before, 0u) << "Simulator::step() allocated on the hot path";
       EXPECT_GT(sim.stats().delivered, 0u);       // the window did real work
