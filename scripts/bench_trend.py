@@ -6,7 +6,11 @@ and prints a per-bench trend table against
 bench/baselines/BENCH_<name>.baseline.json. With --history the comparison
 is between the two most recent bench/history/<sha>/ archives written by
 scripts/run_benches.sh (newest vs previous: the actual run-to-run trend).
-A metric is flagged only when it leaves the noise band (default +/-10%);
+A gated bench (one with a committed baseline) whose report names a
+different host (params host.cores / host.cpu, which every BenchReport
+records) than the report it is compared with gets a "host mismatch" line:
+its speedups were measured on another machine. A metric is flagged only
+when it leaves the noise band (default +/-10%);
 *_speedup and *_slots_per_sec metrics are treated as higher-is-better,
 *_seconds and *_overhead* as lower-is-better, everything else is reported
 informationally.
@@ -76,7 +80,23 @@ def bench_names(report_dir):
     return {os.path.basename(p)[len("BENCH_"):-len(".json")] for p in paths}
 
 
-def compare(name, baseline_path, report_path, band, regressions):
+HOST_KEYS = ("host.cpu", "host.cores")
+
+
+def host_mismatch(before, after):
+    """'<key> <before> vs <after>' for each host param the two reports differ in."""
+    b, a = before.get("params", {}), after.get("params", {})
+    return [f"{key} {b.get(key)!r} vs {a.get(key)!r}" for key in HOST_KEYS
+            if b.get(key) != a.get(key)]
+
+
+def gated_benches():
+    """Names of the benches with a committed baseline (the perf-gated ones)."""
+    paths = glob.glob(os.path.join(REPO_ROOT, "bench", "baselines", "BENCH_*.baseline.json"))
+    return {os.path.basename(p)[len("BENCH_"):-len(".baseline.json")] for p in paths}
+
+
+def compare(name, baseline_path, report_path, band, regressions, problems):
     if not os.path.exists(report_path):
         print(f"== {name} ==\n  (no current report; run scripts/run_benches.sh)\n")
         return
@@ -88,6 +108,10 @@ def compare(name, baseline_path, report_path, band, regressions):
     if base_err or cur_err:
         print("\n".join(e for e in (base_err, cur_err) if e) + "\n")
         return
+    mismatched = host_mismatch(base_report, cur_report) if name in gated_benches() else []
+    if mismatched:
+        print("  host mismatch: " + "; ".join(mismatched))
+        problems.append(f"{name}: host mismatch")
     base = base_report.get("metrics", {})
     cur = cur_report.get("metrics", {})
     # Union of keys: metrics added since the baseline/previous snapshot
@@ -133,7 +157,6 @@ E2E_PHASES = [
     ("self", "sim.step.self.ns_per_slot"),
 ]
 E2E_STEP = "sim.step.ns_per_slot"
-E2E_HOST_KEYS = ("host.cpu", "host.cores")
 
 
 def e2e_workloads(path):
@@ -171,11 +194,7 @@ def compare_e2e(before_path, after_path, band, regressions):
             problems.append(f"{w}: missing from {side}")
             continue
         b, a = before[w], after[w]
-        mismatched = [
-            f"{key} {b.get('params', {}).get(key)!r} vs {a.get('params', {}).get(key)!r}"
-            for key in E2E_HOST_KEYS
-            if b.get("params", {}).get(key) != a.get("params", {}).get(key)
-        ]
+        mismatched = host_mismatch(b, a)
         print(f"== {w} ==")
         if mismatched:
             print("  host mismatch: " + "; ".join(mismatched))
@@ -226,6 +245,7 @@ def main():
     args = ap.parse_args()
 
     regressions = []
+    problems = []
     if args.e2e:
         problems = compare_e2e(args.e2e[0], args.e2e[1], args.band, regressions)
         if regressions:
@@ -260,7 +280,7 @@ def main():
                 print(f"== {name} ==\n  (present in {os.path.basename(prev_dir)} "
                       f"but missing from {os.path.basename(cur_dir)})\n")
                 continue
-            compare(name, prev_path, cur_path, args.band, regressions)
+            compare(name, prev_path, cur_path, args.band, regressions, problems)
     else:
         report_dir = REPO_ROOT
         baseline_dir = os.path.join(REPO_ROOT, "bench", "baselines")
@@ -275,17 +295,19 @@ def main():
             name = os.path.basename(baseline_path)
             name = name[len("BENCH_"):-len(".baseline.json")]
             report_path = os.path.join(report_dir, f"BENCH_{name}.json")
-            compare(name, baseline_path, report_path, args.band, regressions)
+            compare(name, baseline_path, report_path, args.band, regressions, problems)
 
+    if problems:
+        print("reports not comparable (informational unless --strict):")
+        for p in problems:
+            print(f"  {p}")
     if regressions:
         print("out-of-band regressions (informational unless --strict):")
         for r in regressions:
             print(f"  {r}")
-        if args.strict:
-            return 1
     else:
         print("no gated metric left the noise band")
-    return 0
+    return 1 if args.strict and (problems or regressions) else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 #include "obs/report.hpp"
 
+#include <sched.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +54,40 @@ std::string json_scalar(const JsonScalar& v) {
   return os.str();
 }
 
-BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
+namespace {
+
+struct Host {
+  std::int64_t cores = 1;
+  std::string cpu = "unknown";
+};
+
+/// The host a report is measured on: the CPUs this process may run on and
+/// the first "model name" in /proc/cpuinfo ("unknown" where unreadable).
+Host probe_host() {
+  Host host;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) host.cores = CPU_COUNT(&set);
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto start = colon == std::string::npos ? colon : line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) host.cpu = line.substr(start);
+    break;
+  }
+  return host;
+}
+
+}  // namespace
+
+BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
+  // Every report names its host, so numbers from different machines are
+  // never compared unawares (scripts/bench_trend.py flags a mismatch).
+  const Host host = probe_host();
+  param_int("host.cores", host.cores);
+  params_.emplace_back("host.cpu", host.cpu);
+}
 
 void BenchReport::param(const std::string& key, const std::string& value) {
   params_.emplace_back(key, value);

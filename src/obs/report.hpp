@@ -5,7 +5,8 @@
 // Schema (documented in DESIGN.md §7):
 //   {
 //     "name": "<bench name>",
-//     "params": { "<key>": <string|int|double|bool>, ... },
+//     "params": { "host.cores": <int>, "host.cpu": "<model>",
+//                 "<key>": <string|int|double|bool>, ... },
 //     "metrics": { "<key>": <number|null>, ... },   // null = non-finite
 //     "elapsed_seconds": <double>
 //   }
@@ -36,7 +37,9 @@ using JsonScalar = std::variant<std::string, std::int64_t, double, bool>;
 
 class BenchReport {
  public:
-  /// Starts the wall-clock timer; `name` becomes BENCH_<name>.json.
+  /// Starts the wall-clock timer; `name` becomes BENCH_<name>.json. The
+  /// params start with the host: `host.cores` (CPUs this process may run
+  /// on) and `host.cpu` (the CPU model).
   explicit BenchReport(std::string name);
 
   void param(const std::string& key, const std::string& value);

@@ -5,6 +5,7 @@
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
+#include "util/coins.hpp"
 
 namespace ttdc::sim {
 
@@ -67,13 +68,15 @@ bool DutyCycledScheduleMac::fill_slot_sets(util::SlotSet& receivers,
 // ------------------------------------------------------------------ aloha
 
 SlottedAlohaMac::SlottedAlohaMac(std::size_t num_nodes, double attempt_probability)
-    : p_(attempt_probability), coin_(num_nodes) {}
+    : threshold_(util::Xoshiro256::bernoulli_threshold(attempt_probability)),
+      coin_(num_nodes) {
+  TTDC_ASSERT(attempt_probability >= 0.0 && attempt_probability <= 1.0,
+              "SlottedAlohaMac: attempt probability must be in [0, 1], got ",
+              attempt_probability);
+}
 
 void SlottedAlohaMac::begin_slot(std::uint64_t, util::Xoshiro256& rng) {
-  coin_.reset_all();
-  for (std::size_t v = 0; v < coin_.size(); ++v) {
-    if (rng.bernoulli(p_)) coin_.set(v);
-  }
+  util::draw_coins(rng, threshold_, coin_);
 }
 
 bool SlottedAlohaMac::wants_transmit(std::size_t node, std::size_t) const {
@@ -92,18 +95,20 @@ bool SlottedAlohaMac::fill_slot_sets(util::SlotSet& receivers,
 
 UncoordinatedSleepMac::UncoordinatedSleepMac(std::size_t num_nodes, double awake_probability,
                                              double attempt_probability)
-    : awake_p_(awake_probability), attempt_p_(attempt_probability), awake_(num_nodes),
-      coin_(num_nodes) {}
+    : awake_threshold_(util::Xoshiro256::bernoulli_threshold(awake_probability)),
+      attempt_threshold_(util::Xoshiro256::bernoulli_threshold(attempt_probability)),
+      awake_(num_nodes), coin_(num_nodes) {
+  TTDC_ASSERT(awake_probability >= 0.0 && awake_probability <= 1.0,
+              "UncoordinatedSleepMac: awake probability must be in [0, 1], got ",
+              awake_probability);
+  TTDC_ASSERT(attempt_probability >= 0.0 && attempt_probability <= 1.0,
+              "UncoordinatedSleepMac: attempt probability must be in [0, 1], got ",
+              attempt_probability);
+}
 
 void UncoordinatedSleepMac::begin_slot(std::uint64_t, util::Xoshiro256& rng) {
-  awake_.reset_all();
-  coin_.reset_all();
-  for (std::size_t v = 0; v < awake_.size(); ++v) {
-    if (rng.bernoulli(awake_p_)) {
-      awake_.set(v);
-      if (rng.bernoulli(attempt_p_)) coin_.set(v);
-    }
-  }
+  // Node v's attempt coin right after its awake coin, and only when awake.
+  util::draw_coins(rng, awake_threshold_, awake_, attempt_threshold_, coin_);
 }
 
 bool UncoordinatedSleepMac::can_receive(std::size_t node) const { return awake_.test(node); }
@@ -129,19 +134,22 @@ bool UncoordinatedSleepMac::fill_slot_sets(util::SlotSet& receivers,
 CommonActivePeriodMac::CommonActivePeriodMac(std::size_t num_nodes, std::size_t frame_length,
                                              std::size_t active_slots,
                                              double attempt_probability)
-    : frame_length_(frame_length), active_slots_(active_slots), p_(attempt_probability),
+    : frame_length_(frame_length), active_slots_(active_slots),
+      threshold_(util::Xoshiro256::bernoulli_threshold(attempt_probability)),
       coin_(num_nodes) {
   TTDC_ASSERT(active_slots >= 1 && active_slots <= frame_length,
               "active window ", active_slots, " outside frame of ", frame_length);
+  TTDC_ASSERT(attempt_probability >= 0.0 && attempt_probability <= 1.0,
+              "CommonActivePeriodMac: attempt probability must be in [0, 1], got ",
+              attempt_probability);
 }
 
 void CommonActivePeriodMac::begin_slot(std::uint64_t slot, util::Xoshiro256& rng) {
   in_active_ = (slot % frame_length_) < active_slots_;
-  coin_.reset_all();
   if (in_active_) {
-    for (std::size_t v = 0; v < coin_.size(); ++v) {
-      if (rng.bernoulli(p_)) coin_.set(v);
-    }
+    util::draw_coins(rng, threshold_, coin_);
+  } else {
+    coin_.reset_all();
   }
 }
 

@@ -161,7 +161,7 @@ class SlottedAlohaMac final : public MacProtocol {
                       util::SlotSet& transmitters) const override;
 
  private:
-  double p_;
+  std::uint64_t threshold_;   // the attempt probability's coin threshold
   util::DynamicBitset coin_;  // per-node transmit coin for the current slot
 };
 
@@ -180,8 +180,8 @@ class UncoordinatedSleepMac final : public MacProtocol {
                       util::SlotSet& transmitters) const override;
 
  private:
-  double awake_p_;
-  double attempt_p_;
+  std::uint64_t awake_threshold_;    // coin thresholds of the two
+  std::uint64_t attempt_threshold_;  // probabilities
   util::DynamicBitset awake_;
   util::DynamicBitset coin_;
 };
@@ -212,7 +212,7 @@ class CommonActivePeriodMac final : public MacProtocol {
  private:
   std::size_t frame_length_;
   std::size_t active_slots_;
-  double p_;
+  std::uint64_t threshold_;  // the attempt probability's coin threshold
   bool in_active_ = false;
   util::DynamicBitset coin_;
 };

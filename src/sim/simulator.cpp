@@ -768,6 +768,7 @@ void Simulator::account_energy_batched() {
 // anything.
 void Simulator::step_span(std::uint64_t stop) {
   begin_charged_span(stop);
+  ++(charging_ != nullptr ? span_stats_.charged : span_stats_.per_slot);
   while (now_ < stop) step();
   charging_ = nullptr;
 }

@@ -117,6 +117,16 @@ struct SimConfig {
   bool fast_forward = false;
 };
 
+/// How step_span() ran the spans it was handed (DESIGN.md §8, "Charged
+/// spans"): charged, with every live node's scheduled listening paid up
+/// front, or per slot through phase 3. Both give identical SimStats, so,
+/// like FastForwardStats, these counts live outside SimStats; they make a
+/// rule that sends spans to the per-slot path visible to tests.
+struct ChargedSpanStats {
+  std::uint64_t charged = 0;   // spans begin_charged_span() accepted
+  std::uint64_t per_slot = 0;  // spans that fell back to the per-slot phase 3
+};
+
 class Simulator {
  public:
   Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
@@ -201,6 +211,10 @@ class Simulator {
   [[nodiscard]] FastForwardStats fast_forward_stats() const {
     return ff_ ? ff_->stats : FastForwardStats{};
   }
+
+  /// Charged-span accounting over every run() so far (all-zero under a MAC
+  /// without a fast_forward_period(), whose slots never form spans).
+  [[nodiscard]] ChargedSpanStats charged_span_stats() const { return span_stats_; }
 
  private:
   void inject(std::size_t origin, std::size_t destination);
@@ -476,6 +490,7 @@ class Simulator {
   std::size_t span_first_ = 0;                // the charged span's first and last
   std::size_t span_last_ = 0;                 // frame slots
   std::vector<std::size_t> prev_tx_nodes_;    // charged span: last slot's tx_nodes_
+  ChargedSpanStats span_stats_;
 
   // Fast-forward engine state; null whenever the arming conditions in the
   // constructor do not hold, in which case run() steps every span itself

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/coins.hpp"
 #include "util/hash.hpp"
 
 namespace ttdc::sim {
@@ -50,6 +51,40 @@ void SaturatedFlows::on_queue_drained(std::size_t node) {
   for (std::uint32_t i = first_flow_[node]; i < first_flow_[node + 1]; ++i) {
     pending_.set(flows_by_source_[i]);
   }
+}
+
+BernoulliTraffic::BernoulliTraffic(std::size_t num_nodes, double rate)
+    : n_(num_nodes), threshold_(util::Xoshiro256::bernoulli_threshold(rate)) {
+  TTDC_ASSERT(n_ >= 2, "BernoulliTraffic: needs two nodes to pick a destination, got ", n_);
+  TTDC_ASSERT(rate >= 0.0 && rate <= 1.0, "BernoulliTraffic: rate must be in [0, 1], got ",
+              rate);
+}
+
+void BernoulliTraffic::generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) {
+  util::for_each_coin_hit(rng, threshold_, n_, n_, [&](std::size_t v) {
+    std::size_t dst = static_cast<std::size_t>(rng.below(n_ - 1));
+    if (dst >= v) ++dst;
+    emit(v, dst);
+  });
+}
+
+ConvergecastTraffic::ConvergecastTraffic(std::size_t num_nodes, std::size_t sink, double rate)
+    : n_(num_nodes), sink_(sink), threshold_(util::Xoshiro256::bernoulli_threshold(rate)) {
+  TTDC_ASSERT(sink_ < n_, "ConvergecastTraffic: sink ", sink_, " outside [0, ", n_, ")");
+  TTDC_ASSERT(rate >= 0.0 && rate <= 1.0, "ConvergecastTraffic: rate must be in [0, 1], got ",
+              rate);
+}
+
+void ConvergecastTraffic::generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) {
+  util::for_each_coin_hit(rng, threshold_, n_, sink_,
+                          [&](std::size_t v) { emit(v, sink_); });
+}
+
+BatchArrivalTraffic::BatchArrivalTraffic(std::size_t num_nodes, std::size_t sink,
+                                         std::size_t batch)
+    : n_(num_nodes), sink_(sink), batch_(batch) {
+  TTDC_ASSERT(n_ >= 2, "BatchArrivalTraffic: needs a non-sink origin, got ", n_, " nodes");
+  TTDC_ASSERT(sink_ < n_, "BatchArrivalTraffic: sink ", sink_, " outside [0, ", n_, ")");
 }
 
 LookaheadConvergecastTraffic::LookaheadConvergecastTraffic(std::size_t num_nodes,

@@ -90,42 +90,33 @@ class SaturatedFlows final : public TrafficSource {
 
 /// Light random traffic: each node independently generates a packet with
 /// probability `rate` per slot, destined to a uniformly random other node.
+/// Per slot, node v draws its coin from the simulator stream and, on a hit,
+/// its destination right after it, in node order. Needs two nodes at least.
 class BernoulliTraffic final : public TrafficSource {
  public:
-  BernoulliTraffic(std::size_t num_nodes, double rate) : n_(num_nodes), rate_(rate) {}
+  BernoulliTraffic(std::size_t num_nodes, double rate);
 
-  void generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) override {
-    for (std::size_t v = 0; v < n_; ++v) {
-      if (rng.bernoulli(rate_)) {
-        std::size_t dst = static_cast<std::size_t>(rng.below(n_ - 1));
-        if (dst >= v) ++dst;
-        emit(v, dst);
-      }
-    }
-  }
+  void generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) override;
 
  private:
   std::size_t n_;
-  double rate_;
+  std::uint64_t threshold_;  // the rate's coin threshold
 };
 
 /// Convergecast: every non-sink node generates toward the sink with
 /// probability `rate` per slot — the canonical WSN data-collection load.
+/// Per slot, each non-sink node draws one coin from the simulator stream,
+/// in node order; the sink draws none.
 class ConvergecastTraffic final : public TrafficSource {
  public:
-  ConvergecastTraffic(std::size_t num_nodes, std::size_t sink, double rate)
-      : n_(num_nodes), sink_(sink), rate_(rate) {}
+  ConvergecastTraffic(std::size_t num_nodes, std::size_t sink, double rate);
 
-  void generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) override {
-    for (std::size_t v = 0; v < n_; ++v) {
-      if (v != sink_ && rng.bernoulli(rate_)) emit(v, sink_);
-    }
-  }
+  void generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) override;
 
  private:
   std::size_t n_;
   std::size_t sink_;
-  double rate_;
+  std::uint64_t threshold_;  // the rate's coin threshold
 };
 
 /// Fixed-size batch arrivals: exactly `batch` packets per slot from
@@ -135,8 +126,8 @@ class ConvergecastTraffic final : public TrafficSource {
 /// the slot itself, hiding the pipeline costs the megascale bench measures.
 class BatchArrivalTraffic final : public TrafficSource {
  public:
-  BatchArrivalTraffic(std::size_t num_nodes, std::size_t sink, std::size_t batch)
-      : n_(num_nodes), sink_(sink), batch_(batch) {}
+  /// Needs a sink inside [0, num_nodes) and another node to send from.
+  BatchArrivalTraffic(std::size_t num_nodes, std::size_t sink, std::size_t batch);
 
   void generate(std::uint64_t, util::Xoshiro256& rng, const EmitFn& emit) override {
     for (std::size_t i = 0; i < batch_; ++i) {

@@ -154,6 +154,16 @@ class DynamicBitset {
   /// Word w of the storage: members 64w .. 64w+63 as bits.
   [[nodiscard]] Word word(std::size_t w) const { return words_[w]; }
 
+  /// Word-granular writer: replaces members 64w .. 64w+63 with the bits of
+  /// `bits`. Bits at or past size() are dropped, so the tail invariant holds
+  /// whatever `bits` carries.
+  void assign_word(std::size_t w, Word bits) {
+    TTDC_CHECK_BOUNDS(w, words_.size());
+    const std::size_t rem = size_ % kWordBits;
+    if (rem != 0 && w + 1 == words_.size()) bits &= (Word{1} << rem) - 1;
+    words_[w] = bits;
+  }
+
   /// Fused kernel: |this AND a AND NOT b| (e.g. |recv(y) ∩ freeSlots|).
   [[nodiscard]] std::size_t count_and_andnot(const DynamicBitset& a,
                                              const DynamicBitset& b) const;

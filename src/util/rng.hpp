@@ -5,6 +5,7 @@
 // reproducible; xoshiro256** is the workhorse and splitmix64 seeds it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -58,6 +59,22 @@ class Xoshiro256 {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }
+
+  /// The integer form of bernoulli(p): coin(bernoulli_threshold(p)) draws
+  /// the same value and returns the same answer, draw for draw. The draw
+  /// is u = m·2⁻⁵³ with m = next() >> 11 exact, so u < p ⟺ m < p·2⁵³ ⟺
+  /// m < ⌈p·2⁵³⌉ for the integer m; the threshold is that ceiling clamped
+  /// to [0, 2⁵³], and 0 for NaN or p ≤ 0 (no draw can hit).
+  [[nodiscard]] static std::uint64_t bernoulli_threshold(double p) {
+    constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+    if (!(p > 0.0)) return 0;  // NaN, ±0 and negatives
+    if (p >= 1.0) return kAlways;
+    // p·2⁵³ is exact (a power-of-two scale) and lies in (0, 2⁵³) here.
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  /// One Bernoulli draw against a bernoulli_threshold(): no conversion to
+  /// double, one generator step.
+  bool coin(std::uint64_t threshold) { return ((*this)() >> 11) < threshold; }
 
   /// Derives an independent child generator (for per-thread / per-replicate
   /// streams); deterministic in (parent state consumed, index).

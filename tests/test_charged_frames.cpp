@@ -10,6 +10,7 @@
 // frames, whole and cut.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -25,6 +26,7 @@
 #include "core/construct.hpp"
 #include "core/node_slots.hpp"
 #include "net/topology.hpp"
+#include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/drain_model.hpp"
@@ -200,6 +202,78 @@ TEST(ChargedFrames, SleepDearerThanTransmitStillDiesOnExactSlot) {
         [] { return std::make_unique<SilentTraffic>(); }, config, 6 * 6);
     EXPECT_EQ(out.stats.first_death_slot, death);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Charged-span accounting: which spans took the charged path. The outcome
+// tests above cannot tell, because both paths give identical results.
+
+TEST(ChargedSpanCounts, ScalarOnlyMacChargesNoSpan) {
+  // ScalarOnlyMac advertises no period, so its slots never form spans;
+  // the bare MAC on the same run charges every one.
+  const Schedule s = edge_schedule();
+  for (const bool scalar_only : {true, false}) {
+    DutyCycledScheduleMac inner(s);
+    ScalarOnlyMac scalar(inner);
+    SteadySource traffic(0, 1);
+    Simulator sim(net::ring_graph(4), scalar_only ? static_cast<MacProtocol&>(scalar) : inner,
+                  traffic, {.seed = 3});
+    sim.run(6 * 3 + 4);
+    const ChargedSpanStats spans = sim.charged_span_stats();
+    EXPECT_EQ(spans.charged, scalar_only ? 0u : 4u) << "scalar only " << scalar_only;
+    EXPECT_EQ(spans.per_slot, 0u) << "scalar only " << scalar_only;
+  }
+}
+
+TEST(ChargedSpanCounts, FaultPlanWithEventsChargesNoSpan) {
+  // Three whole frames, then run() calls of 4 and 5 slots: [18, 22), then
+  // [22, 24) and [24, 27), six spans. All charged without a plan, none
+  // with a plan that has an event.
+  const Schedule s = edge_schedule();
+  const FaultPlan plan({{.slot = 7, .node = 2, .magnitude_mj = 0.0,
+                         .kind = FaultEvent::Kind::kCrash}},
+                       4);
+  for (const bool armed : {false, true}) {
+    DutyCycledScheduleMac mac(s);
+    SteadySource traffic(0, 1);
+    SimConfig config{.seed = 13};
+    if (armed) config.fault_plan = &plan;
+    Simulator sim(net::ring_graph(4), mac, traffic, config);
+    sim.run(6 * 3);
+    sim.run(4);
+    sim.run(5);
+    const ChargedSpanStats spans = sim.charged_span_stats();
+    EXPECT_EQ(spans.charged, armed ? 0u : 6u) << "armed " << armed;
+    EXPECT_EQ(spans.per_slot, armed ? 6u : 0u) << "armed " << armed;
+  }
+}
+
+TEST(ChargedSpanCounts, PartialSpanSafeThroughItsStopIsCharged) {
+  // One-slot spans from budgets that cover exactly one slot's worst case:
+  // safe against the sleep drain paid through the span's stop, not through
+  // the end of its frame. The no-death bound is the former, so the first
+  // span is charged (a bound against the frame's end would send it to the
+  // per-slot path, with identical outcomes, which only this count shows).
+  const EnergyModel e;
+  const std::int64_t sleep = units(e.energy_mj(RadioState::kSleep, 1));
+  const std::int64_t worst =
+      std::max<std::int64_t>({0, units(e.energy_mj(RadioState::kListen, 1)) - sleep,
+                              units(e.energy_mj(RadioState::kTransmit, 1)) - sleep}) +
+      std::max<std::int64_t>(0, units(e.wakeup_mj));
+  const std::int64_t budget = sleep + worst + 1;
+  const Schedule s = edge_schedule();
+  ASSERT_LT(budget, static_cast<std::int64_t>(s.frame_length()) * sleep + worst + 1);
+  SimConfig config{.seed = 12};
+  config.energy = e;
+  config.battery_mj = static_cast<double>(budget) / 1e9;
+  ASSERT_EQ(units(config.battery_mj), budget);
+  DutyCycledScheduleMac mac(s);
+  SilentTraffic traffic;
+  Simulator sim(net::ring_graph(4), mac, traffic, config);
+  sim.run(1);
+  EXPECT_EQ(sim.charged_span_stats().charged, 1u);
+  EXPECT_EQ(sim.charged_span_stats().per_slot, 0u);
+  expect_edge_schedule_matches([] { return std::make_unique<SilentTraffic>(); }, config, 6 * 3);
 }
 
 /// Number of maximal cyclic runs of members in a bitset over L slots.

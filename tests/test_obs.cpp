@@ -409,6 +409,8 @@ TEST(BenchReport, JsonSchemaAndFileOutput) {
   EXPECT_NE(json.find("\"delivered\":123"), std::string::npos);
   EXPECT_NE(json.find("\"bad\":null"), std::string::npos);  // NaN -> null
   EXPECT_NE(json.find("\"elapsed_seconds\":"), std::string::npos);
+  EXPECT_NE(json.find("\"host.cores\":"), std::string::npos);  // every report names its host
+  EXPECT_NE(json.find("\"host.cpu\":\""), std::string::npos);
 
   const std::string dir = testing::TempDir();
   ASSERT_TRUE(report.write_to(dir));
