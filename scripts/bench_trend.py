@@ -23,8 +23,13 @@ there is nothing at all to compare).
 With --e2e BEFORE AFTER it compares two traced bench/e2e ledgers
 (BENCH_e2e.trace.json from `bench/e2e/run.sh --trace`): per workload, every
 slot-loop phase's ns/slot with its share of sim.step.ns_per_slot on both
-sides, then the phase whose ns/slot moved most. A host mismatch and a
-workload missing from either side are one line each.
+sides, then the phase whose ns/slot moved most. When the two sides step a
+different number of slots (sim.slots_stepped moved out of band, say because
+a change stops stepping slots that do nothing), ns per stepped slot is no
+longer comparable: each phase is then compared by its time per rep (ns/slot
+x sim.slots_stepped) beside sim.run.unstepped_s, the phase that moved most is
+named by that measure, and only a rise in time per rep is flagged. A host
+mismatch and a workload missing from either side are one line each.
 
 Exit status is always 0 unless --strict is given (CI runs it non-fatally:
 the hard perf gates live in run_benches.sh --perf-check; this script is
@@ -157,6 +162,8 @@ E2E_PHASES = [
     ("self", "sim.step.self.ns_per_slot"),
 ]
 E2E_STEP = "sim.step.ns_per_slot"
+E2E_STEPPED = "sim.slots_stepped"
+E2E_UNSTEPPED = "sim.run.unstepped_s"
 
 
 def e2e_workloads(path):
@@ -204,6 +211,10 @@ def compare_e2e(before_path, after_path, band, regressions):
             print(f"  no {E2E_STEP} on both sides (untraced report?); not compared\n")
             problems.append(f"{w}: untraced")
             continue
+        stepped_b, stepped_a = e2e_metric(b, E2E_STEPPED), e2e_metric(a, E2E_STEPPED)
+        if stepped_b and stepped_a and abs(stepped_a - stepped_b) / stepped_b > band:
+            compare_e2e_per_rep(w, b, a, stepped_b, stepped_a, band, regressions)
+            continue
         print(f"  {'phase':10s} {'before ns/slot':>15s} {'share':>6s} "
               f"{'after ns/slot':>14s} {'share':>6s} {'delta':>10s}")
         moved = None
@@ -228,6 +239,38 @@ def compare_e2e(before_path, after_path, band, regressions):
                   f"share {share_b:.1%} -> {share_a:.1%})")
         print()
     return problems
+
+
+def compare_e2e_per_rep(w, b, a, stepped_b, stepped_a, band, regressions):
+    """One workload's phases by time per rep, for two sides that step a
+    different number of slots: a phase's ns/slot times the slots it ran
+    over, beside the run time spent outside sim.step."""
+    print(f"  {E2E_STEPPED} {stepped_b:,.0f} -> {stepped_a:,.0f} "
+          f"({(stepped_a - stepped_b) / stepped_b:+.1%}): ns per stepped slot not "
+          "comparable, phases compared by time per rep")
+    print(f"  {'phase':10s} {'before ms/rep':>14s} {'after ms/rep':>13s} {'delta ms':>10s}")
+    moved = None
+    rows = [(label, key, 1e-6 * stepped_b, 1e-6 * stepped_a) for label, key in E2E_PHASES]
+    rows += [("unstepped", E2E_UNSTEPPED, 1e3, 1e3), ("step", E2E_STEP, 1e-6 * stepped_b,
+                                                        1e-6 * stepped_a)]
+    for label, key, scale_b, scale_a in rows:
+        vb, va = e2e_metric(b, key), e2e_metric(a, key)
+        if vb is None or va is None:
+            print(f"  {label:10s} {'MISSING':>14s}")
+            continue
+        mb, ma = vb * scale_b, va * scale_a
+        print(f"  {label:10s} {mb:14.3f} {ma:13.3f} {ma - mb:+10.3f}")
+        if label == "step":
+            continue
+        if moved is None or abs(ma - mb) > abs(moved[1]):
+            moved = (label, ma - mb)
+        if mb > 0 and (ma - mb) / mb > band:
+            regressions.append(f"{w}:{key} per rep {(ma - mb) / mb:+.1%}")
+    if moved is not None:
+        label, delta = moved
+        direction = "grew" if delta > 0 else "shrank"
+        print(f"  moved most: {label} ({direction} {abs(delta):.3f} ms/rep)")
+    print()
 
 
 def main():

@@ -79,12 +79,13 @@ class MacProtocol {
   /// is a PURE function of slot % L — no per-slot randomness, no hidden
   /// state evolving across frames. Returning L > 0 is the MAC's half of the
   /// frame-memoization contract (sim/fastforward.hpp): the simulator may
-  /// skip begin_slot() for entire [kL, (k+1)L) windows and re-enter at any
-  /// later frame boundary, because begin_slot(s) reconstructs everything
-  /// from s alone. Randomized MACs (ALOHA, uncoordinated sleep, common
-  /// active period) keep the default 0: they draw per-slot coins from the
-  /// simulator stream, so no frame ever repeats exactly and fast-forwarding
-  /// must stay disarmed. The value may change after on_topology_change()
+  /// skip begin_slot() for any run of slots — whole frames it replays, and
+  /// the sender-free slots of a charged span — and re-enter at any later
+  /// slot, frame boundary or not, because begin_slot(s) reconstructs
+  /// everything from s alone. Randomized MACs (ALOHA, uncoordinated sleep,
+  /// common active period) keep the default 0: they draw per-slot coins
+  /// from the simulator stream, so no frame ever repeats exactly and
+  /// fast-forwarding must stay disarmed. The value may change after on_topology_change()
   /// (the coloring TDMA recolors); the simulator re-queries it at every
   /// frame boundary.
   [[nodiscard]] virtual std::uint64_t fast_forward_period() const { return 0; }
@@ -97,8 +98,11 @@ class MacProtocol {
   /// transmitters = T[s mod L], and that fast_forward_period() is S's
   /// frame length L; with T[i] ∩ R[i] = ∅ (every Schedule guarantees it) and
   /// the batched sleep contract, each node's scheduled listen slots and
-  /// wakeups per frame are then closed forms of S. The schedule must
-  /// outlive the MAC.
+  /// wakeups per frame are then closed forms of S. Since a slot's sets are
+  /// then known without calling begin_slot(), the armed fast-forward
+  /// engine skips begin_slot() and fill_slot_sets() at every slot of a
+  /// charged span in which no live backlogged node is in T[s mod L], and
+  /// re-enters at any later slot. The schedule must outlive the MAC.
   [[nodiscard]] virtual const core::Schedule* periodic_schedule() const { return nullptr; }
 
   /// Topology-change hook. Topology-transparent MACs ignore it; the

@@ -57,6 +57,13 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   tx_nodes_.reserve(n);
   tx_targets_.reserve(n);
   prev_tx_nodes_.reserve(n);
+  // The working sets are sized to their bounds here, so no slot's set
+  // algebra allocates, whatever populations the run reaches.
+  for (util::SlotSet* set : {&transmitting_, &receivers_, &eligible_, &backlogged_,
+                             &unroutable_head_, &prev_awake_, &listen_, &awake_now_, &woke_,
+                             &scratch_, &dead_}) {
+    set->reserve_bounds();
+  }
   b_transmit_ = to_units(config_.energy.energy_mj(RadioState::kTransmit, 1));
   b_receive_ = to_units(config_.energy.energy_mj(RadioState::kReceive, 1));
   b_listen_ = to_units(config_.energy.energy_mj(RadioState::kListen, 1));
@@ -77,6 +84,9 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
     jamming_ = util::SlotSet(n);
     jam_active_ = util::SlotSet(n);
     fault_out_ = util::SlotSet(n);
+    for (util::SlotSet* set : {&down_, &jamming_, &jam_active_, &fault_out_}) {
+      set->reserve_bounds();
+    }
     down_since_.assign(n, 0);
   }
   if (config_.metrics != nullptr) {
@@ -118,6 +128,7 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   if (config_.fast_forward && config_.packet_error_rate == 0.0 &&
       config_.sync_miss_rate == 0.0 && traffic_.supports_lookahead()) {
     ff_ = std::make_unique<FastForwardState>();
+    senders_ = util::DynamicBitset(n);
     if (config_.metrics != nullptr) {
       obs::MetricsRegistry& m = *config_.metrics;
       ff_->m_frames_replayed =
@@ -146,6 +157,7 @@ void Simulator::set_graph(net::Graph graph) {
   TTDC_ASSERT(graph.num_nodes() == graph_.num_nodes(),
               "set_graph cannot change the node count: ", graph.num_nodes(), " vs ",
               graph_.num_nodes());
+  settle_open_frame();
   graph_ = std::move(graph);
   routing_.set_graph(graph_);
   // A shared table describes the old topology; fall back to the internal
@@ -165,6 +177,7 @@ void Simulator::set_graph(net::Graph graph) {
 }
 
 void Simulator::audit_invariants() const {
+  settle_open_frame();
 #if TTDC_ENABLE_CHECKS
   const std::size_t n = graph_.num_nodes();
 
@@ -295,15 +308,21 @@ void Simulator::run(std::uint64_t slots) {
   TTDC_DCHECK(now_ + slots >= now_, "slot counter would wrap: now ", now_, " + ", slots);
   const std::uint64_t end = now_ + slots;
   // The call is cut at frame boundaries into spans: whole frames, and the
-  // ragged head and tail the call's ends leave. A whole frame is offered to
-  // the fast-forward engine when it is armed; every span it does not cover
+  // ragged head and tail the call's ends leave. A frame the previous call
+  // left open is continued first. A whole frame is offered to the
+  // fast-forward engine when it is armed; every span it does not cover
   // runs as one unit (step_span charges it per span when it can). A
   // period-0 MAC steps slot-accurately in a loop as tight as a plain one.
   // The probes run once per span, never per slot, or an armed-but-always-
   // vetoed engine would tax every slot (the disarmed_overhead gate in
   // bench_fastforward). The period is re-queried each span because it may
-  // change under a recoloring MAC.
+  // change under a recoloring MAC (whose set_graph() settles any open
+  // frame first).
   while (now_ < end) {
+    if (charging_ != nullptr) {
+      step_span(std::min(end, frame_start_ + charging_->frame_length()));
+      continue;
+    }
     const std::uint64_t period = mac_.fast_forward_period();
     if (period == 0) {
       while (now_ < end) step();
@@ -766,11 +785,70 @@ void Simulator::account_energy_batched() {
 // R[i+1] inside the span. Charging up front is exact only if nobody dies
 // inside the span, which begin_charged_span() proves before it charges
 // anything.
+//
+// A tail from a frame boundary is charged as the whole frame [0, L) when
+// that bound holds through the frame's end, and stays open: the next call
+// continues it, and an observer settles it first (settle_frame). So a run
+// cut into calls that nobody observes in between pays the frame totals
+// once per frame, as an uncut run does.
 void Simulator::step_span(std::uint64_t stop) {
-  begin_charged_span(stop);
-  ++(charging_ != nullptr ? span_stats_.charged : span_stats_.per_slot);
-  while (now_ < stop) step();
-  charging_ = nullptr;
+  if (charging_ == nullptr) begin_charged_span(stop);
+  if (charging_ == nullptr) {
+    ++span_stats_.per_slot;
+    while (now_ < stop) step();
+    return;
+  }
+  ++span_stats_.charged;
+  const std::uint64_t span_end = frame_start_ + span_last_ + 1;
+  while (now_ < stop) {
+    if (ff_ != nullptr) {
+      skip_sender_free(stop);
+      if (now_ == stop) break;
+    }
+    step();
+  }
+  if (now_ == span_end) charging_ = nullptr;
+}
+
+void Simulator::skip_sender_free(std::uint64_t stop) {
+  std::uint64_t until = std::min(stop, traffic_.next_emission(now_));
+  if (until <= now_) return;  // a packet arrives in this slot
+  // Phase 1 visits only live backlogged nodes that are in T[i] or hold an
+  // unroutable head; an unroutable head is visited (dropped or stalled)
+  // in every slot, so none may be live.
+  if (unroutable_head_.count() > unroutable_head_.intersection_count(dead_)) return;
+  if (backlogged_.count() > backlogged_.intersection_count(dead_)) {
+    // The scan tests each T[i] member against plain bits: a few loads per
+    // slot, the whole cost of a skipped slot.
+    senders_.reset_all();
+    backlogged_.for_each([&](std::size_t v) {
+      if (!dead_.test(v)) senders_.set(v);
+    });
+    const std::span<const util::SlotSet> pool = charging_->transmit_pool();
+    const std::span<const std::uint32_t> index = charging_->transmit_index();
+    std::uint64_t t = now_;
+    for (; t < until; ++t) {
+      bool sends = false;
+      pool[index[t - frame_start_]].for_each(
+          [&](std::size_t v) { sends = sends || senders_.test(v); });
+      if (sends) break;
+    }
+    until = t;
+  }
+  if (until == now_) return;
+  span_stats_.skipped += until - now_;
+  stats_.slots_run += until - now_;
+  now_ = until;
+  // The state a sender-free slot leaves: nobody transmitting, and at the
+  // span's last slot charge_transmitters' prev_awake_ = R[last] \ dead.
+  tx_nodes_.clear();
+  tx_targets_.clear();
+  transmitting_.reset_all();
+  prev_tx_nodes_.clear();
+  if (now_ == frame_start_ + span_last_ + 1) {
+    prev_awake_.copy_from(charging_->receivers(span_last_));
+    prev_awake_.subtract(dead_);
+  }
 }
 
 namespace {
@@ -843,6 +921,24 @@ std::size_t largest_pool(const core::Schedule& schedule) {
 
 }  // namespace
 
+template <typename Add>
+void Simulator::count_span(const core::Schedule& schedule, std::size_t first, std::size_t end,
+                           std::size_t after, Add&& add) {
+  SpanScratch& scratch = span_;
+  const std::size_t period = schedule.frame_length();
+  if (scratch.multiplicity.size() < largest_pool(schedule) || scratch.pairs.capacity() < period) {
+    // Sized once to the bounds, so no later span allocates.
+    scratch.multiplicity.assign(largest_pool(schedule), 0);
+    scratch.pools.reserve(std::min<std::size_t>(period, scratch.multiplicity.size()));
+    scratch.pairs.reserve(period);
+  }
+  count_pool(schedule.receive_pool(), schedule.receive_index().subspan(first, end - first),
+             scratch.multiplicity, scratch.pools,
+             [&](std::size_t v, std::uint32_t weight) { add(v, weight, 0); });
+  count_wakes(schedule, after, end, scratch.pairs,
+              [&](std::size_t v, std::uint32_t weight) { add(v, 0, weight); });
+}
+
 void Simulator::begin_charged_span(std::uint64_t stop) {
   TTDC_PROF_SCOPE("sim.frame.charge");
   charging_ = nullptr;
@@ -857,29 +953,26 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   if (period == 0) return;
   const auto first = static_cast<std::size_t>(now_ % period);
   if (stop - now_ > period - first) return;  // not inside one frame
-  const std::size_t end = first + static_cast<std::size_t>(stop - now_);
-  const bool whole = end - first == period;
   const bool battery_armed = config_.battery_mj > 0.0;
-  const std::int64_t paid = paid_through(stop);
   // No death inside the span: a node's remaining budget never rises from
   // slot to slot, so it suffices that the span's worst-case charge leaves
   // every live node above the sleep drain paid through the span's end. A
   // slot costs a node at most its dearest radio state's surcharge over
-  // sleep plus one wakeup, so a span of len slots kills nobody when
-  // min_credit_ exceeds paid by more than len such slots. A partial span
-  // needs that closed form; a whole frame that fails it is checked node by
-  // node against the frame totals below.
+  // sleep plus one wakeup, so a span ending at `through` kills nobody when
+  // min_credit_ exceeds paid_through(through) by more than its length in
+  // such slots. A partial span needs that closed form; a span charged
+  // through its frame's end that fails it is checked node by node against
+  // the frame totals below.
   const std::int64_t slot_worst =
       std::max<std::int64_t>({0, b_listen_ - b_sleep_, b_transmit_ - b_sleep_}) +
       std::max<std::int64_t>(0, b_wakeup_);
-  const bool closed_form =
-      !battery_armed ||
-      (min_credit_ > paid &&
-       (slot_worst == 0 ||
-        (min_credit_ - paid - 1) / slot_worst >= static_cast<std::int64_t>(end - first)));
-  if (!whole && !closed_form) return;
-  if (whole && frame_totals_.schedule != schedule) count_frame_totals(*schedule);
-  const FrameTotals& totals = frame_totals_;
+  const auto closed_form = [&](std::uint64_t through) {
+    const std::int64_t paid = paid_through(through);
+    return !battery_armed ||
+           (min_credit_ > paid &&
+            (slot_worst == 0 ||
+             (min_credit_ - paid - 1) / slot_worst >= static_cast<std::int64_t>(through - now_)));
+  };
   // Slot a's wakes, taken against prev_awake_; the totals and the pair
   // count hold the scheduled wakes at a+1..b-1.
   woke_.copy_from(schedule->receivers(first));
@@ -890,11 +983,13 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   const auto scheduled_cost = [&](std::int64_t listen, std::int64_t wakes) {
     return listen * (b_listen_ - b_sleep_) + wakes * b_wakeup_;
   };
-  if (!closed_form) {
-    // Node by node over the whole frame. A transmit slot costs at most its
-    // surcharge plus one wakeup; when that is negative (sleep dearer than
-    // transmit) the cheapest case is no transmission at all, hence the
-    // clamp at zero.
+  const FrameTotals& totals = frame_totals_;
+  // Node by node over the whole frame. A transmit slot costs at most its
+  // surcharge plus one wakeup; when that is negative (sleep dearer than
+  // transmit) the cheapest case is no transmission at all, hence the clamp
+  // at zero.
+  const auto frame_survives = [&](std::uint64_t frame_end) {
+    const std::int64_t paid = paid_through(frame_end);
     const std::int64_t tx_worst =
         std::max<std::int64_t>(0, b_transmit_ - b_sleep_ + b_wakeup_);
     for (std::size_t v = 0; v < n; ++v) {
@@ -902,9 +997,23 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
       const std::int64_t worst =
           battery_[v] - scheduled_cost(totals.listen[v], totals.wakes[v] + woke_.test(v)) -
           static_cast<std::int64_t>(totals.transmit[v]) * tx_worst;
-      if (worst <= paid) return;
+      if (worst <= paid) return false;
     }
+    return true;
+  };
+  // A span from a frame boundary is charged through the frame's end from
+  // the frame totals: a whole frame, or one the call stops short of, which
+  // then stays open for the next call. That needs nobody to die before the
+  // frame's end; an open frame that cannot prove it is charged as the
+  // partial span [a, stop) instead.
+  bool whole = false;
+  if (first == 0) {
+    if (frame_totals_.schedule != schedule) count_frame_totals(*schedule);
+    whole = closed_form(now_ + period) || frame_survives(now_ + period);
+    if (!whole && stop - now_ == period) return;
   }
+  if (!whole && !closed_form(stop)) return;
+  const std::size_t end = whole ? period : first + static_cast<std::size_t>(stop - now_);
   // The bound is the lowest credit any write leaves, so it lies at or below
   // every charged node's final credit. A whole frame writes each live node
   // once and then its slot-a wake, which only lowers it, so there the bound
@@ -928,21 +1037,10 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
     // Straight from the span's distinct pooled sets, each member charged
     // with its set's multiplicity: work in proportion to the sets and their
     // members, never to n.
-    SpanScratch& scratch = span_;
-    if (scratch.multiplicity.size() < largest_pool(*schedule) ||
-        scratch.pairs.capacity() < period) {
-      // Sized once to the bounds, so no later span allocates.
-      scratch.multiplicity.assign(largest_pool(*schedule), 0);
-      scratch.pools.reserve(std::min<std::size_t>(period, scratch.multiplicity.size()));
-      scratch.pairs.reserve(period);
-    }
-    count_pool(schedule->receive_pool(), schedule->receive_index().subspan(first, end - first),
-               scratch.multiplicity, scratch.pools, [&](std::size_t v, std::uint32_t weight) {
-                 if (alive(v)) charge(v, weight, 0);
+    count_span(*schedule, first, end, first,
+               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
+                 if (alive(v)) charge(v, listen, wakes);
                });
-    count_wakes(*schedule, first, end, scratch.pairs, [&](std::size_t v, std::uint32_t weight) {
-      if (alive(v)) charge(v, 0, weight);
-    });
   }
   woke_.for_each([&](std::size_t v) { charge(v, 0, 1); });
   if (battery_armed) min_credit_ = whole ? bound : std::min(min_credit_, bound);
@@ -950,6 +1048,66 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   span_first_ = first;
   span_last_ = end - 1;
   charging_ = schedule;
+}
+
+
+void Simulator::settle_frame() {
+  TTDC_PROF_SCOPE("sim.frame.settle");
+  const core::Schedule& schedule = *charging_;
+  const std::size_t period = schedule.frame_length();
+  // The open frame ran [0, cut), 0 < cut < L: the partial span the call
+  // boundary cuts charges listening at 0..cut-1 and scheduled wakes at
+  // 1..cut-1 where the open frame charged 0..L-1 and 1..L-1 (slot 0's wake
+  // is common to both), and nobody died in it, so every live node is
+  // charged in both.
+  const auto cut = static_cast<std::size_t>(now_ - frame_start_);
+  const bool battery_armed = config_.battery_mj > 0.0;
+  const bool any_dead = dead_.any();
+  const auto alive = [&](std::size_t v) { return !any_dead || !dead_.test(v); };
+  // Moves node v by `sign` (+1 charge, -1 refund) times the counts; the
+  // min-credit bound follows every write, so it stays below every live
+  // credit when a refund lowers one (sleep dearer than listening).
+  const auto adjust = [&](std::size_t v, std::int64_t sign, std::uint32_t listen,
+                        std::uint32_t wakes) {
+    stats_.state_slots[v][kListenIdx] += static_cast<std::uint64_t>(sign * listen);
+    stats_.wake_transitions[v] += static_cast<std::uint64_t>(sign * wakes);
+    if (battery_armed) {
+      battery_[v] -= sign * (static_cast<std::int64_t>(listen) * (b_listen_ - b_sleep_) +
+                             static_cast<std::int64_t>(wakes) * b_wakeup_);
+      min_credit_ = std::min(min_credit_, battery_[v]);
+    }
+  };
+  if (cut <= period - cut) {
+    // The run prefix is the shorter side: take back the frame totals, then
+    // charge the prefix's listening at 0..cut-1 and wakes at 1..cut-1.
+    const FrameTotals& totals = frame_totals_;
+    for (std::size_t v = 0; v < schedule.num_nodes(); ++v) {
+      if (alive(v)) adjust(v, -1, totals.listen[v], totals.wakes[v]);
+    }
+    count_span(schedule, 0, cut, 0,
+               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
+                 if (alive(v)) adjust(v, +1, listen, wakes);
+               });
+  } else {
+    // Refund the unrun suffix: listening at cut..L-1, wakes at cut..L-1.
+    count_span(schedule, cut, period, cut - 1,
+               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
+                 if (alive(v)) adjust(v, -1, listen, wakes);
+               });
+  }
+  // A transmitter at cut-1 in R[cut] cancelled its scheduled wake at cut,
+  // which the span ending at cut-1 never does; the charge above took that
+  // wake back, so it is owed again.
+  const util::SlotSet& next = schedule.receivers(cut);
+  for (const std::size_t v : prev_tx_nodes_) {
+    if (next.test(v)) adjust(v, +1, 0, 1);
+  }
+  // charge_transmitters' state after the span's last slot.
+  prev_awake_.copy_from(schedule.receivers(cut - 1));
+  prev_awake_.subtract(dead_);
+  for (const std::size_t v : prev_tx_nodes_) prev_awake_.set(v);
+  charging_ = nullptr;
+  ++span_stats_.settled;
 }
 
 void Simulator::charge_transmitters() {
@@ -983,7 +1141,7 @@ void Simulator::charge_transmitters() {
   if (i == span_last_) {
     prev_awake_.copy_from(schedule.receivers(i));
     prev_awake_.subtract(dead_);
-    prev_awake_ |= transmitting_;
+    for (const std::size_t v : tx_nodes_) prev_awake_.set(v);
   } else {
     prev_tx_nodes_.assign(tx_nodes_.begin(), tx_nodes_.end());
   }

@@ -106,12 +106,17 @@ struct SimConfig {
   /// Frame-level fast-forwarding (sim/fastforward.hpp): memoize per-frame
   /// deltas and replay them in O(state) across provably identical frames,
   /// turning static-topology lifetime runs from O(slots) into O(events).
-  /// Produces BIT-IDENTICAL SimStats to a normal run — the golden tests
-  /// assert exactly that — because the engine only ever replays frames it
-  /// has verified exactly and falls back to slot-accurate stepping at every
-  /// invalidation source (arrival, fault event, battery death crossing,
-  /// topology change, armed flight recorder). The knob is a no-op (engine
-  /// stays disarmed) unless the MAC reports a fast_forward_period() and the
+  /// Inside a charged span (DESIGN.md §8) the armed engine also advances,
+  /// unstepped, over every slot in which no live backlogged node is in
+  /// T[i], no queue head is unroutable and no packet arrives, so a span
+  /// costs its transmissions rather than its slots. Produces BIT-IDENTICAL
+  /// SimStats to a normal run — the golden tests assert exactly that —
+  /// because the engine only ever replays frames it has verified exactly,
+  /// skips only slots that change nothing but the clock, and falls back to
+  /// slot-accurate stepping at every invalidation source (arrival, fault
+  /// event, battery death crossing, topology change, armed flight
+  /// recorder). The knob is a no-op (engine stays disarmed, every slot
+  /// stepped) unless the MAC reports a fast_forward_period() and the
   /// traffic source supports_lookahead(); it is also disarmed under channel
   /// imperfections (per-slot rng draws make frames unrepeatable).
   bool fast_forward = false;
@@ -121,10 +126,14 @@ struct SimConfig {
 /// spans"): charged, with every live node's scheduled listening paid up
 /// front, or per slot through phase 3. Both give identical SimStats, so,
 /// like FastForwardStats, these counts live outside SimStats; they make a
-/// rule that sends spans to the per-slot path visible to tests.
+/// rule that sends spans to the per-slot path, the slots a charged span
+/// skips and the open frames observers settle visible to tests.
 struct ChargedSpanStats {
-  std::uint64_t charged = 0;   // spans begin_charged_span() accepted
+  std::uint64_t charged = 0;   // spans begin_charged_span() accepted, and
+                               // open frames a later run() call continued
   std::uint64_t per_slot = 0;  // spans that fell back to the per-slot phase 3
+  std::uint64_t skipped = 0;   // slots a charged span advanced over unstepped
+  std::uint64_t settled = 0;   // open frames an observer settled
 };
 
 class Simulator {
@@ -137,8 +146,11 @@ class Simulator {
   /// boundaries into spans (whole frames and the ragged head and tail the
   /// call's ends leave), each offered to fast-forward when whole and
   /// otherwise stepped by step_span(), which charges a periodic_schedule()
-  /// per span (DESIGN.md §8); stats(), alive_count(),
-  /// remaining_battery_mj() and audit_invariants() are exact between calls.
+  /// per span (DESIGN.md §8). A tail that starts at a frame boundary is
+  /// charged through its frame's end and left open for the next call to
+  /// continue; stats(), remaining_battery_mj(), audit_invariants() and
+  /// set_graph() settle such an open frame first, so they, alive_count()
+  /// and is_alive() are exact between calls.
   void run(std::uint64_t slots);
 
   /// Swaps the topology (churn). Invalidates the routing cache; notifies
@@ -161,9 +173,11 @@ class Simulator {
   ///     relies on).
   ///
   /// O(n · queue depth) + one batched MAC query; intended for tests and
-  /// debugging, not the hot path. Compiled to a no-op unless contract
-  /// checks are enabled (TTDC_ENABLE_CHECKS); violations report through
-  /// TTDC_DCHECK (abort, or ContractViolation in throw mode).
+  /// debugging, not the hot path. Settles an open frame first in every
+  /// build, so it observes like stats(); the checks themselves compile to
+  /// a no-op unless contract checks are enabled (TTDC_ENABLE_CHECKS), and
+  /// violations report through TTDC_DCHECK (abort, or ContractViolation in
+  /// throw mode).
   void audit_invariants() const;
 
   /// Simulation statistics. Per-node sleep-slot counts are materialized
@@ -171,6 +185,7 @@ class Simulator {
   /// networks cost O(awake) per slot, not O(n)); the operation is
   /// idempotent and logically const.
   [[nodiscard]] const SimStats& stats() const {
+    settle_open_frame();
     const_cast<Simulator*>(this)->finalize_sleep_counts();
     return stats_;
   }
@@ -200,6 +215,7 @@ class Simulator {
   /// the sleep drain every live node has paid (see battery_ below). 0.0 for
   /// a dead node, and always 0.0 with unlimited batteries.
   [[nodiscard]] double remaining_battery_mj(std::size_t node) const {
+    settle_open_frame();
     if (config_.battery_mj <= 0.0 || dead_.test(node)) return 0.0;
     return static_cast<double>(battery_[node] - paid_through(now_)) /
            static_cast<double>(kBatteryUnitsPerMj);
@@ -214,6 +230,7 @@ class Simulator {
 
   /// Charged-span accounting over every run() so far (all-zero under a MAC
   /// without a fast_forward_period(), whose slots never form spans).
+  /// Reading it settles nothing.
   [[nodiscard]] ChargedSpanStats charged_span_stats() const { return span_stats_; }
 
  private:
@@ -224,7 +241,7 @@ class Simulator {
   /// Attempts to cover the frame starting at now_ (period slots) from the
   /// memo. Returns true when the frame was handled — replayed, or stepped-
   /// and-recorded on a memo miss — and false when an invalidation source
-  /// vetoed it (caller steps one slot and retries at the next boundary).
+  /// vetoed it (the caller then steps the frame as one span).
   bool try_fast_forward(std::uint64_t period, std::uint64_t run_end);
   /// Hash of everything that determines the upcoming frame's outcome.
   [[nodiscard]] std::uint64_t frame_fingerprint(std::uint64_t period) const;
@@ -246,20 +263,53 @@ class Simulator {
   void account_energy_batched();                 // phase 3, set-driven
 
   // --- charged spans (phase 3 per span, DESIGN.md §8) ---
-  /// Steps the slots [now_, stop), which run() keeps inside one frame. The
-  /// span is charged when begin_charged_span() accepts it and stepped
-  /// through the per-slot phase 3 otherwise.
+  /// Runs the slots [now_, stop), which run() keeps inside one frame,
+  /// continuing the open frame when one is charged. The span is charged
+  /// when begin_charged_span() accepts it and stepped through the per-slot
+  /// phase 3 otherwise; a charged span under the armed fast-forward engine
+  /// steps only the slots skip_sender_free() cannot pass over. A charged
+  /// span that reaches its last slot closes; one cut short by stop stays
+  /// open.
   void step_span(std::uint64_t stop);
   /// Accepts the span [now_, stop) for charging — every live node paid its
   /// scheduled listen slots and wakeups in the span up front, charging_
   /// set — when no fault plan acts, the MAC advertises a
   /// periodic_schedule() over this graph, the span lies inside one of its
   /// frames, and (with batteries) no live node can die inside the span
-  /// whatever transmits. Otherwise it changes nothing.
+  /// whatever transmits. A span from a frame boundary is charged through
+  /// the frame's end from the frame totals when nobody can die before that
+  /// end, even if stop comes earlier. Otherwise it changes nothing.
   void begin_charged_span(std::uint64_t stop);
+  /// Inside a charged span under the armed engine: advances now_, without
+  /// stepping, over the slots before stop in which no live backlogged node
+  /// is in T[i], no live queue head is unroutable and no packet arrives,
+  /// leaving the state the last of them would have left. Such a slot
+  /// changes nothing but the clock: its scheduled listening was charged at
+  /// the span start, and the engine's arming conditions rule out per-slot
+  /// draws (mac.hpp and traffic.hpp allow skipping their slot hooks).
+  void skip_sender_free(std::uint64_t stop);
   /// Phase 3 inside a charged span: only this slot's transmitters, with
   /// the wakeups a transmission adds or cancels.
   void charge_transmitters();
+  /// Called by every observer that must see exact state between run()
+  /// calls: settles the open frame, if any (const like stats(), which
+  /// materializes sleep counts the same way).
+  void settle_open_frame() const {
+    if (charging_ != nullptr) const_cast<Simulator*>(this)->settle_frame();
+  }
+  /// Turns the open frame [frame_start_, frame end), charged through its
+  /// end, into the partial span [frame_start_, now_) charged alone:
+  /// refunds the unrun suffix or, when that is the longer side, takes back
+  /// the frame totals and charges the run prefix, so an observer pays at
+  /// most a partial span's charge plus O(n).
+  void settle_frame();
+  /// Calls add(v, listen, wakes) for the scheduled listening at frame
+  /// slots first..end-1 and the scheduled wakes at after+1..end-1 of
+  /// `schedule`, each distinct pooled set once with its multiplicity, in
+  /// the partial-span scratch span_ (sized once to the schedule's bounds).
+  template <typename Add>
+  void count_span(const core::Schedule& schedule, std::size_t first, std::size_t end,
+                  std::size_t after, Add&& add);
   /// Per-node counts over one whole frame of `schedule` (see FrameTotals).
   void count_frame_totals(const core::Schedule& schedule);
   void kill_node(std::size_t v);
@@ -475,21 +525,26 @@ class Simulator {
     std::vector<std::uint32_t> transmit;  // #{i : v ∈ T[i]}
   };
   FrameTotals frame_totals_;
-  // A partial span is charged straight from its distinct pooled sets. Its
-  // scratch is sized once to its bounds (the pool sizes and the frame
-  // length) at the first partial span, so no later span allocates and a
-  // run that never cuts a frame never allocates it.
+  // A partial span is charged straight from its distinct pooled sets, and
+  // so is an open frame's settle. The scratch is sized once to its bounds
+  // (the pool sizes and the frame length) at the first partial span or
+  // settle, so no later one allocates and a run that never cuts a frame
+  // never allocates it.
   struct SpanScratch {
     std::vector<std::uint32_t> multiplicity;  // per pool index; zero between spans
     std::vector<std::uint32_t> pools;         // pool indices the span's slots use
     std::vector<std::uint64_t> pairs;         // (R[i-1], R[i]) pool-index pairs
   };
   SpanScratch span_;
-  const core::Schedule* charging_ = nullptr;  // non-null inside a charged span
+  // Non-null inside a charged span, and between run() calls while a frame
+  // is open: a span from a frame boundary charged through the frame's end
+  // (span_last_ = L - 1) that the call stopped short of.
+  const core::Schedule* charging_ = nullptr;
   std::uint64_t frame_start_ = 0;             // first slot of the charged span's frame
   std::size_t span_first_ = 0;                // the charged span's first and last
   std::size_t span_last_ = 0;                 // frame slots
   std::vector<std::size_t> prev_tx_nodes_;    // charged span: last slot's tx_nodes_
+  util::DynamicBitset senders_;  // skip_sender_free scratch: live backlogged nodes
   ChargedSpanStats span_stats_;
 
   // Fast-forward engine state; null whenever the arming conditions in the

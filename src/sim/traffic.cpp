@@ -105,6 +105,16 @@ LookaheadConvergecastTraffic::LookaheadConvergecastTraffic(std::size_t num_nodes
   }
 }
 
+void LookaheadConvergecastTraffic::generate(std::uint64_t slot, util::Xoshiro256&,
+                                            const EmitFn& emit) {
+  TTDC_DCHECK(slot <= next_slot_, "LookaheadConvergecastTraffic: slot ", slot,
+              " skipped the arrival due at slot ", next_slot_);
+  while (next_slot_ == slot) {
+    emit(pending_origin_, sink_);
+    advance();
+  }
+}
+
 std::uint64_t LookaheadConvergecastTraffic::sample_gap() {
   // Geometric(p_any_) on {1, 2, ...} by inversion: exact for any p in (0, 1].
   if (p_any_ >= 1.0) return 1;

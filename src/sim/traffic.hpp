@@ -33,8 +33,10 @@ class TrafficSource {
   ///   * next_emission(from) is the exact slot >= from of its next emit()
   ///     call (kNoEmission if none), and that answer does not depend on
   ///     whether generate() is actually invoked for the quiet slots in
-  ///     between — so the simulator may skip generate() entirely for any
-  ///     window it has proven silent.
+  ///     between — so the simulator may skip generate() for any run of
+  ///     slots before that one (whole frames it replays, and the slots of
+  ///     a charged span in which nobody can send) and re-enter at any
+  ///     later slot up to it, never past it.
   ///
   /// The default (false) marks the source opaque: the per-slot Bernoulli
   /// sources below draw from the simulator stream every slot, so skipping
@@ -159,12 +161,10 @@ class LookaheadConvergecastTraffic final : public TrafficSource {
   LookaheadConvergecastTraffic(std::size_t num_nodes, std::size_t sink, double rate,
                                std::uint64_t seed);
 
-  void generate(std::uint64_t slot, util::Xoshiro256&, const EmitFn& emit) override {
-    while (next_slot_ == slot) {
-      emit(pending_origin_, sink_);
-      advance();
-    }
-  }
+  /// Emits the arrivals due at `slot`. A slot past a pending arrival is a
+  /// contract violation: a skip over it would drop that packet and, since
+  /// only generate() advances the stream, every later one.
+  void generate(std::uint64_t slot, util::Xoshiro256&, const EmitFn& emit) override;
 
   [[nodiscard]] bool supports_lookahead() const override { return true; }
   [[nodiscard]] std::uint64_t next_emission(std::uint64_t from) const override {

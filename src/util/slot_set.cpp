@@ -141,6 +141,14 @@ void SlotSet::flip_all() {
   maybe_demote();
 }
 
+void SlotSet::reserve_bounds() {
+  if (size_ <= kDenseUniverse) return;
+  if (bits_.size() != size_) bits_ = DynamicBitset(size_);
+  const std::size_t most = 2 * promote_threshold(size_);
+  sparse_.reserve(most);
+  merge_scratch().reserve(most);
+}
+
 void SlotSet::copy_from(const SlotSet& other) {
   TTDC_ASSERT(size_ == other.size_, "SlotSet::copy_from universe mismatch: ", size_,
               " vs ", other.size_);

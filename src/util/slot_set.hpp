@@ -107,6 +107,18 @@ class SlotSet {
   /// Complement within the universe.
   void flip_all();
 
+  /// Allocates now all the storage the set can ever use: the dense words,
+  /// and room in the sparse id list, and in the calling thread's merge
+  /// scratch, for the most ids a sparse set holds before it promotes (a
+  /// union of two sparse sets, twice promote_threshold()). After it, no
+  /// member operation on the set allocates on this thread, whatever
+  /// populations it reaches (assigning a whole SlotSet replaces the
+  /// storage), so a long-lived working set's steady state does not depend
+  /// on which sizes it happened to hold before. About 3 · universe / 8
+  /// bytes; a no-op up to kDenseUniverse positions, whose words the
+  /// constructor allocates.
+  void reserve_bounds();
+
   /// *this = other. Requires equal universes. Adopts the source
   /// representation.
   void copy_from(const SlotSet& other);

@@ -7,7 +7,9 @@
 // randomized differential over the scenario space, every span start and
 // end of a short schedule, targeted cases for the slot-0 wake, the
 // no-death bound and its clamp, and the closed form of a silent network's
-// frames, whole and cut.
+// frames, whole and cut. Counts pin which spans were charged, which slots
+// a charged span skipped under the armed fast-forward engine, and which
+// frames left open across run() calls an observer settled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -84,7 +87,9 @@ struct RunOutcome {
 };
 
 /// Runs `slots` slots in chunks of `chunk` (0 = one call) and snapshots the
-/// end state; audit_invariants() between chunks.
+/// end state; audit_invariants() between chunks (which settles a frame a
+/// chunk left open, like any observer) and after the snapshot, whose
+/// stats() settles a frame the last call left open.
 RunOutcome run_split(Simulator& sim, std::uint64_t slots, std::uint64_t chunk) {
   const std::uint64_t end = sim.now() + slots;
   while (sim.now() < end) {
@@ -97,6 +102,7 @@ RunOutcome run_split(Simulator& sim, std::uint64_t slots, std::uint64_t chunk) {
     out.remaining.push_back(sim.remaining_battery_mj(v));
   }
   out.alive = sim.alive_count();
+  sim.audit_invariants();
   return out;
 }
 
@@ -276,6 +282,97 @@ TEST(ChargedSpanCounts, PartialSpanSafeThroughItsStopIsCharged) {
   expect_edge_schedule_matches([] { return std::make_unique<SilentTraffic>(); }, config, 6 * 3);
 }
 
+TEST(ChargedSpanCounts, SilentFramesStepNoSlotUnderFastForward) {
+  // A silent network has no sender in any slot. With the engine armed, a
+  // charged span skips every slot: in one call the frames recorded are
+  // skipped and the rest replayed, and in calls one slot short of a
+  // frame, which the engine is never offered, every slot is skipped.
+  // Disarmed, every slot is stepped. All four runs give the same outcome.
+  const Schedule s = edge_schedule();
+  const std::uint64_t frame = s.frame_length();
+  const std::uint64_t k = 5;
+  SimConfig config{.seed = 14};
+  config.battery_mj = 1e3;
+  std::unique_ptr<RunOutcome> reference;
+  for (const bool fast_forward : {false, true}) {
+    for (const bool ragged : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "ff " << fast_forward << " ragged " << ragged);
+      config.fast_forward = fast_forward;
+      DutyCycledScheduleMac mac(s);
+      SilentTraffic traffic;
+      Simulator sim(net::ring_graph(4), mac, traffic, config);
+      while (sim.now() < k * frame) {
+        sim.run(ragged ? std::min(frame - 1, k * frame - sim.now()) : k * frame);
+      }
+      const ChargedSpanStats spans = sim.charged_span_stats();
+      const FastForwardStats ff = sim.fast_forward_stats();
+      EXPECT_EQ(spans.per_slot, 0u);
+      EXPECT_EQ(spans.skipped + ff.slots_replayed, fast_forward ? k * frame : 0u);
+      EXPECT_EQ(ff.slots_replayed > 0, fast_forward && !ragged);
+      const RunOutcome out = run_split(sim, 0, 0);
+      if (reference == nullptr) {
+        reference = std::make_unique<RunOutcome>(out);
+      } else {
+        expect_same_outcome(*reference, out);
+      }
+    }
+  }
+}
+
+TEST(ChargedSpanCounts, OpenFramesSettleOnlyWhenObserved) {
+  // Seeded ragged calls of 1 to L+1 slots. A call that ends inside a frame
+  // leaves it open when the frame's start lies in that call (or at its
+  // start); the next call continues it. Unobserved, nothing is settled.
+  // Observed after every call, each cut frame is settled exactly once, at
+  // its first cut (the call that opened it ends there); its later cuts are
+  // ordinary partial spans. The first observer after a call is stats(),
+  // remaining_battery_mj() or audit_invariants() in turn, and each settles
+  // alone: the snapshot after it finds nothing left to settle. Both modes
+  // match the per-slot oracle, after every call when observed and at the
+  // end otherwise.
+  const Schedule s = edge_schedule();
+  const std::uint64_t frame = s.frame_length();
+  util::Xoshiro256 rng(15);
+  std::vector<std::uint64_t> calls;
+  std::set<std::uint64_t> cut_frames;
+  std::uint64_t total = 0;
+  while (total < 30 * frame) {
+    calls.push_back(1 + rng.below(frame + 1));
+    total += calls.back();
+    if (total % frame != 0) cut_frames.insert(total / frame);
+  }
+  SimConfig config{.seed = 16};
+  config.battery_mj = 1e3;
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    // The per-slot oracle forms no spans, so its call boundaries are moot.
+    DutyCycledScheduleMac inner(s);
+    ScalarOnlyMac scalar(inner);
+    SteadySource oracle_traffic(0, 1);
+    Simulator oracle(net::ring_graph(4), scalar, oracle_traffic, config);
+    DutyCycledScheduleMac mac(s);
+    SteadySource traffic(0, 1);
+    Simulator sim(net::ring_graph(4), mac, traffic, config);
+    for (std::size_t k = 0; k < calls.size(); ++k) {
+      sim.run(calls[k]);
+      if (observe) {
+        if (k % 3 == 0) (void)sim.stats();
+        if (k % 3 == 1) (void)sim.remaining_battery_mj(0);
+        if (k % 3 == 2) sim.audit_invariants();
+        const std::uint64_t settled = sim.charged_span_stats().settled;
+        oracle.run(calls[k]);
+        expect_same_outcome(run_split(oracle, 0, 0), run_split(sim, 0, 0));
+        EXPECT_EQ(sim.charged_span_stats().settled, settled);
+      }
+    }
+    EXPECT_EQ(sim.charged_span_stats().settled, observe ? cut_frames.size() : 0u);
+    EXPECT_EQ(sim.charged_span_stats().per_slot, 0u);
+    oracle.run(sim.now() - oracle.now());
+    expect_same_outcome(run_split(oracle, 0, 0), run_split(sim, 0, 0));
+  }
+  EXPECT_GT(cut_frames.size(), 10u);
+}
+
 /// Number of maximal cyclic runs of members in a bitset over L slots.
 std::size_t cyclic_runs(const util::DynamicBitset& slots) {
   const std::size_t frame = slots.size();
@@ -359,6 +456,9 @@ struct Scenario {
   double battery_mj = 0.0;
   bool fast_forward = false;
   int split = 0;  // 0 one call, 1 per frame, 2 random lengths, 3 1-7 slots
+  // Observe (stats(), remaining_battery_mj(), audit_invariants()) after
+  // every call, against the oracle at the same slot, or only at the end.
+  bool observe = false;
   std::uint64_t slots = 0;
   std::uint64_t seed = 0;
 
@@ -367,7 +467,8 @@ struct Scenario {
     os << "n=" << n << " D=" << degree << " aT=" << alpha_t << " aR=" << alpha_r
        << " aware=" << aware << " lookahead=" << lookahead << " rate=" << rate
        << " energy=" << energy << " battery_mj=" << battery_mj << " ff=" << fast_forward
-       << " split=" << split << " slots=" << slots << " seed=" << seed;
+       << " split=" << split << " observe=" << observe << " slots=" << slots
+       << " seed=" << seed;
     return os.str();
   }
 };
@@ -441,6 +542,7 @@ Scenario draw_scenario(std::uint64_t seed) {
     const double fraction = 0.3 + 1.2 * rng.uniform01();
     sc.battery_mj = std::round(fraction * per_slot * static_cast<double>(sc.slots) * 1e3) / 1e3;
   }
+  sc.observe = rng.bernoulli(0.5);  // drawn last: the draws above keep their values
   return sc;
 }
 
@@ -451,9 +553,17 @@ std::unique_ptr<TrafficSource> make_traffic(const Scenario& sc) {
   return std::make_unique<BernoulliTraffic>(sc.n, sc.rate);
 }
 
-/// Asserts the scenario's outcome equals the oracle's; returns the
-/// oracle's death count.
-std::uint64_t expect_scenario_matches(const Scenario& sc) {
+/// What a scenario's charged run did, beyond matching the oracle.
+struct ScenarioKinds {
+  std::uint64_t deaths = 0;    // the oracle's
+  bool skipped = false;        // a charged span skipped slots
+  bool open_across = false;    // a frame stayed open across an unobserved call
+  bool settled = false;        // an observer settled an open frame mid-run
+};
+
+/// Asserts the scenario's outcome equals the oracle's, after every call
+/// when the scenario observes and at the end otherwise.
+ScenarioKinds expect_scenario_matches(const Scenario& sc) {
   const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
   SimConfig config{.seed = sc.seed};
   config.fast_forward = sc.fast_forward;
@@ -463,46 +573,77 @@ std::uint64_t expect_scenario_matches(const Scenario& sc) {
   const net::Graph graph =
       net::random_bounded_degree_graph(sc.n, sc.degree, 2 * sc.n, graph_rng);
 
+  // The per-slot oracle forms no spans, so its call boundaries are moot.
   DutyCycledScheduleMac inner(s, sc.aware);
   ScalarOnlyMac scalar(inner);
   auto oracle_traffic = make_traffic(sc);
   Simulator oracle_sim(graph, scalar, *oracle_traffic, config);
-  const RunOutcome oracle = run_split(oracle_sim, sc.slots, 0);
 
   DutyCycledScheduleMac mac(s, sc.aware);
   auto traffic = make_traffic(sc);
   Simulator sim(graph, mac, *traffic, config);
   const std::uint64_t frame = s.frame_length();
   util::Xoshiro256 split_rng(sc.seed ^ 0x5b17);
+  std::uint64_t last_start = 0;
   while (sim.now() < sc.slots) {
     std::uint64_t chunk = sc.slots - sim.now();
     if (sc.split == 1) chunk = frame;
     if (sc.split == 2) chunk = 1 + split_rng.below(2 * frame);
     if (sc.split == 3) chunk = 1 + split_rng.below(7);
-    sim.run(std::min(chunk, sc.slots - sim.now()));
-    sim.audit_invariants();
+    chunk = std::min(chunk, sc.slots - sim.now());
+    last_start = sim.now();
+    sim.run(chunk);
+    if (sc.observe && sim.now() < sc.slots) {
+      // Each snapshot audits both simulators after its stats() settled.
+      oracle_sim.run(chunk);
+      expect_same_outcome(run_split(oracle_sim, 0, 0), run_split(sim, 0, 0));
+      if (::testing::Test::HasFailure()) break;
+    }
   }
+  ScenarioKinds kinds;
+  kinds.settled = sim.charged_span_stats().settled > 0;
+  // Unobserved, a final call that starts and ends inside one frame cannot
+  // open it (only a span from a frame boundary does), so a frame the end
+  // settles was opened by an earlier call and continued across this one.
+  const bool inside_one_frame = last_start % frame != 0 && sim.now() % frame != 0 &&
+                                last_start / frame == sim.now() / frame;
+  oracle_sim.run(sc.slots - oracle_sim.now());
+  const RunOutcome oracle = run_split(oracle_sim, 0, 0);
   expect_same_outcome(oracle, run_split(sim, 0, 0));
-  return oracle.stats.deaths;
+  kinds.open_across =
+      !sc.observe && inside_one_frame && sim.charged_span_stats().settled > 0;
+  kinds.deaths = oracle.stats.deaths;
+  kinds.skipped = sim.charged_span_stats().skipped > 0;
+  return kinds;
 }
 
 TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   constexpr std::uint64_t kCases = 1000;
-  // Ragged splits (2 and 3) cut frames into partial spans; those with
-  // deaths exercise the partial spans' no-death bound.
+  // Ragged splits (2 and 3) cut frames into partial spans or leave them
+  // open; those with deaths exercise the no-death bounds. Runs with the
+  // engine armed skip sender-free slots; unobserved runs carry open frames
+  // across calls, observed ones settle them.
   std::size_t with_deaths = 0, ragged_with_deaths = 0, large = 0;
+  std::size_t skipped = 0, open_across = 0, settled = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
     SCOPED_TRACE(sc.describe());
-    const bool deaths = expect_scenario_matches(sc) > 0;
+    const ScenarioKinds kinds = expect_scenario_matches(sc);
+    const bool deaths = kinds.deaths > 0;
     with_deaths += deaths ? 1 : 0;
     ragged_with_deaths += deaths && sc.split >= 2 ? 1 : 0;
     large += sc.n > util::SlotSet::kDenseUniverse ? 1 : 0;
+    skipped += kinds.skipped ? 1 : 0;
+    open_across += kinds.open_across ? 1 : 0;
+    settled += kinds.settled && sc.observe ? 1 : 0;
     if (::testing::Test::HasFailure()) break;  // one reproducible seed is enough
   }
   EXPECT_GT(with_deaths, kCases / 10);
   EXPECT_GT(ragged_with_deaths, kCases / 10);
   EXPECT_GT(large, kCases / kLargeEvery / 2);
+  EXPECT_GT(skipped, kCases / 10);
+  EXPECT_GT(open_across, kCases / 10);
+  EXPECT_GT(settled, kCases / 10);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "support/sleeper_mac.hpp"
 #include "support/stats_equal.hpp"
+#include "util/check.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -425,6 +426,25 @@ TEST(LookaheadTraffic, NextEmissionPredictsGenerateExactly) {
     });
   }
   EXPECT_EQ(stepped_arrivals, skipped_arrivals);
+}
+
+// A skip that jumped past a pending arrival would drop it and every later
+// one (only generate() advances the stream), so generating at a slot past
+// it is a contract violation.
+TEST(LookaheadTraffic, GeneratePastAPendingArrivalViolatesContract) {
+  LookaheadConvergecastTraffic traffic(40, 3, 0.01, 0x5);
+  util::Xoshiro256 unused_rng(1);
+  const std::uint64_t due = traffic.next_emission(0);
+  ASSERT_NE(due, TrafficSource::kNoEmission);
+  check::ScopedThrowOnViolation guard;
+  const auto late = [&] {
+    traffic.generate(due + 1, unused_rng, [](std::size_t, std::size_t) {});
+  };
+  if (check::library_checks_enabled()) {
+    EXPECT_THROW(late(), check::ContractViolation);
+  } else {
+    EXPECT_NO_THROW(late());  // Release compiles the check out
+  }
 }
 
 TEST(LookaheadTraffic, ZeroRateNeverEmits) {

@@ -338,19 +338,31 @@ TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
   // merges run every slot and must reuse their own capacity (a union that
   // swapped buffers with the merge scratch allocates here). Each runs under
   // a convergecast and under SaturatedFlows, whose drain notifications
-  // and pending-set walk must not allocate either. The measured window is
-  // cut into ragged run() calls of 1, 7, L-1 and L+3 slots, so it charges
-  // partial spans of every kind as well as whole frames.
+  // and pending-set walk must not allocate either, and under a sparse
+  // lookahead convergecast with fast-forward armed, whose charged spans
+  // skip their sender-free slots. The measured windows are cut into ragged
+  // run() calls of 1, 7, L-1 and L+3 slots (L-7 for the armed load, so no
+  // whole frame reaches the engine, whose memo records allocate their
+  // entries): frames left open across calls, their continuations, partial
+  // spans and whole frames. Each window runs unobserved, with stats() once
+  // per cycle (settling a frame some calls continued) and with stats()
+  // after every call, after a warm-up that observes nothing: the
+  // simulator's sets are sized to their bounds at construction and its
+  // span scratch at the first partial span or settle, so no window depends
+  // on which populations the warm-up happened to reach.
+  enum class Load { kConvergecast, kSaturated, kSparseLookahead };
+  enum class Observe { kNever, kPerCycle, kEvery };
   for (const auto& [n, alpha_r] : {std::pair<std::size_t, std::size_t>{kN, kN / 3}, {300, 12}}) {
-    for (const bool saturated : {false, true}) {
+    for (const Load load : {Load::kConvergecast, Load::kSaturated, Load::kSparseLookahead}) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " aR=" << alpha_r
-                                        << " saturated=" << saturated);
+                                        << " load=" << static_cast<int>(load));
       const Schedule s = duty_schedule(n, alpha_r);
       DutyCycledScheduleMac mac(s);
       const net::Graph graph = test_graph(21, n);
       const Simulator* probe = nullptr;
       std::unique_ptr<TrafficSource> traffic;
-      if (saturated) {
+      SimConfig config{.seed = 200};
+      if (load == Load::kSaturated) {
         // One flow per node to its first neighbour: a routing column per
         // destination, all built by the first slot's pushes.
         std::vector<std::pair<std::size_t, std::size_t>> flows;
@@ -360,34 +372,56 @@ TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
         }
         traffic = std::make_unique<SaturatedFlows>(
             std::move(flows), [&probe](std::size_t v) { return probe->queue_size(v); });
-      } else {
+      } else if (load == Load::kConvergecast) {
         traffic = std::make_unique<ConvergecastTraffic>(n, 0, 0.02);  // one routing column
+      } else {
+        // One arrival per 40 slots on average.
+        const double rate = 1.0 / (40.0 * static_cast<double>(n - 1));
+        traffic = std::make_unique<LookaheadConvergecastTraffic>(n, 0, rate, 201);
+        config.fast_forward = true;
       }
-      const SimConfig config{.seed = 200};
+      const bool armed = load == Load::kSparseLookahead;
       Simulator sim(graph, mac, *traffic, config);
       probe = &sim;
       const std::uint64_t frame = s.frame_length();
-      const std::uint64_t chunks[] = {1, 7, frame - 1, frame + 3};
-      const auto run_ragged = [&](std::uint64_t slots) {
+      const std::uint64_t chunks[] = {1, 7, frame - 1, armed ? frame - 7 : frame + 3};
+      const auto run_ragged = [&](std::uint64_t slots, Observe observe) {
         const std::uint64_t end = sim.now() + slots;
         for (std::size_t k = 0; sim.now() < end; ++k) {
           sim.run(std::min(chunks[k % 4], end - sim.now()));
+          if (observe == Observe::kEvery || (observe == Observe::kPerCycle && k % 4 == 2)) {
+            (void)sim.stats();
+          }
         }
       };
-      // Steady state: routing columns built, queues saturated, and the
-      // span scratch sized by the first partial spans.
+      // Steady state: routing columns built, queues saturated.
       sim.run(3000);
-      run_ragged(2 * frame + 11);
-      // Latency samples are the one unbounded buffer; pre-size it for the
-      // measured window (the paper's experiments do the same via reserve()).
-      // A delivery needs a transmitter, so n per slot bounds the window's.
-      sim.reserve_latency(sim.stats().latency.count() + 2000 * n);
-      const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-      run_ragged(2000);
-      const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-      EXPECT_EQ(after - before, 0u) << "Simulator::step() allocated on the hot path";
-      EXPECT_GT(sim.stats().delivered, 0u);       // the window did real work
-      EXPECT_GT(sim.stats().transmissions, 0u);   // including phase-2 resolution
+      run_ragged(2 * frame + 11, Observe::kNever);
+      for (const Observe observe : {Observe::kNever, Observe::kPerCycle, Observe::kEvery}) {
+        SCOPED_TRACE(::testing::Message() << "observe=" << static_cast<int>(observe));
+        // The window starts 100 slots before a frame boundary, so even
+        // n = 300's frame of ~17k slots opens one inside it.
+        sim.run(frame - (sim.now() + 100) % frame);
+        // Latency samples are the one unbounded buffer; pre-size it for the
+        // measured window (the paper's experiments do the same via
+        // reserve()). A delivery needs a transmitter, so n per slot bounds
+        // the window's.
+        sim.reserve_latency(sim.stats().latency.count() + 2000 * n);
+        const SimStats stats_before = sim.stats();
+        const ChargedSpanStats spans_before = sim.charged_span_stats();
+        const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+        run_ragged(2000, observe);
+        const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+        const ChargedSpanStats spans = sim.charged_span_stats();  // before stats() settles
+        EXPECT_EQ(after - before, 0u) << "Simulator::step() allocated on the hot path";
+        // The window did real work, including phase-2 resolution.
+        EXPECT_GT(sim.stats().delivered, stats_before.delivered);
+        EXPECT_GT(sim.stats().transmissions, stats_before.transmissions);
+        EXPECT_EQ(spans.settled > spans_before.settled, observe != Observe::kNever);
+        if (armed) {
+          EXPECT_GT(spans.skipped, spans_before.skipped);
+        }
+      }
     }
   }
 }
@@ -409,6 +443,50 @@ TEST(HotPathAllocations, CountingHookObservesAllocations) {
   set.set_all();  // first dense use allocates the word storage
   EXPECT_GT(g_alloc_count.load(std::memory_order_relaxed), before);
   EXPECT_EQ(set.count(), 4096u);
+}
+
+// The simulator's working sets rely on this: once reserve_bounds() has
+// run, no operation on a set allocates, whatever populations it reaches;
+// the same operations on a set that has not been reserved do.
+TEST(HotPathAllocations, ReservedSlotSetNeverAllocates) {
+  constexpr std::size_t kUniverse = 4096;
+  const std::size_t most = util::SlotSet::promote_threshold(kUniverse);
+  // Two disjoint sparse sets at the promote threshold: their union is the
+  // longest id list a sparse set builds before it promotes.
+  util::SlotSet evens(kUniverse);
+  util::SlotSet odds(kUniverse);
+  for (std::size_t k = 0; k < most; ++k) {
+    evens.set(2 * k);
+    odds.set(2 * k + 1);
+  }
+  ASSERT_FALSE(evens.is_dense());
+  ASSERT_FALSE(odds.is_dense());
+  for (const bool reserved : {false, true}) {
+    SCOPED_TRACE(reserved ? "reserved" : "not reserved");
+    util::SlotSet set(kUniverse);
+    if (reserved) set.reserve_bounds();
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    set.copy_from(evens);
+    set |= odds;  // a sparse union of 2 * most ids, then dense
+    EXPECT_TRUE(set.is_dense());
+    set.reset_all();
+    // Descending, so every member but the first is inserted at the front
+    // of the id list; the last one promotes.
+    for (std::size_t k = 0; k <= most; ++k) set.set(kUniverse - 1 - k);
+    EXPECT_TRUE(set.is_dense());
+    for (std::size_t k = 0; k <= most; ++k) set.reset(kUniverse - 1 - k);
+    EXPECT_FALSE(set.is_dense());
+    set.flip_all();
+    set.subtract(odds);
+    set &= evens;
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_TRUE(set == evens);
+    if (reserved) {
+      EXPECT_EQ(after - before, 0u);
+    } else {
+      EXPECT_GT(after - before, 0u);
+    }
+  }
 }
 
 }  // namespace
