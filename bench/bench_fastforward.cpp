@@ -1,14 +1,16 @@
-// Frame-level fast-forwarding bench (DESIGN.md §15): the memoized replay
-// engine vs slot-accurate stepping on the workload it was built for — a
-// static-topology duty-cycled network with sparse lookahead traffic (the
+// Fast-forward bench (DESIGN.md §15): a charged span's skip over its
+// sender-free slots vs stepping every slot, on the workload it pays off on:
+// a static-topology duty-cycled network with sparse lookahead traffic (the
 // E21 lifetime regime: long silent stretches between convergecast
-// arrivals). Gates:
+// arrivals). "On" runs the lookahead source bare, so the skip arms; "off"
+// runs the same source behind OpaqueTraffic (tests/support/), which never
+// skips. Gates:
 //
-//   * fastforward_speedup >= 10x: FF-on vs FF-off wall-clock on the
+//   * fastforward_speedup >= 10x: on vs off wall-clock on the
 //     sparse-traffic run (stats asserted bit-identical before timing);
-//   * disarmed_overhead <= 2%: an armed engine that falls back on every
-//     frame (saturating arrivals veto each boundary) must cost within 2%
-//     of the flag-off run — the boundary probe is the entire toll.
+//   * disarmed_overhead <= 2%: on a workload with an arrival in every
+//     frame, the armed skip must cost within 2% of the reference — skipping
+//     never costs more than stepping.
 //
 // Rates are the MAX over interleaved reps (the bench_megascale idiom): on
 // a shared box, co-tenant interference only ever slows a rep down, so the
@@ -19,8 +21,8 @@
 // scripts/run_benches.sh --perf-check.
 //
 // --smoke: short run, no gate failures — the CI Release job runs this to
-// prove the replay engine stays alive and golden-equal without paying for
-// a calibrated run.
+// prove the skip stays engaged and golden-equal without paying for a
+// calibrated run.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -38,6 +40,7 @@
 #include "obs/report.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/opaque_traffic.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -50,11 +53,10 @@ constexpr double kBatteryMj = 1.0e7;  // outlives every timed window: no
                                       // death crossing inside a rep
 constexpr double kGateSpeedup = 10.0;
 constexpr double kGateOverhead = 0.02;
-// Aggregate arrival gap for the sparse (fast-forwardable) workload, in
-// FRAMES (the n=400 schedule's frame is ~2400 slots). 150 frames of
-// silence per arrival: the post-arrival drain (a handful of slot-accurate
-// frames while packets are in flight) stays a rounding error against the
-// replayable stretch, yet every timed window still sees re-entries.
+// Aggregate arrival gap for the sparse workload, in FRAMES (the n=400
+// schedule's frame is ~2400 slots). 150 frames of silence per arrival: the
+// slots stepped while packets are in flight stay a rounding error against
+// the skipped stretch, yet every timed window still sees arrivals.
 constexpr double kSparseGapFrames = 150.0;
 
 struct World {
@@ -81,36 +83,34 @@ double per_node_rate(double gap_slots) {
   return 1.0 / (gap_slots * static_cast<double>(kN - 1));
 }
 
-sim::SimConfig base_config(bool fast_forward) {
-  sim::SimConfig cfg;
-  cfg.seed = 0xE21;
-  cfg.battery_mj = kBatteryMj;
-  cfg.fast_forward = fast_forward;
-  return cfg;
-}
-
 struct RunResult {
   sim::SimStats stats;
-  sim::FastForwardStats ff;
+  sim::ChargedSpanStats spans;
   double slots_per_sec = 0.0;
 };
 
-RunResult run_once(const World& world, bool fast_forward, double rate,
-                   std::uint64_t warmup, std::uint64_t timed) {
+/// One run with the lookahead source bare (`skip`, so the skip arms) or
+/// behind OpaqueTraffic (the reference that steps every slot).
+RunResult run_once(const World& world, bool skip, double rate, std::uint64_t warmup,
+                   std::uint64_t timed) {
   sim::DutyCycledScheduleMac mac(world.schedule);
   sim::LookaheadConvergecastTraffic traffic(kN, /*sink=*/0, rate, /*seed=*/0x5EED);
-  sim::Simulator sim(world.graph, mac, traffic, base_config(fast_forward));
+  sim::OpaqueTraffic opaque(traffic);
+  sim::SimConfig cfg;
+  cfg.seed = 0xE21;
+  cfg.battery_mj = kBatteryMj;
+  sim::Simulator sim(world.graph, mac,
+                     skip ? static_cast<sim::TrafficSource&>(traffic) : opaque, cfg);
   sim.run(warmup);
   util::Timer timer;
   sim.run(timed);
   const double secs = timer.seconds();
-  return {sim.stats(), sim.fast_forward_stats(),
-          static_cast<double>(timed) / secs};
+  return {sim.stats(), sim.charged_span_stats(), static_cast<double>(timed) / secs};
 }
 
-/// Golden tripwire before timing anything: the replay engine must count
-/// the same world as slot-accurate stepping, bit for bit. (The full
-/// cross-MAC matrix lives in tests/test_fastforward.cpp.)
+/// Golden tripwire before timing anything: the skip must count the same
+/// world as stepping every slot, bit for bit. (The full cross-MAC matrix
+/// lives in tests/test_fastforward.cpp.)
 bool stats_agree(const sim::SimStats& a, const sim::SimStats& b) {
   return a.slots_run == b.slots_run && a.generated == b.generated &&
          a.delivered == b.delivered && a.hop_successes == b.hop_successes &&
@@ -132,9 +132,8 @@ int main(int argc, char** argv) {
   const int pairs = smoke ? 3 : 5;
   const World world = make_world(kN);
   const std::uint64_t period = world.schedule.frame_length();
-  // Warmup covers the memo's boundary-state cycle (the schedule rotation
-  // yields a handful of distinct frame-boundary fingerprints, each needing
-  // one slot-accurate recording before replays begin).
+  // Untimed warmup: routing columns built and the frame totals counted
+  // before the timed window starts.
   const std::uint64_t warmup = 12 * period;
   const std::uint64_t timed = (smoke ? 30 : 600) * period;
   // The overhead gate compares two nearly equal rates, so its reps need to
@@ -167,25 +166,25 @@ int main(int argc, char** argv) {
     const RunResult off = run_once(world, false, sparse_rate, warmup, timed);
     const RunResult on = run_once(world, true, sparse_rate, warmup, timed);
     if (!stats_agree(off.stats, on.stats)) {
-      std::cout << "GOLDEN MISMATCH: fast-forward changed the stats\n";
+      std::cout << "GOLDEN MISMATCH: skipping changed the stats\n";
       ok = false;
     }
-    if (on.ff.frames_replayed == 0) {
-      std::cout << "ENGINE IDLE: sparse workload never replayed a frame\n";
+    if (on.spans.skipped == 0) {
+      std::cout << "ENGINE IDLE: sparse workload never skipped a slot\n";
       ok = false;
     }
-    const double replayed_fraction =
-        static_cast<double>(on.ff.slots_replayed) /
-        static_cast<double>(on.stats.slots_run);
-    std::cout << "replayed fraction: " << replayed_fraction << " ("
-              << on.ff.frames_replayed << " frames via " << on.ff.frames_recorded
-              << " recordings)\n";
-    report.metric("replayed_fraction", replayed_fraction);
-    report.metric("frames_replayed", static_cast<double>(on.ff.frames_replayed));
-    report.metric("frames_recorded", static_cast<double>(on.ff.frames_recorded));
+    if (off.spans.skipped != 0) {
+      std::cout << "REFERENCE SKIPPED: " << off.spans.skipped << " slots behind OpaqueTraffic\n";
+      ok = false;
+    }
+    const double skipped_fraction =
+        static_cast<double>(on.spans.skipped) / static_cast<double>(on.stats.slots_run);
+    std::cout << "skipped fraction: " << skipped_fraction << " (" << on.spans.skipped
+              << " of " << on.stats.slots_run << " slots)\n";
+    report.metric("skipped_fraction", skipped_fraction);
   }
 
-  // Speedup gate: sparse traffic, FF on vs off, max-paired rates.
+  // Speedup gate: sparse traffic, skip on vs off, max-paired rates.
   double speedup = 0.0;
   if (ok) {
     std::vector<double> on_rates, off_rates;
@@ -204,20 +203,15 @@ int main(int argc, char** argv) {
     report.metric("fastforward_speedup", speedup);
   }
 
-  // Overhead gate: saturating arrivals veto every frame boundary, so the
-  // armed engine's only work is the per-frame probe. Compare against the
-  // flag-off run on the identical workload.
+  // Overhead gate: arrivals in every frame keep packets in flight, so the
+  // armed skip probes before most stepped slots and passes over fewer.
+  // Compare against the reference that steps every slot of the identical
+  // workload: skipping must never cost more than stepping.
   double overhead = 0.0;
   {
     // ~1 arrival per 200 slots in aggregate: every frame (~2400 slots)
-    // contains one, so each boundary probe vetoes and the engine never
-    // records or replays — pure fallback toll.
+    // contains one.
     const double dense_rate = per_node_rate(200.0);
-    const RunResult probe = run_once(world, true, dense_rate, warmup, overhead_timed);
-    if (probe.ff.frames_replayed != 0) {
-      std::cout << "OVERHEAD WORKLOAD LEAKED REPLAYS: " << probe.ff.frames_replayed << "\n";
-      ok = false;
-    }
     std::vector<double> armed_rates, off_rates;
     for (int rep = 0; rep < overhead_pairs; ++rep) {
       off_rates.push_back(
@@ -228,10 +222,10 @@ int main(int argc, char** argv) {
     const double off = *std::max_element(off_rates.begin(), off_rates.end());
     const double armed = *std::max_element(armed_rates.begin(), armed_rates.end());
     overhead = off > armed ? off / armed - 1.0 : 0.0;
-    std::cout << "fallback-every-frame: off " << off << " slots/s, armed " << armed
+    std::cout << "arrival-every-frame: off " << off << " slots/s, armed " << armed
               << " slots/s, overhead " << overhead * 100.0 << "%\n";
-    report.metric("armed_fallback_slots_per_sec", armed);
-    report.metric("flag_off_slots_per_sec", off);
+    report.metric("armed_dense_slots_per_sec", armed);
+    report.metric("reference_dense_slots_per_sec", off);
     report.metric("disarmed_overhead", overhead);
   }
 
@@ -245,7 +239,7 @@ int main(int argc, char** argv) {
   if (!smoke) ok = ok && speedup_ok && overhead_ok;
   report.metric("ok", ok ? 1 : 0);
   report.write();
-  // Smoke mode proves golden equality and that the engine engages; it is
-  // too short to hold the calibrated perf gates.
+  // Smoke mode proves golden equality and that the skip engages; it is too
+  // short to hold the calibrated perf gates.
   return ok ? 0 : 1;
 }

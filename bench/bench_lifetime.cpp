@@ -14,13 +14,12 @@
 // experiment's original fixed seed; "lifetime x" is computed against the
 // always-on row after the campaign, in cell-index order.
 //
-// Fast-forwarding (DESIGN.md §15) is on campaign-wide: the lookahead
-// convergecast source plus the periodic TT schedules let the simulator
-// replay memoized frames through the long quiet stretches of a lifetime
-// run. Per-row and aggregate metrics split the work into slots actually
-// simulated vs slots replayed so the split is visible in BENCH_lifetime
-// history (stats are unchanged by the FF contract — only wall-clock and
-// the split move).
+// Fast-forward (DESIGN.md §15): the lookahead convergecast source plus the
+// periodic TT schedules let the simulator skip the slots in which nobody
+// can send through the long quiet stretches of a lifetime run. Per-row and
+// aggregate metrics split the work into slots actually simulated vs slots
+// skipped so the split is visible in BENCH_lifetime history (stats are
+// unchanged by skipping — only wall-clock and the split move).
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -92,13 +91,11 @@ int main() {
 
   struct LifeRow {
     std::uint64_t half_dead = 0, blackout = 0, delivered_at_first_death = 0;
-    sim::FastForwardStats ff;
+    std::uint64_t skipped = 0;
   };
   std::vector<LifeRow> life(specs.size());
 
-  runner::CampaignOptions options;
-  options.fast_forward = true;
-  runner::Campaign campaign(options);
+  runner::Campaign campaign;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& spec = specs[i];
     auto& out = life[i];
@@ -110,7 +107,6 @@ int main() {
       config.seed = 77;  // the experiment's original fixed seed, not ctx.seed()
       config.battery_mj = kBatteryMj;
       config.shared_routing = routing.get();
-      config.fast_forward = ctx.fast_forward();
       sim::Simulator sim(grid, *mac, traffic, config);
       while (sim.now() < kMaxSlots && sim.alive_count() > 0) {
         sim.run(1000);
@@ -120,7 +116,7 @@ int main() {
         if (out.half_dead == 0 && sim.stats().deaths >= kN / 2) out.half_dead = sim.now();
         if (sim.alive_count() == 0) out.blackout = sim.now();
       }
-      out.ff = sim.fast_forward_stats();
+      out.skipped = sim.charged_span_stats().skipped;
       ctx.record(sim.stats());
     });
   }
@@ -128,27 +124,26 @@ int main() {
 
   util::Table table({"mac", "first death (slot)", "half dead (slot)", "blackout (slot)",
                      "delivered total", "delivered after 1st death", "lifetime x",
-                     "slots simulated", "slots replayed"});
+                     "slots simulated", "slots skipped"});
   double always_on_first_death = 0.0;
-  std::uint64_t total_simulated = 0, total_replayed = 0, total_frames_replayed = 0;
+  std::uint64_t total_simulated = 0, total_skipped = 0;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const auto& st = result.cells[i].stats;
     const auto& out = life[i];
     const double first = static_cast<double>(st.first_death_slot);
     if (always_on_first_death == 0.0) always_on_first_death = first;
-    // The split: slots the engine replayed from a memoized frame delta vs
-    // slots that ran through the full per-slot pipeline.
-    const std::uint64_t simulated = st.slots_run - out.ff.slots_replayed;
+    // The split: slots a charged span skipped vs slots that ran through the
+    // per-slot pipeline.
+    const std::uint64_t simulated = st.slots_run - out.skipped;
     total_simulated += simulated;
-    total_replayed += out.ff.slots_replayed;
-    total_frames_replayed += out.ff.frames_replayed;
+    total_skipped += out.skipped;
     table.add_row({result.cells[i].name, static_cast<std::int64_t>(st.first_death_slot),
                    static_cast<std::int64_t>(out.half_dead),
                    static_cast<std::int64_t>(out.blackout),
                    static_cast<std::int64_t>(st.delivered),
                    static_cast<std::int64_t>(st.delivered - out.delivered_at_first_death),
                    first / always_on_first_death, static_cast<std::int64_t>(simulated),
-                   static_cast<std::int64_t>(out.ff.slots_replayed)});
+                   static_cast<std::int64_t>(out.skipped)});
     std::string key = result.cells[i].name;
     for (char& c : key) {
       if (c == ' ' || c == '(' || c == ')' || c == '=' || c == '%' || c == '-') c = '_';
@@ -157,13 +152,11 @@ int main() {
     report.metric(key + "_delivered_total", st.delivered);
     report.metric(key + "_lifetime_x", first / always_on_first_death);
     report.metric(key + "_slots_simulated", simulated);
-    report.metric(key + "_slots_replayed", out.ff.slots_replayed);
-    report.metric(key + "_frames_replayed", out.ff.frames_replayed);
+    report.metric(key + "_slots_skipped", out.skipped);
   }
   report.metric("macs_compared", table.num_rows());
   report.metric("total_slots_simulated", total_simulated);
-  report.metric("total_slots_replayed", total_replayed);
-  report.metric("total_frames_replayed", total_frames_replayed);
+  report.metric("total_slots_skipped", total_skipped);
   report.write();
   std::cout << table.to_text();
   std::cout << "\nreading: duty cycling multiplies time-to-first-death roughly by the\n"

@@ -61,18 +61,10 @@ class Schedule {
   [[nodiscard]] std::size_t frame_length() const { return t_of_.size(); }
 
   /// Position of an absolute simulator slot within the periodic frame. The
-  /// schedule's behavior is a pure function of this phase — which is exactly
-  /// what makes whole frames memoizable: two slots with equal frame_phase()
-  /// see identical <T, R> sets.
+  /// schedule's behavior is a pure function of this phase: two slots with
+  /// equal frame_phase() see identical <T, R> sets.
   [[nodiscard]] std::size_t frame_phase(std::uint64_t slot) const {
     return static_cast<std::size_t>(slot % frame_length());
-  }
-
-  /// First frame boundary at or after `slot` (the aligned point where the
-  /// fast-forward engine may attempt a frame replay).
-  [[nodiscard]] std::uint64_t next_frame_boundary(std::uint64_t slot) const {
-    const std::uint64_t phase = slot % frame_length();
-    return phase == 0 ? slot : slot + (frame_length() - phase);
   }
 
   /// Per-slot sets T[slot] and R[slot] (sets over nodes).

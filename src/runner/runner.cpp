@@ -65,7 +65,6 @@ void Campaign::execute_cell_body(std::size_t index, CellContext& ctx) {
   ctx.seed_ = seeds_[index];
   ctx.artifacts_ = artifacts_.get();
   ctx.metrics_ = options_.metrics;
-  ctx.fast_forward_ = options_.fast_forward;
   if (options_.flight_capture) {
     ctx.flight_ =
         std::make_unique<obs::FlightRecorder>(options_.flight_capture->ring_capacity);

@@ -101,12 +101,6 @@ class CellContext {
   /// success).
   [[nodiscard]] std::uint32_t attempt() const { return attempts_; }
 
-  /// Campaign-wide fast-forward opt-in (CampaignOptions::fast_forward),
-  /// for cell bodies to pass into SimConfig::fast_forward. Stats-neutral
-  /// by the fast-forward contract, so honoring it never changes a cell's
-  /// journal contribution.
-  [[nodiscard]] bool fast_forward() const { return fast_forward_; }
-
   /// Watchdog probes (always false / no-op without a cell timeout). The
   /// watchdog is cooperative: long-running cell bodies call
   /// check_deadline() between simulation chunks; the runner additionally
@@ -124,7 +118,6 @@ class CellContext {
   std::uint64_t seed_ = 0;
   ArtifactStore* artifacts_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  bool fast_forward_ = false;
   sim::SimStats stats_;
   std::vector<std::pair<std::string, double>> metrics_out_;
   std::unique_ptr<obs::FlightRecorder> flight_;
@@ -257,13 +250,6 @@ struct CampaignOptions {
   int num_workers = 0;
   /// Optional campaign-level metrics registry (see CellContext::metrics).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Campaign-wide frame fast-forwarding opt-in, surfaced to cell bodies
-  /// via CellContext::fast_forward() for wiring into
-  /// SimConfig::fast_forward. Purely advisory: fast-forwarded cells
-  /// produce bit-identical SimStats (sim/fastforward.hpp), so journal
-  /// contributions — and therefore checkpoint/resume byte-identity — are
-  /// unaffected by flipping this.
-  bool fast_forward = false;
 };
 
 class Campaign {

@@ -75,34 +75,22 @@ class MacProtocol {
   /// when fill_slot_sets() returned true.
   [[nodiscard]] virtual bool sender_gates_on_receiver() const { return false; }
 
-  /// Fast-forward period: the frame length L such that this MAC's behavior
-  /// is a PURE function of slot % L — no per-slot randomness, no hidden
-  /// state evolving across frames. Returning L > 0 is the MAC's half of the
-  /// frame-memoization contract (sim/fastforward.hpp): the simulator may
-  /// skip begin_slot() for any run of slots — whole frames it replays, and
-  /// the sender-free slots of a charged span — and re-enter at any later
-  /// slot, frame boundary or not, because begin_slot(s) reconstructs
-  /// everything from s alone. Randomized MACs (ALOHA, uncoordinated sleep,
-  /// common active period) keep the default 0: they draw per-slot coins
-  /// from the simulator stream, so no frame ever repeats exactly and
-  /// fast-forwarding must stay disarmed. The value may change after on_topology_change()
-  /// (the coloring TDMA recolors); the simulator re-queries it at every
-  /// frame boundary.
-  [[nodiscard]] virtual std::uint64_t fast_forward_period() const { return 0; }
-
   /// The periodic schedule <T, R> this MAC follows, or null (the default).
   /// Optional: advertising one lets the simulator charge each frame's
   /// scheduled listening once per frame instead of per slot (DESIGN.md §8).
   /// A MAC returning schedule S promises, for every slot s, that
   /// fill_slot_sets() returns true with receivers = R[s mod L] and
-  /// transmitters = T[s mod L], and that fast_forward_period() is S's
-  /// frame length L; with T[i] ∩ R[i] = ∅ (every Schedule guarantees it) and
-  /// the batched sleep contract, each node's scheduled listen slots and
-  /// wakeups per frame are then closed forms of S. Since a slot's sets are
-  /// then known without calling begin_slot(), the armed fast-forward
-  /// engine skips begin_slot() and fill_slot_sets() at every slot of a
-  /// charged span in which no live backlogged node is in T[s mod L], and
-  /// re-enters at any later slot. The schedule must outlive the MAC.
+  /// transmitters = T[s mod L], L being S's frame length, and that
+  /// begin_slot(s) draws nothing and reconstructs everything from s alone;
+  /// with T[i] ∩ R[i] = ∅ (every Schedule guarantees it) and the batched
+  /// sleep contract, each node's scheduled listen slots and wakeups per
+  /// frame are then closed forms of S. Since a slot's sets are then known
+  /// without calling begin_slot(), the simulator, under lookahead traffic,
+  /// skips begin_slot() and fill_slot_sets() at every slot of a charged
+  /// span in which no live backlogged node is in T[s mod L], and re-enters
+  /// at any later slot. A MAC without one (the randomized MACs, whose
+  /// per-slot coins come from the simulator stream, and the coloring TDMA)
+  /// is stepped slot by slot. The schedule must outlive the MAC.
   [[nodiscard]] virtual const core::Schedule* periodic_schedule() const { return nullptr; }
 
   /// Topology-change hook. Topology-transparent MACs ignore it; the
@@ -130,9 +118,6 @@ class DutyCycledScheduleMac final : public MacProtocol {
   bool fill_slot_sets(util::SlotSet& receivers,
                       util::SlotSet& transmitters) const override;
   [[nodiscard]] bool sender_gates_on_receiver() const override { return aware_; }
-  [[nodiscard]] std::uint64_t fast_forward_period() const override {
-    return schedule_.frame_length();  // deterministic: <T, R> repeats every frame
-  }
   /// The simulator charges per frame only when this schedule's universe is
   /// the simulated graph's (otherwise fill_slot_sets() falls back to the
   /// scalar path).
@@ -240,11 +225,6 @@ class ColoringTdmaMac final : public MacProtocol {
 
   [[nodiscard]] std::size_t num_colors() const { return num_colors_; }
   [[nodiscard]] std::size_t recolor_count() const { return recolor_count_; }
-  /// Deterministic TDMA: the slot owner is slot % num_colors, so the frame
-  /// is the color count. Changes when on_topology_change() recolors (the
-  /// simulator re-queries per frame boundary and its memo is invalidated on
-  /// every set_graph anyway).
-  [[nodiscard]] std::uint64_t fast_forward_period() const override { return num_colors_; }
 
  private:
   void rebuild(const net::Graph& graph);

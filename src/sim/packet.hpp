@@ -14,7 +14,6 @@ struct Packet {
   std::size_t origin = 0;       // node that generated it
   std::size_t destination = 0;  // final destination
   std::uint64_t created_slot = 0;
-  std::uint32_t hops = 0;
 };
 
 /// Bounded FIFO; pushes beyond capacity are dropped (and counted by the
@@ -47,25 +46,6 @@ class PacketQueue {
   [[nodiscard]] const Packet& front() const {
     TTDC_DCHECK(size_ > 0, "PacketQueue::front on empty queue");
     return buf_[head_];
-  }
-
-  /// i-th packet from the head (at(0) == front()). The fast-forward engine
-  /// snapshots and rewrites whole queues through this; the hot path never
-  /// calls it.
-  [[nodiscard]] const Packet& at(std::size_t i) const {
-    TTDC_DCHECK(i < size_, "PacketQueue::at(", i, ") on queue of size ", size_);
-    std::size_t idx = head_ + i;
-    if (idx >= buf_.size()) idx -= buf_.size();
-    return buf_[idx];
-  }
-
-  /// Drops every packet (capacity retained). Used by the fast-forward
-  /// replay to rewrite a queue to a memoized frame's post-state.
-  void clear() {
-    TTDC_DCHECK(size_ <= buf_.size(), "PacketQueue::clear on corrupt ring: size ", size_,
-                " capacity ", buf_.size());
-    head_ = 0;
-    size_ = 0;
   }
 
   void pop() {

@@ -119,38 +119,14 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
           &m.counter("ttdc_sim_drift_losses_total", "losses to clock drift");
     }
   }
-  // Fast-forward arming (see the SimConfig knob). Beyond the explicit
-  // opt-in, every per-slot randomness source must be absent: channel
-  // imperfections draw from rng_ on paths a replay would skip, and an
-  // opaque traffic source cannot prove a frame silent. Randomized MACs
-  // disarm dynamically instead — fast_forward_period() == 0 keeps run()
-  // stepping; an armed flight recorder vetoes frame by frame.
-  if (config_.fast_forward && config_.packet_error_rate == 0.0 &&
-      config_.sync_miss_rate == 0.0 && traffic_.supports_lookahead()) {
-    ff_ = std::make_unique<FastForwardState>();
-    senders_ = util::DynamicBitset(n);
-    if (config_.metrics != nullptr) {
-      obs::MetricsRegistry& m = *config_.metrics;
-      ff_->m_frames_replayed =
-          &m.counter("ttdc_sim_ff_frames_replayed_total", "frames applied from the memo");
-      ff_->m_slots_replayed =
-          &m.counter("ttdc_sim_ff_slots_replayed_total", "slots covered by replayed frames");
-      ff_->m_frames_recorded =
-          &m.counter("ttdc_sim_ff_frames_recorded_total", "frames stepped and memoized");
-      ff_->m_fallback_arrival = &m.counter("ttdc_sim_ff_fallback_arrival_total",
-                                           "fast-forward vetoes: arrival inside the frame");
-      ff_->m_fallback_fault_event =
-          &m.counter("ttdc_sim_ff_fallback_fault_event_total",
-                     "fast-forward vetoes: fault event inside the frame");
-      ff_->m_fallback_battery =
-          &m.counter("ttdc_sim_ff_fallback_battery_total",
-                     "fast-forward vetoes: battery death crossing inside the window");
-      ff_->m_fallback_recorder = &m.counter("ttdc_sim_ff_fallback_recorder_total",
-                                            "fast-forward vetoes: armed flight recorder");
-      ff_->m_fallback_verify = &m.counter("ttdc_sim_ff_fallback_verify_total",
-                                          "fast-forward vetoes: pre-state verify mismatch");
-    }
-  }
+  // The skip's arming (see run()): every per-slot randomness source it
+  // would pass over must be absent. Channel imperfections draw from rng_ in
+  // the slots a skip would pass, and an opaque traffic source cannot say
+  // when its next packet arrives. Randomized MACs advertise no periodic
+  // schedule, so their slots never form the charged spans the skip runs in.
+  skip_armed_ = config_.packet_error_rate == 0.0 && config_.sync_miss_rate == 0.0 &&
+                traffic_.supports_lookahead();
+  if (skip_armed_) senders_ = util::DynamicBitset(n);
 }
 
 void Simulator::set_graph(net::Graph graph) {
@@ -167,13 +143,6 @@ void Simulator::set_graph(net::Graph graph) {
   // head against the new topology.
   backlogged_.for_each([&](std::size_t v) { refresh_head_routability(v); });
   mac_.on_topology_change(graph_);
-  if (ff_ != nullptr) {
-    // Every memoized frame was recorded against the old adjacency; the
-    // epoch bump keeps even an identically-hashed world from matching.
-    ++ff_->graph_epoch;
-    ff_->memo.clear();
-    ++ff_->stats.graph_invalidations;
-  }
 }
 
 void Simulator::audit_invariants() const {
@@ -307,31 +276,22 @@ void Simulator::inject(std::size_t origin, std::size_t destination) {
 void Simulator::run(std::uint64_t slots) {
   TTDC_DCHECK(now_ + slots >= now_, "slot counter would wrap: now ", now_, " + ", slots);
   const std::uint64_t end = now_ + slots;
-  // The call is cut at frame boundaries into spans: whole frames, and the
-  // ragged head and tail the call's ends leave. A frame the previous call
-  // left open is continued first. A whole frame is offered to the
-  // fast-forward engine when it is armed; every span it does not cover
-  // runs as one unit (step_span charges it per span when it can). A
-  // period-0 MAC steps slot-accurately in a loop as tight as a plain one.
-  // The probes run once per span, never per slot, or an armed-but-always-
-  // vetoed engine would tax every slot (the disarmed_overhead gate in
-  // bench_fastforward). The period is re-queried each span because it may
-  // change under a recoloring MAC (whose set_graph() settles any open
-  // frame first).
-  while (now_ < end) {
-    if (charging_ != nullptr) {
-      step_span(std::min(end, frame_start_ + charging_->frame_length()));
-      continue;
-    }
-    const std::uint64_t period = mac_.fast_forward_period();
-    if (period == 0) {
-      while (now_ < end) step();
-      return;
-    }
-    const std::uint64_t stop = std::min(end, now_ + period - now_ % period);
-    if (ff_ != nullptr && stop - now_ == period && try_fast_forward(period, end)) continue;
-    step_span(stop);
+  // The call is cut at the frame boundaries of the MAC's periodic schedule
+  // into spans: whole frames, and the ragged head and tail the call's ends
+  // leave; step_span continues a frame the previous call left open first.
+  // A MAC without a schedule over this graph steps slot by slot in a loop
+  // as tight as a plain one. The schedule is queried once per call: only
+  // set_graph(), which settles any open frame, can change it.
+  const core::Schedule* schedule = mac_.periodic_schedule();
+  if (schedule == nullptr || schedule->num_nodes() != graph_.num_nodes()) {
+    TTDC_DCHECK(charging_ == nullptr, "open frame under a MAC that left its schedule");
+    while (now_ < end) step();
+    return;
   }
+  TTDC_DCHECK(charging_ == nullptr || charging_ == schedule,
+              "open frame of a schedule the MAC no longer advertises");
+  const std::uint64_t period = schedule->frame_length();
+  while (now_ < end) step_span(*schedule, std::min(end, now_ + period - now_ % period));
 }
 
 void Simulator::step() {
@@ -507,7 +467,6 @@ void Simulator::resolve_receptions() {
     queue_pop(x);
     ++stats_.hop_successes;
     if (hot_.hop_successes) hot_.hop_successes->inc();
-    ++p.hops;
     if (p.destination == y) {
       ++stats_.delivered;
       ++stats_.delivered_by_origin[p.origin];
@@ -791,8 +750,8 @@ void Simulator::account_energy_batched() {
 // continues it, and an observer settles it first (settle_frame). So a run
 // cut into calls that nobody observes in between pays the frame totals
 // once per frame, as an uncut run does.
-void Simulator::step_span(std::uint64_t stop) {
-  if (charging_ == nullptr) begin_charged_span(stop);
+void Simulator::step_span(const core::Schedule& schedule, std::uint64_t stop) {
+  if (charging_ == nullptr) begin_charged_span(schedule, stop);
   if (charging_ == nullptr) {
     ++span_stats_.per_slot;
     while (now_ < stop) step();
@@ -801,7 +760,7 @@ void Simulator::step_span(std::uint64_t stop) {
   ++span_stats_.charged;
   const std::uint64_t span_end = frame_start_ + span_last_ + 1;
   while (now_ < stop) {
-    if (ff_ != nullptr) {
+    if (skip_armed_) {
       skip_sender_free(stop);
       if (now_ == stop) break;
     }
@@ -939,18 +898,15 @@ void Simulator::count_span(const core::Schedule& schedule, std::size_t first, st
               [&](std::size_t v, std::uint32_t weight) { add(v, 0, weight); });
 }
 
-void Simulator::begin_charged_span(std::uint64_t stop) {
+void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t stop) {
   TTDC_PROF_SCOPE("sim.frame.charge");
   charging_ = nullptr;
-  const core::Schedule* schedule = mac_.periodic_schedule();
   const std::size_t n = graph_.num_nodes();
   // An armed plan changes a span only through its events or continuous
   // processes; an inert one leaves the run bit-identical to an unarmed run,
   // so its spans are charged like the unarmed run's.
-  const bool faults_act = fault_world_ || fault_drift_ || fault_ge_;
-  if (faults_act || schedule == nullptr || schedule->num_nodes() != n) return;
-  const std::uint64_t period = schedule->frame_length();
-  if (period == 0) return;
+  if (fault_world_ || fault_drift_ || fault_ge_) return;
+  const std::uint64_t period = schedule.frame_length();
   const auto first = static_cast<std::size_t>(now_ % period);
   if (stop - now_ > period - first) return;  // not inside one frame
   const bool battery_armed = config_.battery_mj > 0.0;
@@ -975,7 +931,7 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   };
   // Slot a's wakes, taken against prev_awake_; the totals and the pair
   // count hold the scheduled wakes at a+1..b-1.
-  woke_.copy_from(schedule->receivers(first));
+  woke_.copy_from(schedule.receivers(first));
   woke_.subtract(prev_awake_);
   woke_.subtract(dead_);
   const bool any_dead = dead_.any();
@@ -1008,7 +964,7 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   // partial span [a, stop) instead.
   bool whole = false;
   if (first == 0) {
-    if (frame_totals_.schedule != schedule) count_frame_totals(*schedule);
+    if (frame_totals_.schedule != &schedule) count_frame_totals(schedule);
     whole = closed_form(now_ + period) || frame_survives(now_ + period);
     if (!whole && stop - now_ == period) return;
   }
@@ -1037,7 +993,7 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
     // Straight from the span's distinct pooled sets, each member charged
     // with its set's multiplicity: work in proportion to the sets and their
     // members, never to n.
-    count_span(*schedule, first, end, first,
+    count_span(schedule, first, end, first,
                [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
                  if (alive(v)) charge(v, listen, wakes);
                });
@@ -1047,7 +1003,7 @@ void Simulator::begin_charged_span(std::uint64_t stop) {
   frame_start_ = now_ - first;
   span_first_ = first;
   span_last_ = end - 1;
-  charging_ = schedule;
+  charging_ = &schedule;
 }
 
 

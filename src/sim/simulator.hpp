@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -103,31 +102,14 @@ struct SimConfig {
   /// concurrent readers). set_graph() reverts to the internal table, since
   /// the shared one no longer describes the topology.
   const net::RoutingTable* shared_routing = nullptr;
-  /// Frame-level fast-forwarding (sim/fastforward.hpp): memoize per-frame
-  /// deltas and replay them in O(state) across provably identical frames,
-  /// turning static-topology lifetime runs from O(slots) into O(events).
-  /// Inside a charged span (DESIGN.md §8) the armed engine also advances,
-  /// unstepped, over every slot in which no live backlogged node is in
-  /// T[i], no queue head is unroutable and no packet arrives, so a span
-  /// costs its transmissions rather than its slots. Produces BIT-IDENTICAL
-  /// SimStats to a normal run — the golden tests assert exactly that —
-  /// because the engine only ever replays frames it has verified exactly,
-  /// skips only slots that change nothing but the clock, and falls back to
-  /// slot-accurate stepping at every invalidation source (arrival, fault
-  /// event, battery death crossing, topology change, armed flight
-  /// recorder). The knob is a no-op (engine stays disarmed, every slot
-  /// stepped) unless the MAC reports a fast_forward_period() and the
-  /// traffic source supports_lookahead(); it is also disarmed under channel
-  /// imperfections (per-slot rng draws make frames unrepeatable).
-  bool fast_forward = false;
 };
 
 /// How step_span() ran the spans it was handed (DESIGN.md §8, "Charged
 /// spans"): charged, with every live node's scheduled listening paid up
-/// front, or per slot through phase 3. Both give identical SimStats, so,
-/// like FastForwardStats, these counts live outside SimStats; they make a
-/// rule that sends spans to the per-slot path, the slots a charged span
-/// skips and the open frames observers settle visible to tests.
+/// front, or per slot through phase 3. Both give identical SimStats, and so
+/// does skipping, so these counts live outside SimStats; they make a rule
+/// that sends spans to the per-slot path, the slots a charged span skips
+/// and the open frames observers settle visible to tests.
 struct ChargedSpanStats {
   std::uint64_t charged = 0;   // spans begin_charged_span() accepted, and
                                // open frames a later run() call continued
@@ -142,15 +124,23 @@ class Simulator {
             const SimConfig& config = {});
 
   /// Runs `slots` additional slots (cumulative; stats keep accumulating).
-  /// Under a MAC with a fast_forward_period() the call is cut at frame
-  /// boundaries into spans (whole frames and the ragged head and tail the
-  /// call's ends leave), each offered to fast-forward when whole and
-  /// otherwise stepped by step_span(), which charges a periodic_schedule()
-  /// per span (DESIGN.md §8). A tail that starts at a frame boundary is
+  /// Under a MAC with a periodic_schedule() over this graph the call is cut
+  /// at the schedule's frame boundaries into spans (whole frames and the
+  /// ragged head and tail the call's ends leave), each run by step_span(),
+  /// which charges it per span when it can (DESIGN.md §8); any other MAC is
+  /// stepped slot by slot. A tail that starts at a frame boundary is
   /// charged through its frame's end and left open for the next call to
   /// continue; stats(), remaining_battery_mj(), audit_invariants() and
   /// set_graph() settle such an open frame first, so they, alive_count()
   /// and is_alive() are exact between calls.
+  ///
+  /// Inside a charged span the simulator advances without stepping over
+  /// the slots in which nobody can send (skip_sender_free). That skip arms
+  /// itself, with no option, when the traffic source supports_lookahead()
+  /// and the channel is perfect (packet_error_rate == sync_miss_rate == 0):
+  /// then no skipped slot would have drawn from the simulator's stream.
+  /// Skipping never changes SimStats or the flight-recorder stream, since
+  /// a skipped slot holds no event.
   void run(std::uint64_t slots);
 
   /// Swaps the topology (churn). Invalidates the routing cache; notifies
@@ -221,38 +211,18 @@ class Simulator {
            static_cast<double>(kBatteryUnitsPerMj);
   }
 
-  /// Fast-forward accounting (all-zero when the engine is disarmed).
-  /// Deliberately separate from stats(): SimStats must be bit-identical
-  /// with fast-forwarding on or off.
-  [[nodiscard]] FastForwardStats fast_forward_stats() const {
-    return ff_ ? ff_->stats : FastForwardStats{};
-  }
+  /// Always all-zero: kept only so the benchmark harness, which reads it,
+  /// compiles unchanged. Goes with the next benchmark change.
+  [[nodiscard]] FastForwardStats fast_forward_stats() const { return {}; }
 
   /// Charged-span accounting over every run() so far (all-zero under a MAC
-  /// without a fast_forward_period(), whose slots never form spans).
-  /// Reading it settles nothing.
+  /// without a periodic_schedule() over this graph, whose slots never form
+  /// spans). Reading it settles nothing.
   [[nodiscard]] ChargedSpanStats charged_span_stats() const { return span_stats_; }
 
  private:
   void inject(std::size_t origin, std::size_t destination);
   void step();
-
-  // --- frame-level fast-forwarding (sim/fastforward.cpp) ---
-  /// Attempts to cover the frame starting at now_ (period slots) from the
-  /// memo. Returns true when the frame was handled — replayed, or stepped-
-  /// and-recorded on a memo miss — and false when an invalidation source
-  /// vetoed it (the caller then steps the frame as one span).
-  bool try_fast_forward(std::uint64_t period, std::uint64_t run_end);
-  /// Hash of everything that determines the upcoming frame's outcome.
-  [[nodiscard]] std::uint64_t frame_fingerprint(std::uint64_t period) const;
-  /// Exact pre-state comparison (hash collisions must never replay).
-  [[nodiscard]] bool verify_entry(const FastForwardState::Entry& entry) const;
-  /// Steps `period` slots while snapshotting enough state to diff; inserts
-  /// the resulting delta into the memo unless the frame was tainted.
-  void record_frame(std::uint64_t key, std::uint64_t period);
-  /// Applies a verified entry's delta k times in O(state).
-  void replay_frame(const FastForwardState::Entry& entry, std::uint64_t period,
-                    std::uint64_t k);
 
   // --- pipeline phases (DESIGN.md §8) ---
   void collect_transmissions(bool mac_batched);  // phase 1
@@ -263,30 +233,29 @@ class Simulator {
   void account_energy_batched();                 // phase 3, set-driven
 
   // --- charged spans (phase 3 per span, DESIGN.md §8) ---
-  /// Runs the slots [now_, stop), which run() keeps inside one frame,
-  /// continuing the open frame when one is charged. The span is charged
-  /// when begin_charged_span() accepts it and stepped through the per-slot
-  /// phase 3 otherwise; a charged span under the armed fast-forward engine
-  /// steps only the slots skip_sender_free() cannot pass over. A charged
-  /// span that reaches its last slot closes; one cut short by stop stays
-  /// open.
-  void step_span(std::uint64_t stop);
-  /// Accepts the span [now_, stop) for charging — every live node paid its
-  /// scheduled listen slots and wakeups in the span up front, charging_
-  /// set — when no fault plan acts, the MAC advertises a
-  /// periodic_schedule() over this graph, the span lies inside one of its
-  /// frames, and (with batteries) no live node can die inside the span
-  /// whatever transmits. A span from a frame boundary is charged through
-  /// the frame's end from the frame totals when nobody can die before that
+  /// Runs the slots [now_, stop), which run() keeps inside one frame of
+  /// `schedule`, the MAC's periodic_schedule(), continuing the open frame
+  /// when one is charged. The span is charged when begin_charged_span()
+  /// accepts it and stepped through the per-slot phase 3 otherwise; a
+  /// charged span steps, when skip_armed_, only the slots
+  /// skip_sender_free() cannot pass over. A charged span that reaches its
+  /// last slot closes; one cut short by stop stays open.
+  void step_span(const core::Schedule& schedule, std::uint64_t stop);
+  /// Accepts the span [now_, stop) inside one frame of `schedule` for
+  /// charging — every live node paid its scheduled listen slots and
+  /// wakeups in the span up front, charging_ set — when no fault plan acts
+  /// and (with batteries) no live node can die inside the span whatever
+  /// transmits. A span from a frame boundary is charged through the
+  /// frame's end from the frame totals when nobody can die before that
   /// end, even if stop comes earlier. Otherwise it changes nothing.
-  void begin_charged_span(std::uint64_t stop);
-  /// Inside a charged span under the armed engine: advances now_, without
+  void begin_charged_span(const core::Schedule& schedule, std::uint64_t stop);
+  /// Inside a charged span, when skip_armed_: advances now_, without
   /// stepping, over the slots before stop in which no live backlogged node
   /// is in T[i], no live queue head is unroutable and no packet arrives,
   /// leaving the state the last of them would have left. Such a slot
   /// changes nothing but the clock: its scheduled listening was charged at
-  /// the span start, and the engine's arming conditions rule out per-slot
-  /// draws (mac.hpp and traffic.hpp allow skipping their slot hooks).
+  /// the span start, and the arming conditions rule out per-slot draws
+  /// (mac.hpp and traffic.hpp allow skipping their slot hooks).
   void skip_sender_free(std::uint64_t stop);
   /// Phase 3 inside a charged span: only this slot's transmitters, with
   /// the wakeups a transmission adds or cancels.
@@ -470,10 +439,10 @@ class Simulator {
   util::SlotSet scratch_;       // general per-slot scratch
   // Battery bookkeeping is INTEGER: nano-millijoule units, converted once
   // from the double-valued config at construction. Integer drains make
-  // "k frames of idle cost exactly k * per-frame cost" an identity rather
-  // than a floating-point accident, which is what lets the fast-forward
-  // engine lump whole stretches of frames into one subtraction and still
-  // match the slot-by-slot run bit for bit.
+  // "k listen slots cost exactly k * per-slot cost" an identity rather than
+  // a floating-point accident, which is what lets a charged span lump its
+  // scheduled listening into one subtraction and still match the
+  // slot-by-slot run bit for bit.
   //
   // battery_ holds CREDIT, not the remaining budget: for a live node,
   // credit = remaining + paid_through(now_), and a dead node holds 0. Every
@@ -544,13 +513,11 @@ class Simulator {
   std::size_t span_first_ = 0;                // the charged span's first and last
   std::size_t span_last_ = 0;                 // frame slots
   std::vector<std::size_t> prev_tx_nodes_;    // charged span: last slot's tx_nodes_
+  // Set at construction when skip_sender_free may run (see run()); the
+  // scratch below is allocated only then.
+  bool skip_armed_ = false;
   util::DynamicBitset senders_;  // skip_sender_free scratch: live backlogged nodes
   ChargedSpanStats span_stats_;
-
-  // Fast-forward engine state; null whenever the arming conditions in the
-  // constructor do not hold, in which case run() steps every span itself
-  // (step_span) without consulting the engine.
-  std::unique_ptr<FastForwardState> ff_;
 
   static constexpr std::uint64_t kNeverDied = ~std::uint64_t{0};
   /// Battery integer scale: 1e9 units per millijoule. The smallest per-slot

@@ -25,8 +25,8 @@ class TrafficSource {
   /// Called at the start of every slot; may emit any number of packets.
   virtual void generate(std::uint64_t slot, util::Xoshiro256& rng, const EmitFn& emit) = 0;
 
-  /// Slot-addressable lookahead — the traffic half of the frame-memoization
-  /// contract (sim/fastforward.hpp). A source returning true promises:
+  /// Slot-addressable lookahead — the traffic half of the skip contract
+  /// (Simulator::run, DESIGN.md §8). A source returning true promises:
   ///
   ///   * generate() NEVER draws from the simulator rng it is handed (the
   ///     source owns a private stream), and
@@ -34,14 +34,13 @@ class TrafficSource {
   ///     call (kNoEmission if none), and that answer does not depend on
   ///     whether generate() is actually invoked for the quiet slots in
   ///     between — so the simulator may skip generate() for any run of
-  ///     slots before that one (whole frames it replays, and the slots of
-  ///     a charged span in which nobody can send) and re-enter at any
-  ///     later slot up to it, never past it.
+  ///     slots before that one (the slots of a charged span in which nobody
+  ///     can send) and re-enter at any later slot up to it, never past it.
   ///
   /// The default (false) marks the source opaque: the per-slot Bernoulli
   /// sources below draw from the simulator stream every slot, so skipping
-  /// even a silent slot would desynchronize the run. Fast-forwarding stays
-  /// disarmed for opaque sources.
+  /// even a silent slot would desynchronize the run. The simulator never
+  /// skips a slot under an opaque source.
   [[nodiscard]] virtual bool supports_lookahead() const { return false; }
   /// Only meaningful when supports_lookahead(). Sources must be stepped in
   /// slot order, so `from` never precedes a slot already generated.
@@ -51,9 +50,9 @@ class TrafficSource {
   }
 
   /// Called by the simulator whenever `node`'s queue becomes empty: a hop
-  /// success or an unroutable drop took its last packet, or a replayed
-  /// frame left it empty. These are the only ways a queue shrinks, so a
-  /// source that tracks backlogs needs no other signal. Default: ignored.
+  /// success or an unroutable drop took its last packet. These are the
+  /// only ways a queue shrinks, so a source that tracks backlogs needs no
+  /// other signal. Default: ignored.
   virtual void on_queue_drained(std::size_t node) { (void)node; }
 };
 
@@ -147,12 +146,12 @@ class BatchArrivalTraffic final : public TrafficSource {
 
 /// Slot-addressable convergecast: the same aggregate load as
 /// ConvergecastTraffic (every non-sink node sends to the sink at `rate`
-/// packets per slot), reformulated as an event stream so the fast-forward
-/// engine can query it. Arrival slots are sampled by geometric gaps on the
-/// AGGREGATE process (P(any arrival in a slot) = 1 - (1-rate)^(n-1)), each
-/// arrival carrying one packet from a uniformly random non-sink origin — at
-/// most one packet per slot, from the source's own SplitMix-seeded stream,
-/// never the simulator's. The realization is therefore a pure function of
+/// packets per slot), reformulated as an event stream so the simulator can
+/// skip the slots before its next arrival. Arrival slots are sampled by
+/// geometric gaps on the AGGREGATE process (P(any arrival in a slot) =
+/// 1 - (1-rate)^(n-1)), each arrival carrying one packet from a uniformly
+/// random non-sink origin — at most one packet per slot, from the source's
+/// own SplitMix-seeded stream, never the simulator's. The realization is therefore a pure function of
 /// (seed, arrival index): identical whether the simulator steps every slot
 /// or skips the proven-silent stretches between arrivals, which is exactly
 /// the supports_lookahead() contract.

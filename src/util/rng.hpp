@@ -81,9 +81,7 @@ class Xoshiro256 {
   Xoshiro256 split();
 
   /// State equality. Two generators compare equal iff they will produce the
-  /// same stream forever; the simulator's fast-forward engine uses this as a
-  /// taint check ("did this frame consume any simulator randomness?") when
-  /// deciding whether a frame's outcome is memoizable.
+  /// same stream forever.
   [[nodiscard]] friend bool operator==(const Xoshiro256& a, const Xoshiro256& b) {
     return a.s_[0] == b.s_[0] && a.s_[1] == b.s_[1] && a.s_[2] == b.s_[2] &&
            a.s_[3] == b.s_[3];

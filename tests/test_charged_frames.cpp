@@ -8,8 +8,9 @@
 // end of a short schedule, targeted cases for the slot-0 wake, the
 // no-death bound and its clamp, and the closed form of a silent network's
 // frames, whole and cut. Counts pin which spans were charged, which slots
-// a charged span skipped under the armed fast-forward engine, and which
-// frames left open across run() calls an observer settled.
+// a charged span skipped under lookahead traffic (never behind
+// OpaqueTraffic), and which frames left open across run() calls an
+// observer settled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/drain_model.hpp"
+#include "support/opaque_traffic.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/stats_equal.hpp"
 #include "util/slot_set.hpp"
@@ -42,12 +44,20 @@ namespace {
 
 using core::Schedule;
 
-/// No packets, ever (lookahead-capable, so fast-forward can arm).
+/// No packets, ever (lookahead-capable, so the skip arms).
 class SilentTraffic final : public TrafficSource {
  public:
   void generate(std::uint64_t, util::Xoshiro256&, const EmitFn&) override {}
   [[nodiscard]] bool supports_lookahead() const override { return true; }
 };
+
+/// Silent traffic, bare (the skip arms) or behind OpaqueTraffic (it never
+/// does).
+std::unique_ptr<TrafficSource> silent_traffic(bool opaque) {
+  auto silent = std::make_unique<SilentTraffic>();
+  if (opaque) return std::make_unique<OpaqueTraffic>(std::move(silent));
+  return silent;
+}
 
 /// One packet origin -> destination every slot: origin never runs dry.
 class SteadySource final : public TrafficSource {
@@ -202,10 +212,9 @@ TEST(ChargedFrames, SleepDearerThanTransmitStillDiesOnExactSlot) {
   config.energy = e;
   config.battery_mj = static_cast<double>(budget) / 1e9;
   ASSERT_EQ(units(config.battery_mj), budget);
-  for (const bool fast_forward : {false, true}) {
-    config.fast_forward = fast_forward;
-    const RunOutcome out = expect_edge_schedule_matches(
-        [] { return std::make_unique<SilentTraffic>(); }, config, 6 * 6);
+  for (const bool opaque : {true, false}) {
+    const RunOutcome out =
+        expect_edge_schedule_matches([opaque] { return silent_traffic(opaque); }, config, 6 * 6);
     EXPECT_EQ(out.stats.first_death_slot, death);
   }
 }
@@ -215,7 +224,7 @@ TEST(ChargedFrames, SleepDearerThanTransmitStillDiesOnExactSlot) {
 // tests above cannot tell, because both paths give identical results.
 
 TEST(ChargedSpanCounts, ScalarOnlyMacChargesNoSpan) {
-  // ScalarOnlyMac advertises no period, so its slots never form spans;
+  // ScalarOnlyMac advertises no schedule, so its slots never form spans;
   // the bare MAC on the same run charges every one.
   const Schedule s = edge_schedule();
   for (const bool scalar_only : {true, false}) {
@@ -283,32 +292,28 @@ TEST(ChargedSpanCounts, PartialSpanSafeThroughItsStopIsCharged) {
 }
 
 TEST(ChargedSpanCounts, SilentFramesStepNoSlotUnderFastForward) {
-  // A silent network has no sender in any slot. With the engine armed, a
-  // charged span skips every slot: in one call the frames recorded are
-  // skipped and the rest replayed, and in calls one slot short of a
-  // frame, which the engine is never offered, every slot is skipped.
-  // Disarmed, every slot is stepped. All four runs give the same outcome.
+  // A silent network has no sender in any slot. Under lookahead traffic a
+  // charged span skips every slot, in one call and in calls one slot short
+  // of a frame alike; behind OpaqueTraffic every slot is stepped. All four
+  // runs give the same outcome.
   const Schedule s = edge_schedule();
   const std::uint64_t frame = s.frame_length();
   const std::uint64_t k = 5;
   SimConfig config{.seed = 14};
   config.battery_mj = 1e3;
   std::unique_ptr<RunOutcome> reference;
-  for (const bool fast_forward : {false, true}) {
+  for (const bool opaque : {true, false}) {
     for (const bool ragged : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "ff " << fast_forward << " ragged " << ragged);
-      config.fast_forward = fast_forward;
+      SCOPED_TRACE(::testing::Message() << "opaque " << opaque << " ragged " << ragged);
       DutyCycledScheduleMac mac(s);
-      SilentTraffic traffic;
-      Simulator sim(net::ring_graph(4), mac, traffic, config);
+      const std::unique_ptr<TrafficSource> traffic = silent_traffic(opaque);
+      Simulator sim(net::ring_graph(4), mac, *traffic, config);
       while (sim.now() < k * frame) {
         sim.run(ragged ? std::min(frame - 1, k * frame - sim.now()) : k * frame);
       }
       const ChargedSpanStats spans = sim.charged_span_stats();
-      const FastForwardStats ff = sim.fast_forward_stats();
       EXPECT_EQ(spans.per_slot, 0u);
-      EXPECT_EQ(spans.skipped + ff.slots_replayed, fast_forward ? k * frame : 0u);
-      EXPECT_EQ(ff.slots_replayed > 0, fast_forward && !ragged);
+      EXPECT_EQ(spans.skipped, opaque ? 0u : k * frame);
       const RunOutcome out = run_split(sim, 0, 0);
       if (reference == nullptr) {
         reference = std::make_unique<RunOutcome>(out);
@@ -401,16 +406,15 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
   const EnergyModel e;
   const double battery_mj = 1e6;
   std::size_t boot_wakes = 0;
-  for (const auto& [fast_forward, ragged] :
-       {std::pair{false, false}, {true, false}, {false, true}, {true, true}}) {
-    SCOPED_TRACE(::testing::Message() << "ff " << fast_forward << " ragged " << ragged);
+  for (const auto& [opaque, ragged] :
+       {std::pair{true, false}, {false, false}, {true, true}, {false, true}}) {
+    SCOPED_TRACE(::testing::Message() << "opaque " << opaque << " ragged " << ragged);
     DutyCycledScheduleMac mac(s);
-    SilentTraffic traffic;
+    const std::unique_ptr<TrafficSource> traffic = silent_traffic(opaque);
     SimConfig config{.seed = 9};
-    config.fast_forward = fast_forward;
     config.battery_mj = battery_mj;
     util::Xoshiro256 rng(10);
-    Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, traffic, config);
+    Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng), mac, *traffic, config);
     util::Xoshiro256 chunks(11);
     std::size_t cuts = 0;  // calls that end inside a frame
     while (sim.now() < k * frame) {
@@ -443,8 +447,9 @@ TEST(ChargedFrames, SilentFramesMatchTheScheduleClosedForm) {
 
 // ---------------------------------------------------------------------------
 // Seeded randomized differential: the charged path against ScalarOnlyMac
-// over random schedules, senders, traffic, batteries, energy models,
-// fast-forward and run() splits, with a bounded share of networks above
+// over random schedules, senders, traffic (lookahead sources bare or behind
+// OpaqueTraffic), batteries, energy models and run() splits, with a
+// bounded share of networks above
 // util::SlotSet::kDenseUniverse nodes, where sets follow their population.
 
 struct Scenario {
@@ -454,7 +459,7 @@ struct Scenario {
   double rate = 0.0;
   int energy = 0;  // 0 stock, 1 sleep_mw = 70, 2 sleep_mw = 200
   double battery_mj = 0.0;
-  bool fast_forward = false;
+  bool opaque = false;  // lookahead traffic behind OpaqueTraffic: no skip
   int split = 0;  // 0 one call, 1 per frame, 2 random lengths, 3 1-7 slots
   // Observe (stats(), remaining_battery_mj(), audit_invariants()) after
   // every call, against the oracle at the same slot, or only at the end.
@@ -466,7 +471,7 @@ struct Scenario {
     std::ostringstream os;
     os << "n=" << n << " D=" << degree << " aT=" << alpha_t << " aR=" << alpha_r
        << " aware=" << aware << " lookahead=" << lookahead << " rate=" << rate
-       << " energy=" << energy << " battery_mj=" << battery_mj << " ff=" << fast_forward
+       << " energy=" << energy << " battery_mj=" << battery_mj << " opaque=" << opaque
        << " split=" << split << " observe=" << observe << " slots=" << slots
        << " seed=" << seed;
     return os.str();
@@ -524,7 +529,7 @@ Scenario draw_scenario(std::uint64_t seed) {
   const double rates[] = {0.0, 0.002, 0.01, 0.05};
   sc.rate = rates[rng.below(4)];
   sc.energy = static_cast<int>(rng.below(3));
-  sc.fast_forward = rng.bernoulli(0.5);
+  sc.opaque = !rng.bernoulli(0.5);
   sc.split = static_cast<int>(rng.below(4));
   const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
   const std::uint64_t frame = s.frame_length();
@@ -547,10 +552,11 @@ Scenario draw_scenario(std::uint64_t seed) {
 }
 
 std::unique_ptr<TrafficSource> make_traffic(const Scenario& sc) {
-  if (sc.lookahead) {
-    return std::make_unique<LookaheadConvergecastTraffic>(sc.n, 0, sc.rate, sc.seed ^ 0xabc);
-  }
-  return std::make_unique<BernoulliTraffic>(sc.n, sc.rate);
+  if (!sc.lookahead) return std::make_unique<BernoulliTraffic>(sc.n, sc.rate);
+  auto traffic =
+      std::make_unique<LookaheadConvergecastTraffic>(sc.n, 0, sc.rate, sc.seed ^ 0xabc);
+  if (sc.opaque) return std::make_unique<OpaqueTraffic>(std::move(traffic));
+  return traffic;
 }
 
 /// What a scenario's charged run did, beyond matching the oracle.
@@ -566,7 +572,6 @@ struct ScenarioKinds {
 ScenarioKinds expect_scenario_matches(const Scenario& sc) {
   const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
   SimConfig config{.seed = sc.seed};
-  config.fast_forward = sc.fast_forward;
   config.energy = energy_model(sc.energy);
   config.battery_mj = sc.battery_mj;
   util::Xoshiro256 graph_rng(sc.seed ^ 0x9e3779b97f4a7c15ull);
@@ -620,9 +625,9 @@ ScenarioKinds expect_scenario_matches(const Scenario& sc) {
 TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   constexpr std::uint64_t kCases = 1000;
   // Ragged splits (2 and 3) cut frames into partial spans or leave them
-  // open; those with deaths exercise the no-death bounds. Runs with the
-  // engine armed skip sender-free slots; unobserved runs carry open frames
-  // across calls, observed ones settle them.
+  // open; those with deaths exercise the no-death bounds. Runs with bare
+  // lookahead traffic skip sender-free slots; unobserved runs carry open
+  // frames across calls, observed ones settle them.
   std::size_t with_deaths = 0, ragged_with_deaths = 0, large = 0;
   std::size_t skipped = 0, open_across = 0, settled = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {

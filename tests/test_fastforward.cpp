@@ -1,15 +1,18 @@
-// Frame-level fast-forwarding (DESIGN.md §15): golden SimStats equality
-// between a fast-forwarded run and a slot-by-slot run — all five MACs, the
-// PR 6 fault storm armed and disarmed, n ∈ {50, 800, 10^4} — plus property
-// tests pinning the invalidation contract: every single invalidation
-// source (traffic arrival, battery death crossing, scheduled fault event,
-// topology move, armed flight recorder) must force slot-accurate fallback,
-// and randomized MACs must keep the engine idle entirely.
+// Fast-forward (DESIGN.md §15): inside a charged span the simulator passes
+// over the slots in which nobody can send. Golden SimStats equality between
+// a run with the bare lookahead source, under which the skip arms, and the
+// same source behind OpaqueTraffic, which never skips — all five MACs, the
+// fault storm below armed and disarmed, n ∈ {50, 800, 10^4} — plus property
+// tests pinning what stops a skip: a traffic arrival, a battery death
+// crossing, a scheduled fault event, a topology move. Only the duty-cycled
+// schedule MAC without an acting fault plan skips; an armed flight recorder
+// does not stop it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
@@ -23,6 +26,7 @@
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "support/opaque_traffic.hpp"
 #include "support/sleeper_mac.hpp"
 #include "support/stats_equal.hpp"
 #include "util/check.hpp"
@@ -103,38 +107,47 @@ std::unique_ptr<MacProtocol> make_mac(MacKind kind, const TestWorld& world) {
 
 struct RunOutcome {
   SimStats stats;
-  FastForwardStats ff;
+  ChargedSpanStats spans;
 };
 
+/// Runs `world` under `kind` with lookahead convergecast traffic: bare, so
+/// the skip arms, or behind OpaqueTraffic, the reference that never skips.
 RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
-                     std::uint64_t slots, double rate, bool fast_forward,
+                     std::uint64_t slots, double rate, bool opaque,
                      double battery_mj = 2000.0, obs::FlightRecorder* recorder = nullptr) {
   const std::size_t n = world.graph.num_nodes();
   auto mac = make_mac(kind, world);
-  // Same traffic seed either way: the source owns its stream, so the FF-on
-  // and FF-off runs see the identical arrival realization by construction.
-  LookaheadConvergecastTraffic traffic(n, /*sink=*/0, rate, /*seed=*/0x77 + n);
+  // Same traffic seed either way: the source owns its stream, so the bare
+  // and wrapped runs see the identical arrival realization by construction.
+  LookaheadConvergecastTraffic bare(n, /*sink=*/0, rate, /*seed=*/0x77 + n);
+  OpaqueTraffic wrapped(bare);
   SimConfig cfg;
   cfg.seed = 0xCAFE + n;
   cfg.battery_mj = battery_mj;
   cfg.fault_plan = plan;
-  cfg.fast_forward = fast_forward;
   cfg.recorder = recorder;
-  Simulator sim(world.graph, *mac, traffic, cfg);
+  Simulator sim(world.graph, *mac, opaque ? static_cast<TrafficSource&>(wrapped) : bare, cfg);
   sim.run(slots);
-  return {sim.stats(), sim.fast_forward_stats()};
+  return {sim.stats(), sim.charged_span_stats()};
 }
 
-// The headline golden gate: a fast-forwarded run is bit-identical to the
-// slot-by-slot run, for every MAC, with and without the fault storm, at
-// three sizes. Aggregate replay activity is asserted non-zero so the gate
-// cannot silently pass with the engine never engaging.
+bool no_spans(const ChargedSpanStats& s) {
+  return s.charged == 0 && s.per_slot == 0 && s.skipped == 0 && s.settled == 0;
+}
+
+// The headline golden gate: a run that skips is bit-identical to the
+// reference that steps every slot, for every MAC, with and without the
+// fault storm, at three sizes. It also pins which runs skip: only the
+// duty-cycled schedule MAC without an acting fault plan, and those in
+// aggregate do, so the gate cannot silently pass with the skip never
+// engaging. The other four MACs advertise no periodic schedule, so their
+// slots never form spans at all.
 TEST(FastForwardGolden, MatchesSlotAccurateRunAllMacsAllSizes) {
-  std::uint64_t total_replayed = 0;
+  std::uint64_t total_skipped = 0;
   for (const std::size_t n : {std::size_t{50}, std::size_t{800}, std::size_t{10000}}) {
     const std::uint64_t slots = n == 10000 ? 400 : 1600;
-    // ~1 arrival per 300 slots in aggregate: long silent stretches for the
-    // memo, frequent enough that frames with backlog are exercised too.
+    // ~1 arrival per 300 slots in aggregate: long silent stretches to skip,
+    // frequent enough that spans with backlog are exercised too.
     const double rate = 0.0033 / static_cast<double>(n - 1);
     const TestWorld world = make_world(n, 0xBEEF + n);
     const FaultPlan plan = make_fault_plan(n, slots, 0x5AFE + n);
@@ -142,92 +155,105 @@ TEST(FastForwardGolden, MatchesSlotAccurateRunAllMacsAllSizes) {
          {MacKind::kDutyCycled, MacKind::kAloha, MacKind::kUncoordinated,
           MacKind::kCommonActive, MacKind::kColoringTdma}) {
       for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
-        const RunOutcome plain = run_world(world, kind, p, slots, rate, false);
-        const RunOutcome fast = run_world(world, kind, p, slots, rate, true);
-        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats))
-            << "n=" << n << " mac=" << mac_name(kind) << " faults=" << (p != nullptr);
-        EXPECT_EQ(plain.ff.frames_replayed, 0u) << "flag off must keep the engine out";
-        total_replayed += fast.ff.frames_replayed;
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " mac=" << mac_name(kind)
+                                          << " faults=" << (p != nullptr));
+        const RunOutcome reference = run_world(world, kind, p, slots, rate, /*opaque=*/true);
+        const RunOutcome fast = run_world(world, kind, p, slots, rate, /*opaque=*/false);
+        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+        EXPECT_EQ(reference.spans.skipped, 0u) << "the opaque reference skipped";
+        if (kind != MacKind::kDutyCycled) {
+          EXPECT_TRUE(no_spans(reference.spans));
+          EXPECT_TRUE(no_spans(fast.spans));
+        } else if (p != nullptr) {
+          EXPECT_EQ(fast.spans.skipped, 0u) << "skipped under an acting fault plan";
+        } else {
+          total_skipped += fast.spans.skipped;
+        }
       }
     }
   }
-  EXPECT_GT(total_replayed, 0u) << "the matrix never exercised a replay";
+  EXPECT_GT(total_skipped, 0u) << "the matrix never exercised a skip";
 }
 
-// An idle network under a periodic schedule is the engine's best case:
-// after the first recorded frame, every whole frame replays (the self-loop
-// path), so stepped slots stay O(one frame + ragged tail).
+// An idle network under a periodic schedule is the skip's best case: no
+// node ever holds a packet, so every slot of every charged span is passed
+// over, the open tail included, and none is stepped.
 TEST(FastForwardGolden, IdleNetworkReplaysAlmostEverything) {
   const TestWorld world = make_world(60, 0xA0);
   const std::uint64_t slots = 20000;
-  // Battery sized to outlive the run: no death crossing, so the only
-  // stepped slots are the memo warmup (one record per distinct frame
-  // boundary state — the schedule's rotation gives a handful) + the tail.
+  // Battery sized to outlive the run: no death crossing, so every span is
+  // charged.
   const double battery = 1.0e7;
-  const RunOutcome plain =
-      run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, false, battery);
-  const RunOutcome fast =
+  const RunOutcome reference =
       run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, true, battery);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
-  EXPECT_GT(fast.ff.frames_replayed, 0u);
-  EXPECT_EQ(fast.ff.fallback_arrival, 0u);
-  EXPECT_EQ(fast.ff.fallback_battery, 0u);
-  EXPECT_EQ(fast.ff.fallback_verify, 0u);
-  // Warmup is bounded by the boundary-state cycle, far shorter than the run.
-  const std::uint64_t period = world.schedule.frame_length();
-  EXPECT_GE(fast.ff.slots_replayed, slots - 12 * period);
+  const RunOutcome fast =
+      run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, false, battery);
+  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+  EXPECT_EQ(fast.spans.skipped, slots);
+  EXPECT_EQ(fast.spans.per_slot, 0u);
+  EXPECT_EQ(reference.spans.skipped, 0u);
+  EXPECT_EQ(reference.spans.charged, fast.spans.charged);
 }
 
 // ---------------------------------------------------- invalidation sources
 
-// Arrival inside every upcoming frame => the engine must never replay.
+// An arrival is due in nearly every slot, and the skip never passes one:
+// every skipped slot is one in which the source emits nothing.
 TEST(FastForwardInvalidation, ArrivalForcesFallback) {
   const TestWorld world = make_world(50, 0xA1);
   const std::uint64_t slots = 3000;
-  const double saturating_rate = 0.05;  // aggregate ~1 arrival per slot
-  const RunOutcome plain =
-      run_world(world, MacKind::kDutyCycled, nullptr, slots, saturating_rate, false);
-  const RunOutcome fast =
+  const double saturating_rate = 0.05;  // aggregate ~2.5 arrivals per slot
+  const RunOutcome reference =
       run_world(world, MacKind::kDutyCycled, nullptr, slots, saturating_rate, true);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
-  EXPECT_EQ(fast.ff.frames_replayed, 0u);
-  EXPECT_GT(fast.ff.fallback_arrival, 0u);
+  const RunOutcome fast =
+      run_world(world, MacKind::kDutyCycled, nullptr, slots, saturating_rate, false);
+  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+  // The same realization as run_world's source, walked arrival by arrival.
+  LookaheadConvergecastTraffic twin(50, 0, saturating_rate, 0x77 + 50);
+  util::Xoshiro256 unused_rng(1);
+  std::uint64_t arrival_slots = 0;
+  for (std::uint64_t slot = twin.next_emission(0); slot < slots;
+       slot = twin.next_emission(slot)) {
+    ++arrival_slots;
+    twin.generate(slot, unused_rng, [](std::size_t, std::size_t) {});
+  }
+  ASSERT_GT(arrival_slots, slots * 8 / 10);
+  EXPECT_LE(fast.spans.skipped, slots - arrival_slots);
+  EXPECT_EQ(reference.spans.skipped, 0u);
 }
 
-// A battery death crossing inside the replay window must veto the replay so
-// the death lands on its exact slot.
+// A span in which a battery could die is never charged, so it is stepped
+// per slot, unskipped, and the death lands on its exact slot.
 TEST(FastForwardInvalidation, BatteryCrossingForcesFallback) {
   const TestWorld world = make_world(30, 0xA2);
   const std::uint64_t slots = 40000;
-  // Sized to die mid-run, well after replays begin (idle listen burns
-  // roughly tens of mJ per frame), so the death crossing lands inside what
-  // would otherwise be a replayable stretch.
+  // Sized to die mid-run, well after skipping begins (idle listen burns
+  // roughly tens of mJ per frame).
   const double battery = 1500.0;
-  const RunOutcome plain =
-      run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, false, battery);
-  const RunOutcome fast =
+  const RunOutcome reference =
       run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, true, battery);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
-  ASSERT_GT(plain.stats.deaths, 0u) << "test world never drained a battery";
-  ASSERT_GT(plain.stats.first_death_slot, 2 * world.schedule.frame_length())
-      << "deaths landed before replays could begin; raise the battery";
-  EXPECT_EQ(fast.stats.first_death_slot, plain.stats.first_death_slot);
-  EXPECT_GT(fast.ff.frames_replayed, 0u);
-  EXPECT_GT(fast.ff.fallback_battery, 0u);
+  const RunOutcome fast =
+      run_world(world, MacKind::kDutyCycled, nullptr, slots, 0.0, false, battery);
+  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+  ASSERT_GT(reference.stats.deaths, 0u) << "test world never drained a battery";
+  ASSERT_GT(reference.stats.first_death_slot, 2 * world.schedule.frame_length())
+      << "deaths landed before skipping could begin; raise the battery";
+  EXPECT_EQ(fast.stats.first_death_slot, reference.stats.first_death_slot);
+  EXPECT_GT(fast.spans.skipped, 0u);
+  EXPECT_GT(fast.spans.per_slot, 0u);
 }
 
-// The same veto when the crossing node is a pure SLEEPER: no memo entry
-// carries a credit delta for it (its drain is the implicit sleep cost), so
-// only the headroom check's per-frame sleep drain can stop the replay in
-// time. No arrivals, so once the memo warms every frame is a self-loop and
-// the engine would otherwise replay the whole rest of the run in one call.
-// Run under three energy models: the stock one (awake nodes die within a
-// few frames, the sleeper dies alone); a cheap radio barely above the sleep
-// rate (awake nodes cross zero after long replays, often in a sleep slot
-// before their next listen, so only a min-credit bound that the replay
-// lowered finds them); and an inverted one where sleeping costs more than
-// being awake (awake credits rise, the sleeper dies first in a live
-// network).
+// The same when the crossing node is a pure SLEEPER: no charge ever
+// reaches it (its drain is the implicit sleep cost), so only the no-death
+// bound against the sleep drain sends its dying frame to the per-slot path.
+// No arrivals, so every charged span skips all of its slots. Run under
+// three energy models: the stock one (awake nodes die within a few frames,
+// the sleeper dies alone); a cheap radio barely above the sleep rate
+// (awake nodes cross zero after long skipped stretches, often in a sleep
+// slot before their next listen, so only a min-credit bound that the span
+// charges lowered finds them); and an inverted one where sleeping costs
+// more than being awake (awake credits rise, the sleeper dies first in a
+// live network).
 TEST(FastForwardInvalidation, SleeperCrossingForcesFallback) {
   constexpr std::size_t kNodes = 8;
   constexpr std::size_t kSleeper = 5;
@@ -243,160 +269,121 @@ TEST(FastForwardInvalidation, SleeperCrossingForcesFallback) {
   inverted.transmit_mw = 0.003;
   inverted.wakeup_mj = 0.0;
   for (const EnergyModel& energy : {EnergyModel{}, cheap, inverted}) {
-    const auto run = [&](bool ff_on) {
+    const auto run = [&](bool opaque) {
       SleeperMac mac(kNodes, kSleeper);
       LookaheadConvergecastTraffic silent(kNodes, 0, 0.0, 0x70);
+      OpaqueTraffic wrapped(silent);
       SimConfig cfg;
       cfg.seed = 0xD1E;
       cfg.battery_mj = 2.0;  // the sleeper dies near slot 2.0 / (sleep_mw * 1e-2)
       cfg.energy = energy;
-      cfg.fast_forward = ff_on;
-      Simulator sim(net::ring_graph(kNodes), mac, silent, cfg);
+      Simulator sim(net::ring_graph(kNodes), mac,
+                    opaque ? static_cast<TrafficSource&>(wrapped) : silent, cfg);
       sim.run(90000);
       EXPECT_FALSE(sim.is_alive(kSleeper));
-      return RunOutcome{sim.stats(), sim.fast_forward_stats()};
+      return RunOutcome{sim.stats(), sim.charged_span_stats()};
     };
-    const RunOutcome plain = run(false);
-    const RunOutcome fast = run(true);
+    const RunOutcome reference = run(true);
+    const RunOutcome fast = run(false);
     SCOPED_TRACE(::testing::Message() << "sleep_mw=" << energy.sleep_mw
                                       << " listen_mw=" << energy.listen_mw);
-    ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
-    EXPECT_GT(plain.stats.deaths, 0u);
-    EXPECT_GT(fast.ff.frames_replayed, 0u);
-    EXPECT_GT(fast.ff.fallback_battery, 0u);
+    ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+    EXPECT_GT(reference.stats.deaths, 0u);
+    EXPECT_EQ(reference.spans.skipped, 0u);
+    EXPECT_GT(fast.spans.skipped, 0u);
+    EXPECT_GT(fast.spans.per_slot, 0u);
   }
 }
 
-// A scheduled fault event inside the frame must force slot-accurate
-// stepping (the event applies on its exact slot).
+// A fault plan with scheduled events charges no span, so nothing is
+// skipped: each event applies on its exact slot.
 TEST(FastForwardInvalidation, FaultEventForcesFallback) {
   const TestWorld world = make_world(50, 0xA3);
   const std::uint64_t slots = 20000;
   const FaultPlan plan = make_fault_plan(50, slots, 0xFA);
   ASSERT_FALSE(plan.events().empty());
-  const RunOutcome plain = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.0, false);
-  const RunOutcome fast = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.0, true);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats));
-  EXPECT_GT(fast.ff.fallback_fault_event, 0u);
+  const RunOutcome reference = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.0, true);
+  const RunOutcome fast = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.0, false);
+  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats));
+  EXPECT_GT(reference.stats.fault_crashes, 0u);
+  EXPECT_EQ(fast.spans.skipped, 0u);
+  EXPECT_EQ(fast.spans.charged, 0u);
+  EXPECT_GT(fast.spans.per_slot, 0u);
 }
 
-// set_graph (churn) must clear the memo: pre-move entries describe the old
-// adjacency and may not survive into the new world.
-TEST(FastForwardInvalidation, MoveInvalidatesMemo) {
+// set_graph (churn) mid-run settles the frame the first call left open,
+// and the skip resumes on the new topology; the run matches the reference
+// across the move.
+TEST(FastForwardInvalidation, MoveMidRunMatchesReference) {
   const TestWorld before = make_world(50, 0xA4);
   const TestWorld after = make_world(50, 0xA5);
+  const std::uint64_t frame = before.schedule.frame_length();
   const std::uint64_t half = 8000;
-  auto run = [&](bool ff_on) {
+  ASSERT_NE(half % frame, 0u) << "the first call must leave a frame open";
+  const auto run = [&](bool opaque) {
     auto mac = make_mac(MacKind::kDutyCycled, before);
-    LookaheadConvergecastTraffic traffic(50, 0, 0.0, 0x50);
+    LookaheadConvergecastTraffic bare(50, 0, 0.02 / 49.0, 0x50);
+    OpaqueTraffic wrapped(bare);
     SimConfig cfg;
     cfg.seed = 0xF00;
-    cfg.fast_forward = ff_on;
-    Simulator sim(before.graph, *mac, traffic, cfg);
+    Simulator sim(before.graph, *mac, opaque ? static_cast<TrafficSource&>(wrapped) : bare,
+                  cfg);
     sim.run(half);
-    const std::uint64_t recorded_before_move = sim.fast_forward_stats().frames_recorded;
+    const ChargedSpanStats at_move = sim.charged_span_stats();
     sim.set_graph(after.graph);
+    EXPECT_EQ(sim.charged_span_stats().settled, at_move.settled + 1);
     sim.run(half);
-    return std::make_tuple(sim.stats(), sim.fast_forward_stats(), recorded_before_move);
+    return std::make_tuple(sim.stats(), at_move, sim.charged_span_stats());
   };
-  const auto [plain_stats, plain_ff, plain_recorded] = run(false);
-  const auto [fast_stats, fast_ff, fast_recorded] = run(true);
-  (void)plain_ff;
-  (void)plain_recorded;
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain_stats, fast_stats));
-  EXPECT_EQ(fast_ff.graph_invalidations, 1u);
-  EXPECT_GT(fast_recorded, 0u);
-  // The post-move world had to be re-recorded from scratch.
-  EXPECT_GT(fast_ff.frames_recorded, fast_recorded);
-  EXPECT_GT(fast_ff.frames_replayed, 0u);
+  const auto [reference_stats, reference_at_move, reference_spans] = run(true);
+  const auto [fast_stats, fast_at_move, fast_spans] = run(false);
+  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference_stats, fast_stats));
+  EXPECT_GT(reference_stats.delivered, 0u);
+  EXPECT_EQ(reference_spans.skipped, 0u);
+  EXPECT_GT(fast_at_move.skipped, 0u);
+  EXPECT_GT(fast_spans.skipped, fast_at_move.skipped);
 }
 
-// An armed flight recorder expects per-packet events replay cannot emit, so
-// arming it must stall the engine — and disarming must release it.
-TEST(FastForwardInvalidation, ArmedRecorderForcesFallback) {
-  const TestWorld world = make_world(50, 0xA6);
-  obs::FlightRecorder recorder(1024);
-  auto mac = make_mac(MacKind::kDutyCycled, world);
-  LookaheadConvergecastTraffic traffic(50, 0, 0.0, 0x60);
-  SimConfig cfg;
-  cfg.seed = 0xFEE;
-  cfg.recorder = &recorder;
-  cfg.fast_forward = true;
-  Simulator sim(world.graph, *mac, traffic, cfg);
-  obs::FlightRecorder::enable(true);
-  sim.run(4000);
-  const FastForwardStats armed = sim.fast_forward_stats();
-  EXPECT_EQ(armed.frames_replayed, 0u);
-  EXPECT_GT(armed.fallback_recorder, 0u);
-  obs::FlightRecorder::enable(false);
-  sim.run(4000);
-  obs::FlightRecorder::enable(true);  // the arming flag is process-wide
-  const FastForwardStats disarmed = sim.fast_forward_stats();
-  EXPECT_GT(disarmed.frames_replayed, 0u);
-}
-
-// One event stream at any fast-forward setting: with the engine off and on
-// (where the armed recorder vetoes frames), the complete stream rebuilds the
-// live SimStats, and the two runs' SimStats are identical.
+// One event stream whether slots are skipped or not: a skipped slot holds
+// no transmission, arrival, drop, death or fault event, so with the
+// recorder armed the skip still runs, and the complete stream rebuilds the
+// live SimStats with and without skipping, with and without the fault
+// storm (which stops the skip).
 TEST(FastForwardInvalidation, FlightStreamRebuildsStatsWithFastForwardOnAndOff) {
   const TestWorld world = make_world(50, 0xA8);
   const std::uint64_t slots = 4000;
   const FaultPlan plan = make_fault_plan(50, slots, 0x5AFF);
-  RunOutcome outcome[2];
-  for (const bool fast : {false, true}) {
-    obs::FlightRecorder recorder(1 << 16);
-    outcome[fast] = run_world(world, MacKind::kDutyCycled, &plan, slots, 0.02 / 49.0, fast,
-                              2000.0, &recorder);
-    ASSERT_GT(recorder.seen(), 0u);
-    ASSERT_FALSE(recorder.wrapped());
-    const auto mismatches = obs::FlightLog(recorder.events()).self_check(outcome[fast].stats);
-    EXPECT_TRUE(mismatches.empty())
-        << "fast_forward=" << fast << ": " << mismatches.size()
-        << " mismatch(es), first: " << (mismatches.empty() ? "" : mismatches.front());
+  for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
+    RunOutcome outcome[2];
+    for (const bool opaque : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "faults=" << (p != nullptr) << " opaque=" << opaque);
+      obs::FlightRecorder recorder(1 << 16);
+      outcome[opaque] = run_world(world, MacKind::kDutyCycled, p, slots, 0.02 / 49.0, opaque,
+                                  2000.0, &recorder);
+      ASSERT_GT(recorder.seen(), 0u);
+      ASSERT_FALSE(recorder.wrapped());
+      const auto mismatches = obs::FlightLog(recorder.events()).self_check(outcome[opaque].stats);
+      EXPECT_TRUE(mismatches.empty())
+          << mismatches.size()
+          << " mismatch(es), first: " << (mismatches.empty() ? "" : mismatches.front());
+    }
+    expect_identical_stats(outcome[1].stats, outcome[0].stats);
+    EXPECT_GT(outcome[1].stats.delivered, 0u);
+    EXPECT_EQ(outcome[1].spans.skipped, 0u);
+    if (p == nullptr) {
+      EXPECT_GT(outcome[0].spans.skipped, 0u) << "the armed recorder stopped the skip";
+    } else {
+      EXPECT_GT(outcome[1].stats.fault_crashes, 0u);
+      EXPECT_EQ(outcome[0].spans.skipped, 0u);
+    }
   }
-  expect_identical_stats(outcome[0].stats, outcome[1].stats);
-  EXPECT_GT(outcome[0].stats.delivered, 0u);
-  EXPECT_GT(outcome[0].stats.fault_crashes, 0u);
-  EXPECT_EQ(outcome[0].ff.fallback_recorder, 0u);
-  EXPECT_GT(outcome[1].ff.fallback_recorder, 0u);
-}
-
-// Randomized MACs report no fast-forward period: the engine stays armed but
-// must never record or replay a frame (their per-slot coins come from the
-// simulator stream, so no frame ever provably repeats).
-TEST(FastForwardInvalidation, RandomizedMacsNeverFastForward) {
-  const TestWorld world = make_world(50, 0xA7);
-  for (const MacKind kind :
-       {MacKind::kAloha, MacKind::kUncoordinated, MacKind::kCommonActive}) {
-    const RunOutcome fast = run_world(world, kind, nullptr, 2000, 0.0, true);
-    EXPECT_EQ(fast.ff.frames_replayed, 0u) << mac_name(kind);
-    EXPECT_EQ(fast.ff.frames_recorded, 0u) << mac_name(kind);
-    EXPECT_EQ(fast.ff.slots_replayed, 0u) << mac_name(kind);
-  }
-}
-
-// Opaque traffic sources (no lookahead) must keep the engine disarmed
-// outright: all-zero stats even under a periodic MAC.
-TEST(FastForwardInvalidation, OpaqueTrafficKeepsEngineDisarmed) {
-  const TestWorld world = make_world(50, 0xA8);
-  auto mac = make_mac(MacKind::kDutyCycled, world);
-  ConvergecastTraffic traffic(50, 0, 0.001);
-  SimConfig cfg;
-  cfg.seed = 0xB00;
-  cfg.fast_forward = true;
-  Simulator sim(world.graph, *mac, traffic, cfg);
-  sim.run(4000);
-  const FastForwardStats ff = sim.fast_forward_stats();
-  EXPECT_EQ(ff.frames_recorded, 0u);
-  EXPECT_EQ(ff.frames_replayed, 0u);
-  EXPECT_EQ(ff.fallback_arrival, 0u);
 }
 
 // --------------------------------------------- lookahead traffic contract
 
 // next_emission() must predict generate() exactly, and skipping generate()
 // for the quiet slots in between must not change the realization — the
-// precise promise supports_lookahead() makes to the engine.
+// precise promise supports_lookahead() makes to the simulator.
 TEST(LookaheadTraffic, NextEmissionPredictsGenerateExactly) {
   const std::size_t n = 40;
   const std::uint64_t horizon = 20000;
@@ -457,10 +444,6 @@ TEST(LookaheadTraffic, ZeroRateNeverEmits) {
     });
   }
 }
-
-// The campaign surface: CampaignOptions::fast_forward reaches cell bodies
-// through CellContext::fast_forward() (wiring verified in test_runner.cpp
-// style; here just the option plumbing matters to the sim layer).
 
 }  // namespace
 }  // namespace ttdc::sim

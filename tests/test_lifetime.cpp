@@ -13,6 +13,7 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/drain_model.hpp"
+#include "support/opaque_traffic.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/sleeper_mac.hpp"
 #include "support/stats_equal.hpp"
@@ -128,8 +129,9 @@ TEST(Lifetime, DeadOriginStopsGenerating) {
 // the implicit per-slot sleep cost, and its death is found through the
 // min-credit bound alone. The death slot must be exactly the slot in which
 // the cumulative sleep drain reaches the budget, ceil(B / b_sleep) - 1, and
-// every pipeline — batched or per-node MAC, fast-forward on or off — must
-// agree on it, on SimStats, and on every node's remaining budget.
+// every pipeline — batched or per-node MAC, lookahead traffic bare (so
+// charged spans skip) or behind OpaqueTraffic — must agree on it, on
+// SimStats, and on every node's remaining budget.
 TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
   constexpr std::size_t kNodes = 8;
   constexpr std::size_t kSleeper = 3;
@@ -158,17 +160,18 @@ TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
     std::vector<std::vector<double>> remaining;  // [checkpoint][node]
     std::vector<bool> sleeper_alive;             // [checkpoint]
   };
-  const auto run = [&](bool scalar_only, bool fast_forward) {
+  const auto run = [&](bool scalar_only, bool opaque) {
     SleeperMac mac(kNodes, kSleeper);
     ScalarOnlyMac scalar_mac(mac);
     LookaheadConvergecastTraffic traffic(kNodes, /*sink=*/0, /*rate=*/2e-4, /*seed=*/0x51);
+    OpaqueTraffic wrapped(traffic);
     SimConfig config;
     config.seed = 7;
     config.battery_mj = battery_mj;
     config.energy = energy;
-    config.fast_forward = fast_forward;
     Simulator sim(net::ring_graph(kNodes),
-                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac, traffic, config);
+                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac,
+                  opaque ? static_cast<TrafficSource&>(wrapped) : traffic, config);
     check::ScopedThrowOnViolation guard;
     Outcome out;
     for (const std::uint64_t checkpoint : checkpoints) {
@@ -188,7 +191,7 @@ TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
     return out;
   };
 
-  const Outcome reference = run(/*scalar_only=*/false, /*fast_forward=*/false);
+  const Outcome reference = run(/*scalar_only=*/true, /*opaque=*/true);
   // Alive through slot death_slot - 1, dead once slot death_slot has run.
   EXPECT_EQ(reference.sleeper_alive,
             (std::vector<bool>{true, true, true, true, false, false}));
@@ -196,10 +199,10 @@ TEST(Lifetime, SleepOnlyNodeDiesOnExactSlot) {
   EXPECT_GT(reference.stats.transmissions, 0u);
   EXPECT_GT(reference.stats.deaths, 1u);
   for (const bool scalar_only : {false, true}) {
-    for (const bool fast_forward : {false, true}) {
-      const Outcome other = run(scalar_only, fast_forward);
+    for (const bool opaque : {false, true}) {
+      const Outcome other = run(scalar_only, opaque);
       SCOPED_TRACE(::testing::Message() << "scalar_only=" << scalar_only
-                                        << " fast_forward=" << fast_forward);
+                                        << " opaque=" << opaque);
       expect_identical_stats(reference.stats, other.stats);
       EXPECT_EQ(reference.remaining, other.remaining);
       EXPECT_EQ(reference.sleeper_alive, other.sleeper_alive);
@@ -244,17 +247,18 @@ TEST(Lifetime, ListenerDiesMidFrameOnExactSlot) {
   };
   // Checkpoints on frame boundaries only, so the dying frame runs whole.
   const std::vector<std::uint64_t> checkpoints = {2 * frame, 3 * frame, 6 * frame};
-  const auto run = [&](bool scalar_only, bool fast_forward) {
+  const auto run = [&](bool scalar_only, bool opaque) {
     DutyCycledScheduleMac mac(s);
     ScalarOnlyMac scalar_mac(mac);
-    BernoulliTraffic silent(kN, 0.0);
+    LookaheadConvergecastTraffic silent(kN, /*sink=*/0, /*rate=*/0.0, /*seed=*/0x52);
+    OpaqueTraffic wrapped(silent);
     SimConfig config;
     config.seed = 11;
     config.battery_mj = static_cast<double>(budget) / 1e9;
-    config.fast_forward = fast_forward;
     util::Xoshiro256 rng(12);
     Simulator sim(net::random_bounded_degree_graph(kN, kD, 2 * kN, rng),
-                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac, silent, config);
+                  scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac,
+                  opaque ? static_cast<TrafficSource&>(wrapped) : silent, config);
     Outcome out;
     for (const std::uint64_t checkpoint : checkpoints) {
       sim.run(checkpoint - sim.now());
@@ -265,11 +269,11 @@ TEST(Lifetime, ListenerDiesMidFrameOnExactSlot) {
     out.stats = sim.stats();
     return out;
   };
-  const Outcome reference = run(/*scalar_only=*/true, /*fast_forward=*/false);
+  const Outcome reference = run(/*scalar_only=*/true, /*opaque=*/true);
   EXPECT_EQ(reference.stats.first_death_slot, death);
-  for (const bool fast_forward : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "fast_forward=" << fast_forward);
-    const Outcome charged = run(/*scalar_only=*/false, fast_forward);
+  for (const bool opaque : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "opaque=" << opaque);
+    const Outcome charged = run(/*scalar_only=*/false, opaque);
     expect_identical_stats(reference.stats, charged.stats);
     EXPECT_EQ(reference.remaining, charged.remaining);
   }

@@ -5,7 +5,7 @@
 // flows, queue capacities, batteries, fault plans, MACs and run() splits,
 // comparing SimStats and the created-packet stream; a lookahead source
 // checks that TrafficSource::on_queue_drained reaches the traffic source
-// from fast-forward replay as well as from stepped slots.
+// across the slots a charged span skips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,7 @@
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/every_flow_scan.hpp"
+#include "support/opaque_traffic.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/stats_equal.hpp"
 #include "util/slot_set.hpp"
@@ -328,13 +329,13 @@ TEST(SaturatedFlows, RandomizedDifferentialAgainstEveryFlowScan) {
 }
 
 // ---------------------------------------------------------------------------
-// The drain notification through fast-forward replay.
+// The drain notification across skipped slots.
 
 /// One packet origin -> destination every `every` slots from slot `first`,
 /// as a slot-addressable stream. At every generate() it checks that each
 /// queue it last saw holding packets and now finds empty was reported
-/// drained in between, and it counts the reports that arrive outside a
-/// stepped slot (from a replayed frame).
+/// drained in between, and that every report comes from the slot it last
+/// generated for: a skipped slot drains no queue.
 class PeriodicDrainWatcher final : public TrafficSource {
  public:
   PeriodicDrainWatcher(std::size_t n, std::size_t origin, std::size_t destination,
@@ -359,13 +360,12 @@ class PeriodicDrainWatcher final : public TrafficSource {
   [[nodiscard]] std::uint64_t next_emission(std::uint64_t) const override { return next_; }
   void on_queue_drained(std::size_t node) override {
     EXPECT_EQ(sim_->queue_size(node), 0u) << "node " << node << " reported while backlogged";
+    EXPECT_EQ(sim_->now(), last_generated_) << "node " << node << " reported outside a step";
     held_[node] = false;
     ++drains;
-    if (sim_->now() != last_generated_) ++replayed_drains;
   }
 
   std::uint64_t drains = 0;
-  std::uint64_t replayed_drains = 0;
 
  private:
   std::size_t origin_, destination_;
@@ -378,36 +378,34 @@ class PeriodicDrainWatcher final : public TrafficSource {
 TEST(DrainNotification, ReachesTheSourceThroughReplay) {
   // TDMA on a 4-path: node i transmits in slot i of every frame. A packet
   // 0 -> 3 arrives in slot 1 of every third frame and crosses the path in
-  // slots 0-2 of the next one, so that frame starts with one queued packet
-  // of the same age each time: recorded once, then replayed, and the
-  // replay empties node 0's queue without a queue_pop.
+  // slots 0-2 of the next one, emptying nodes 0, 1 and 2's queues in turn.
+  // Bare, the source lets the simulator skip every slot in which no
+  // backlogged node transmits, so generate() sees only the stepped slots;
+  // behind OpaqueTraffic every slot is stepped. Both runs report every
+  // emptying, from the slot that emptied it, and match.
   const Schedule s = core::non_sleeping_from_family(comb::tdma_family(4));
   const std::uint64_t frame = s.frame_length();
   ASSERT_EQ(frame, 4u);
   SimStats reference;
-  std::uint64_t reference_drains = 0;
-  for (const bool fast_forward : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "fast_forward=" << fast_forward);
+  for (const bool opaque : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "opaque=" << opaque);
     DutyCycledScheduleMac mac(s);
     const Simulator* probe = nullptr;
     PeriodicDrainWatcher traffic(4, 0, 3, 1, 3 * frame, probe);
-    SimConfig config{.seed = 11};
-    config.fast_forward = fast_forward;
-    Simulator sim(net::path_graph(4), mac, traffic, config);
+    OpaqueTraffic wrapped(traffic);
+    Simulator sim(net::path_graph(4), mac,
+                  opaque ? static_cast<TrafficSource&>(wrapped) : traffic, {.seed = 11});
     probe = &sim;
     sim.run(300 * frame);
-    const FastForwardStats ff = sim.fast_forward_stats();
     EXPECT_EQ(sim.stats().delivered, 100u);
-    if (fast_forward) {
-      EXPECT_GT(ff.frames_replayed, 0u);
-      EXPECT_GT(traffic.replayed_drains, 90u) << "no replayed frame drained a queue";
-      expect_identical_stats(reference, sim.stats());
-      EXPECT_EQ(traffic.drains, reference_drains - 2 * traffic.replayed_drains);
-    } else {
-      EXPECT_EQ(ff.frames_replayed, 0u);
-      EXPECT_EQ(traffic.replayed_drains, 0u);
+    EXPECT_EQ(traffic.drains, 3u * 100u);
+    if (opaque) {
+      EXPECT_EQ(sim.charged_span_stats().skipped, 0u);
       reference = sim.stats();
-      reference_drains = traffic.drains;
+    } else {
+      // Four stepped slots per packet: its arrival and its three hops.
+      EXPECT_EQ(sim.charged_span_stats().skipped, 300 * frame - 4u * 100u);
+      expect_identical_stats(reference, sim.stats());
     }
   }
 }
