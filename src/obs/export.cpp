@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/flight_query.hpp"
+
 namespace ttdc::obs {
 
 namespace {
@@ -111,22 +113,27 @@ std::string prometheus_text(const MetricsRegistry& registry) {
 
 void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
                        const std::string& prefix) {
+  const auto count = [&](const std::string& name, std::uint64_t value) {
+    registry.counter(prefix + "_" + name + "_total", "SimStats::" + name).set(value);
+  };
+  count("slots_run", stats.slots_run);
+  for (const StreamCounter& c : kStreamCounters) count(c.name, stats.*c.field);
+  count("deaths", stats.deaths);
+
+  // Every sample is a whole number of slots, so the double sum is exact and
+  // the histogram does not depend on the order percentile() leaves behind.
+  Histogram& latency =
+      registry.histogram(prefix + "_latency_slots",
+                         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384},
+                         "end-to-end delivery latency in slots");
+  latency.reset();
+  for (const std::uint64_t slots : stats.latency.samples()) {
+    latency.observe(static_cast<double>(slots));
+  }
+
   const auto g = [&](const char* suffix, const char* help) -> Gauge& {
     return registry.gauge(prefix + std::string(suffix), help);
   };
-  g("_slots_run", "slots simulated").set(static_cast<double>(stats.slots_run));
-  g("_generated", "packets generated").set(static_cast<double>(stats.generated));
-  g("_delivered", "packets delivered end to end").set(static_cast<double>(stats.delivered));
-  g("_transmissions", "transmission attempts").set(static_cast<double>(stats.transmissions));
-  g("_hop_successes", "per-hop receptions").set(static_cast<double>(stats.hop_successes));
-  g("_collisions", "receptions lost to collisions").set(static_cast<double>(stats.collisions));
-  g("_receiver_asleep", "receptions lost: receiver not listening")
-      .set(static_cast<double>(stats.receiver_asleep));
-  g("_channel_losses", "receptions lost to channel error")
-      .set(static_cast<double>(stats.channel_losses));
-  g("_sync_losses", "receptions lost to sync miss").set(static_cast<double>(stats.sync_losses));
-  g("_queue_drops", "packets dropped at full or unroutable queues")
-      .set(static_cast<double>(stats.queue_drops));
   g("_delivery_ratio", "delivered / generated").set(stats.delivery_ratio());
   g("_hop_success_ratio", "hop successes / transmissions").set(stats.success_ratio());
   g("_awake_fraction", "fraction of node-slots not asleep").set(stats.awake_fraction());
@@ -137,7 +144,6 @@ void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
       .set(static_cast<double>(stats.latency.percentile(95)));
   g("_latency_max_slots", "max delivery latency")
       .set(static_cast<double>(stats.latency.max()));
-  g("_deaths", "battery-depleted nodes").set(static_cast<double>(stats.deaths));
 }
 
 }  // namespace ttdc::obs

@@ -32,9 +32,12 @@ namespace ttdc::obs {
 /// Convenience: snapshot + render in one call.
 [[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
 
-/// Publishes the aggregate counters and derived ratios of a finished (or
-/// in-flight) run into `registry` under `<prefix>_...` — snapshot-on-read
-/// companion to the simulator's live hot-path counters.
+/// The one bridge from SimStats to a registry, called at read time (after
+/// run(); a campaign publishes CampaignResult::aggregate): every counter
+/// once as the counter `<prefix>_<name>_total` (slots_run, the
+/// kStreamCounters, deaths), the derived ratios and latency summaries as
+/// gauges, and the latency samples as the `<prefix>_latency_slots`
+/// histogram. A later call overwrites what an earlier one wrote.
 void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
                        const std::string& prefix = "ttdc_sim");
 

@@ -1,10 +1,12 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
-// Hot-path writes are single relaxed atomic RMWs on pre-resolved handles
-// (resolve once with registry.counter("name"), then inc() in the loop);
-// reads are snapshot-on-demand and never block writers. Header-only so the
-// simulator and the combinatorial kernels can publish without a link
-// dependency on ttdc_obs (which itself links ttdc_sim for the trace layer).
+// No hot path writes here. The simulator counts into SimStats, and a
+// finished (or in-flight) record is published at read time:
+// obs::publish_sim_stats (export.hpp) for SimStats, Profiler::publish for
+// the profiling spans. Values are relaxed atomics, so one thread may
+// snapshot() while another publishes. Header-only because profile.hpp,
+// which the instrumented libraries include, publishes into it without a
+// link dependency on ttdc_obs (which itself links ttdc_sim).
 #pragma once
 
 #include <atomic>
@@ -23,7 +25,8 @@ class Counter {
  public:
   void inc(std::uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  /// Overwrites the count (a publisher copying a finished record).
+  void set(std::uint64_t value) { value_.store(value, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -65,6 +68,16 @@ class Histogram {
       }
     }
     // Falls only into the implicit +Inf bucket (== count()).
+  }
+
+  /// Empties every bucket, the count and the sum (a publisher refilling
+  /// the histogram from a finished record).
+  void reset() {
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0.0, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < bounds_.size(); ++i) {
+      buckets_[i].store(0, std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -174,13 +187,6 @@ class MetricsRegistry {
       }
     }
     return out;
-  }
-
-  /// Process-wide registry for code without an obvious owner (profiling
-  /// scopes, examples).
-  static MetricsRegistry& global() {
-    static MetricsRegistry registry;
-    return registry;
   }
 
  private:

@@ -80,9 +80,14 @@ inline ProfScope*& tls_current_scope() {
 
 class Profiler {
  public:
+  /// Never destroyed: an exit-time destructor would free the span nodes and
+  /// retired MRU edges while the OpenMP pool threads that read them are
+  /// still alive, with nothing ordering those reads before the free
+  /// (ThreadSanitizer reports the pair as a race). Process exit reclaims
+  /// the memory.
   static Profiler& instance() {
-    static Profiler profiler;
-    return profiler;
+    static Profiler* const profiler = new Profiler();
+    return *profiler;
   }
 
   static void enable(bool on) { enabled_flag().store(on, std::memory_order_relaxed); }

@@ -110,37 +110,6 @@ void BenchReport::metric_int(const std::string& key, std::int64_t value) {
   metrics_.emplace_back(key, value);
 }
 
-void BenchReport::add_snapshot(const std::vector<MetricSnapshot>& snapshot,
-                               const std::string& prefix) {
-  for (const MetricSnapshot& m : snapshot) {
-    switch (m.type) {
-      case MetricSnapshot::Type::kCounter:
-        metric(prefix + m.name, m.counter_value);
-        break;
-      case MetricSnapshot::Type::kGauge:
-        metric(prefix + m.name, m.gauge_value);
-        break;
-      case MetricSnapshot::Type::kHistogram:
-        metric(prefix + m.name + "_count", m.count);
-        metric(prefix + m.name + "_sum", m.sum);
-        break;
-    }
-  }
-}
-
-void BenchReport::add_sim_stats(const std::string& prefix, const sim::SimStats& stats) {
-  metric(prefix + "_slots_run", stats.slots_run);
-  metric(prefix + "_generated", stats.generated);
-  metric(prefix + "_delivered", stats.delivered);
-  metric(prefix + "_transmissions", stats.transmissions);
-  metric(prefix + "_collisions", stats.collisions);
-  metric(prefix + "_queue_drops", stats.queue_drops);
-  metric(prefix + "_delivery_ratio", stats.delivery_ratio());
-  metric(prefix + "_awake_fraction", stats.awake_fraction());
-  metric(prefix + "_latency_mean_slots", stats.latency.mean());
-  metric(prefix + "_latency_p95_slots", stats.latency.percentile(95));
-}
-
 namespace {
 
 void write_object(std::ostringstream& os,

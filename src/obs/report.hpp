@@ -19,8 +19,6 @@
 #include <variant>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "sim/stats.hpp"
 #include "util/timer.hpp"
 
 namespace ttdc::obs {
@@ -60,14 +58,6 @@ class BenchReport {
   void metric(const std::string& key, T value) {
     metric_int(key, static_cast<std::int64_t>(value));
   }
-
-  /// Folds a metrics snapshot in: counters and gauges become
-  /// `<prefix><name>` metrics; histograms contribute `_count` and `_sum`.
-  void add_snapshot(const std::vector<MetricSnapshot>& snapshot,
-                    const std::string& prefix = "");
-
-  /// Folds the headline counters of a sim run in under `<prefix>_...`.
-  void add_sim_stats(const std::string& prefix, const sim::SimStats& stats);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] double elapsed_seconds() const { return timer_.seconds(); }

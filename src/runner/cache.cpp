@@ -55,20 +55,6 @@ std::shared_ptr<const net::RoutingTable> ArtifactStore::routing(const net::Graph
   return {entry, &entry->table};
 }
 
-std::shared_ptr<const util::BinomialTable> ArtifactStore::binomials(std::size_t max_n,
-                                                                    std::size_t max_k) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = binomials_[{max_n, max_k}];
-  if (slot) {
-    ++hits_;
-    return slot;
-  }
-  ++misses_;
-  TTDC_PROF_SCOPE("runner.artifacts.build_binomials");
-  slot = std::make_shared<const util::BinomialTable>(max_n, max_k);
-  return slot;
-}
-
 std::shared_ptr<const core::ThroughputTables> ArtifactStore::throughput(
     std::size_t n, std::size_t degree_bound) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -3,7 +3,7 @@
 // Campaign cells repeat expensive, deterministic constructions: the same
 // Galois-orthogonal base schedule built once per (q, k) instead of once per
 // seed; the same topology's BFS routing columns built once instead of once
-// per cell; the same (n, D) binomial / g_{n,D} memo shared by every
+// per cell; the same (n, D) binomial-backed g_{n,D} memo shared by every
 // Theorem 2/3/4 evaluation in the grid. ArtifactStore keys each artifact by
 // its CONTENT (a build recipe string for schedules, the adjacency digest
 // for graphs, the (n, D) pair for the analytic tables), builds it exactly
@@ -31,7 +31,6 @@
 #include "core/throughput.hpp"
 #include "net/graph.hpp"
 #include "net/routing.hpp"
-#include "util/binomial.hpp"
 
 namespace ttdc::runner {
 
@@ -55,9 +54,6 @@ class ArtifactStore {
   /// into a cell's simulator via SimConfig::shared_routing; the pointed-to
   /// graph copy lives inside the store.
   std::shared_ptr<const net::RoutingTable> routing(const net::Graph& graph);
-
-  /// Binomial memo covering n in [0, max_n], k in [0, max_k].
-  std::shared_ptr<const util::BinomialTable> binomials(std::size_t max_n, std::size_t max_k);
 
   /// Theorem 2/3/4 memo for (n, degree_bound).
   std::shared_ptr<const core::ThroughputTables> throughput(std::size_t n,
@@ -105,8 +101,6 @@ class ArtifactStore {
   // Hash -> entries with that digest (chained in case of collisions; each
   // candidate is verified against the full adjacency before reuse).
   std::map<std::uint64_t, std::vector<std::shared_ptr<RoutingEntry>>> routings_;
-  std::map<std::pair<std::size_t, std::size_t>, std::shared_ptr<const util::BinomialTable>>
-      binomials_;
   std::map<std::pair<std::size_t, std::size_t>, std::shared_ptr<const core::ThroughputTables>>
       throughputs_;
 };

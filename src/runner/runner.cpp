@@ -64,7 +64,6 @@ void Campaign::execute_cell_body(std::size_t index, CellContext& ctx) {
   ctx.name_ = cells_[index].name;
   ctx.seed_ = seeds_[index];
   ctx.artifacts_ = artifacts_.get();
-  ctx.metrics_ = options_.metrics;
   if (options_.flight_capture) {
     ctx.flight_ =
         std::make_unique<obs::FlightRecorder>(options_.flight_capture->ring_capacity);

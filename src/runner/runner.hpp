@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "runner/cache.hpp"
 #include "runner/journal.hpp"
 #include "sim/simulator.hpp"
@@ -71,12 +70,6 @@ class CellContext {
 
   /// Campaign-wide artifact cache (thread-safe; see cache.hpp).
   [[nodiscard]] ArtifactStore& artifacts() const { return *artifacts_; }
-
-  /// Campaign-level metrics registry, or nullptr when the campaign has
-  /// none. Handles are atomic, so wiring it into SimConfig::metrics from
-  /// many cells at once is safe, and the end-of-campaign snapshot is a sum
-  /// over cells — order-independent by construction.
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Folds a finished simulation's stats into this cell's contribution to
   /// the campaign aggregate (callable multiple times per cell).
@@ -117,7 +110,6 @@ class CellContext {
   std::string name_;
   std::uint64_t seed_ = 0;
   ArtifactStore* artifacts_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   sim::SimStats stats_;
   std::vector<std::pair<std::string, double>> metrics_out_;
   std::unique_ptr<obs::FlightRecorder> flight_;
@@ -248,8 +240,6 @@ struct CampaignOptions {
   /// (util::hardware_parallelism); the variable unset, empty or "0" means
   /// that default too.
   int num_workers = 0;
-  /// Optional campaign-level metrics registry (see CellContext::metrics).
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class Campaign {

@@ -30,7 +30,7 @@
 //
 // The Simulator consumes the plan via SimConfig::fault_plan, emits every
 // injected fault through the flight recorder (FlightEvent::kFault* kinds)
-// and counts it in SimStats / obs metrics, so post-mortems show causality:
+// and counts it in SimStats, so post-mortems show causality:
 // "delivery dipped at slot 40k" lines up with "node 17 crashed at 39.8k".
 #pragma once
 

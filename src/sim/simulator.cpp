@@ -89,36 +89,6 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
     }
     down_since_.assign(n, 0);
   }
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    hot_.generated = &m.counter("ttdc_sim_generated_total", "packets generated");
-    hot_.transmissions = &m.counter("ttdc_sim_transmissions_total", "transmission attempts");
-    hot_.hop_successes = &m.counter("ttdc_sim_hop_successes_total", "per-hop receptions");
-    hot_.delivered = &m.counter("ttdc_sim_delivered_total", "end-to-end deliveries");
-    hot_.collisions = &m.counter("ttdc_sim_collisions_total", "collision losses");
-    hot_.receiver_asleep =
-        &m.counter("ttdc_sim_receiver_asleep_total", "losses to sleeping receivers");
-    hot_.channel_losses = &m.counter("ttdc_sim_channel_losses_total", "channel-error losses");
-    hot_.sync_losses = &m.counter("ttdc_sim_sync_losses_total", "sync-miss losses");
-    hot_.queue_drops = &m.counter("ttdc_sim_queue_drops_total", "queue drops");
-    hot_.latency = &m.histogram(
-        "ttdc_sim_latency_slots",
-        {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384},
-        "end-to-end delivery latency in slots");
-    if (fault_armed_) {
-      hot_.fault_crashes = &m.counter("ttdc_sim_fault_crashes_total", "injected node crashes");
-      hot_.fault_recoveries =
-          &m.counter("ttdc_sim_fault_recoveries_total", "injected node recoveries");
-      hot_.fault_battery_spikes =
-          &m.counter("ttdc_sim_fault_battery_spikes_total", "injected battery spikes");
-      hot_.fault_jam_bursts =
-          &m.counter("ttdc_sim_fault_jam_bursts_total", "injected jam bursts");
-      hot_.burst_losses =
-          &m.counter("ttdc_sim_burst_losses_total", "losses to bursty (Gilbert-Elliott) links");
-      hot_.drift_losses =
-          &m.counter("ttdc_sim_drift_losses_total", "losses to clock drift");
-    }
-  }
   // The skip's arming (see run()): every per-slot randomness source it
   // would pass over must be absent. Channel imperfections draw from rng_ in
   // the slots a skip would pass, and an opaque traffic source cannot say
@@ -259,7 +229,6 @@ void Simulator::inject(std::size_t origin, std::size_t destination) {
   if (dead_.test(origin)) return;  // a dead sensor senses nothing
   if (fault_world_ && down_.test(origin)) return;  // neither does a crashed one
   ++stats_.generated;
-  if (hot_.generated) hot_.generated->inc();
   Packet p;
   p.id = next_packet_id_++;
   p.origin = origin;
@@ -268,7 +237,6 @@ void Simulator::inject(std::size_t origin, std::size_t destination) {
   if (recording_) record_flight(obs::FlightEvent::Kind::kCreated, origin, destination, p.id);
   if (!queue_push(origin, p)) {
     ++stats_.queue_drops;
-    if (hot_.queue_drops) hot_.queue_drops->inc();
     if (recording_) record_flight(obs::FlightEvent::Kind::kDropped, origin, origin, p.id);
   }
 }
@@ -370,7 +338,6 @@ void Simulator::collect_transmissions(bool mac_batched) {
       if (hop == kNoHop) {
         if (config_.drop_unroutable) {
           ++stats_.queue_drops;
-          if (hot_.queue_drops) hot_.queue_drops->inc();
           if (recording_) {
             record_flight(obs::FlightEvent::Kind::kExpired, v, q.front().origin,
                           q.front().id);
@@ -401,14 +368,12 @@ void Simulator::collect_transmissions(bool mac_batched) {
 void Simulator::resolve_receptions() {
   TTDC_PROF_SCOPE("sim.step.resolve");
   stats_.transmissions += tx_nodes_.size();
-  if (hot_.transmissions) hot_.transmissions->inc(tx_nodes_.size());
   for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
     const std::size_t x = tx_nodes_[i];
     const std::size_t y = tx_targets_[i];
     if (dead_.test(y) || (fault_world_ && down_.test(y)) || !receivers_.test(y) ||
         transmitting_.test(y)) {
       ++stats_.receiver_asleep;
-      if (hot_.receiver_asleep) hot_.receiver_asleep->inc();
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kReceiverAsleep, y, x, queues_[x].front().id);
       }
@@ -420,7 +385,6 @@ void Simulator::resolve_receptions() {
     // no allocation — gives: collision iff the count exceeds one.
     if (graph_.neighbors(y).intersection_count(transmitting_) > 1) {
       ++stats_.collisions;
-      if (hot_.collisions) hot_.collisions->inc();
       if (recording_) record_collision(y, x, queues_[x].front().id);
       continue;
     }
@@ -430,7 +394,6 @@ void Simulator::resolve_receptions() {
     if (fault_armed_) {
       if (fault_drift_ && drift_lost(x, y)) {
         ++stats_.drift_losses;
-        if (hot_.drift_losses) hot_.drift_losses->inc();
         if (recording_) {
           record_flight(obs::FlightEvent::Kind::kDriftLoss, y, x, queues_[x].front().id);
         }
@@ -438,7 +401,6 @@ void Simulator::resolve_receptions() {
       }
       if (fault_ge_ && ge_lost(x, y)) {
         ++stats_.burst_losses;
-        if (hot_.burst_losses) hot_.burst_losses->inc();
         if (recording_) {
           record_flight(obs::FlightEvent::Kind::kBurstLoss, y, x, queues_[x].front().id);
         }
@@ -448,7 +410,6 @@ void Simulator::resolve_receptions() {
     // Channel imperfections: slot misalignment, then fading/noise.
     if (config_.sync_miss_rate > 0.0 && rng_.bernoulli(config_.sync_miss_rate)) {
       ++stats_.sync_losses;
-      if (hot_.sync_losses) hot_.sync_losses->inc();
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kSyncLoss, y, x, queues_[x].front().id);
       }
@@ -456,7 +417,6 @@ void Simulator::resolve_receptions() {
     }
     if (config_.packet_error_rate > 0.0 && rng_.bernoulli(config_.packet_error_rate)) {
       ++stats_.channel_losses;
-      if (hot_.channel_losses) hot_.channel_losses->inc();
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kChannelLoss, y, x, queues_[x].front().id);
       }
@@ -466,15 +426,10 @@ void Simulator::resolve_receptions() {
     Packet p = queues_[x].front();
     queue_pop(x);
     ++stats_.hop_successes;
-    if (hot_.hop_successes) hot_.hop_successes->inc();
     if (p.destination == y) {
       ++stats_.delivered;
       ++stats_.delivered_by_origin[p.origin];
       stats_.latency.record(now_ - p.created_slot);
-      if (hot_.delivered) {
-        hot_.delivered->inc();
-        hot_.latency->observe(static_cast<double>(now_ - p.created_slot));
-      }
       if (recording_) {
         record_flight(obs::FlightEvent::Kind::kDelivered, y, p.origin, p.id,
                       static_cast<std::uint32_t>(now_ - p.created_slot));
@@ -483,7 +438,6 @@ void Simulator::resolve_receptions() {
       if (recording_) record_flight(obs::FlightEvent::Kind::kHopDelivered, y, x, p.id);
       if (!queue_push(y, p)) {
         ++stats_.queue_drops;
-        if (hot_.queue_drops) hot_.queue_drops->inc();
         if (recording_) record_flight(obs::FlightEvent::Kind::kDropped, y, p.origin, p.id);
       }
     }
@@ -569,21 +523,18 @@ void Simulator::apply_fault_event(const FaultEvent& e) {
       down_.set(v);
       down_since_[v] = now_;
       ++stats_.fault_crashes;
-      if (hot_.fault_crashes) hot_.fault_crashes->inc();
       flight(obs::FlightEvent::Kind::kFaultCrash, 0);
       return;
     case FaultEvent::Kind::kRecover:
       if (!down_.test(v)) return;  // never crashed, or battery-dead for good
       down_.reset(v);
       ++stats_.fault_recoveries;
-      if (hot_.fault_recoveries) hot_.fault_recoveries->inc();
       flight(obs::FlightEvent::Kind::kFaultRecover,
              static_cast<std::uint32_t>(now_ - down_since_[v]));
       return;
     case FaultEvent::Kind::kBatterySpike:
       if (dead_.test(v)) return;
       ++stats_.fault_battery_spikes;
-      if (hot_.fault_battery_spikes) hot_.fault_battery_spikes->inc();
       flight(obs::FlightEvent::Kind::kFaultBatterySpike,
              static_cast<std::uint32_t>(e.magnitude_mj));
       if (config_.battery_mj > 0.0) {
@@ -598,7 +549,6 @@ void Simulator::apply_fault_event(const FaultEvent& e) {
       if (jamming_.test(v)) return;
       jamming_.set(v);
       ++stats_.fault_jam_bursts;
-      if (hot_.fault_jam_bursts) hot_.fault_jam_bursts->inc();
       flight(obs::FlightEvent::Kind::kFaultJamStart, 0);
       return;
     case FaultEvent::Kind::kJamEnd:

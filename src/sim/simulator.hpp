@@ -29,7 +29,6 @@
 
 #include "net/graph.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "sim/fastforward.hpp"
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
@@ -55,11 +54,6 @@ struct SimConfig {
   /// sync_miss_rate (transmitter misaligned with the slot grid).
   double packet_error_rate = 0.0;
   double sync_miss_rate = 0.0;
-  /// Optional metrics registry. When set, the simulator registers
-  /// `ttdc_sim_*_total` counters and a `ttdc_sim_latency_slots` histogram
-  /// at construction and bumps them live on the hot path (one pre-resolved
-  /// relaxed atomic increment per event); leave null for zero overhead.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Optional packet flight recorder (obs/flight_recorder.hpp), the
   /// simulator's only event output: a bounded ring of per-packet lifecycle
   /// events (created -> enqueued -> head-of-line -> tx-attempt ->
@@ -382,28 +376,6 @@ class Simulator {
   /// the phase-2 intersection neighbors(y) AND transmitting_.
   void record_collision(std::size_t y, std::size_t x, std::uint64_t packet_id);
 
-  /// Live hot-path metric handles (all null when config.metrics is null).
-  struct HotMetrics {
-    obs::Counter* generated = nullptr;
-    obs::Counter* transmissions = nullptr;
-    obs::Counter* hop_successes = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* collisions = nullptr;
-    obs::Counter* receiver_asleep = nullptr;
-    obs::Counter* channel_losses = nullptr;
-    obs::Counter* sync_losses = nullptr;
-    obs::Counter* queue_drops = nullptr;
-    obs::Histogram* latency = nullptr;
-    // Registered only when a fault plan is armed (names stay absent from
-    // unarmed registries).
-    obs::Counter* fault_crashes = nullptr;
-    obs::Counter* fault_recoveries = nullptr;
-    obs::Counter* fault_battery_spikes = nullptr;
-    obs::Counter* fault_jam_bursts = nullptr;
-    obs::Counter* burst_losses = nullptr;
-    obs::Counter* drift_losses = nullptr;
-  };
-
   net::Graph graph_;
   MacProtocol& mac_;
   TrafficSource& traffic_;
@@ -415,7 +387,6 @@ class Simulator {
   const RoutingTable* routing_view_ = nullptr;
   std::vector<PacketQueue> queues_;
   SimStats stats_;
-  HotMetrics hot_;
   bool recording_ = false;  // per-slot sample of (recorder installed && armed)
   std::uint64_t now_ = 0;
   std::uint64_t next_packet_id_ = 0;

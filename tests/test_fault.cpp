@@ -5,11 +5,14 @@
 // contract, golden equality between a MAC's batched slot sets and the same
 // MAC behind ScalarOnlyMac with a generative plan armed,
 // and fault instants in the flight record, whose complete stream rebuilds
-// the storm's SimStats.
+// the storm's SimStats, and in the registry the storm's SimStats publish to.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
@@ -17,6 +20,7 @@
 #include "core/builders.hpp"
 #include "core/construct.hpp"
 #include "net/topology.hpp"
+#include "obs/export.hpp"
 #include "obs/flight_query.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/fault.hpp"
@@ -468,6 +472,53 @@ TEST(FaultWorld, FlightStreamRebuildsStormStats) {
         << (scalar ? "scalar" : "batched") << ": " << mismatches.size()
         << " mismatch(es), first: " << (mismatches.empty() ? "" : mismatches.front());
   }
+}
+
+// publish_sim_stats is the one bridge from SimStats to a registry. On the
+// storm, where every counter moves, each of the 17 counters reads its
+// SimStats value exactly once, as ttdc_sim_<name>_total (no gauge repeats
+// it), the latency histogram holds every sample, and publishing again
+// overwrites instead of adding.
+TEST(FaultWorld, PublishSimStatsCountsEveryCounterOnce) {
+  const SimStats stats = run_storm(full_storm(), false);
+  std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"slots_run", stats.slots_run}, {"deaths", stats.deaths}};
+  for (const obs::StreamCounter& c : obs::kStreamCounters) {
+    expected.emplace_back(c.name, stats.*c.field);
+  }
+  ASSERT_EQ(expected.size(), 17u);
+  for (const std::uint64_t fault_count :
+       {stats.fault_crashes, stats.fault_recoveries, stats.fault_battery_spikes,
+        stats.fault_jam_bursts, stats.burst_losses, stats.drift_losses, stats.deaths}) {
+    ASSERT_GT(fault_count, 0u);
+  }
+
+  obs::MetricsRegistry registry;
+  obs::publish_sim_stats(stats, registry);
+  const std::string text = obs::prometheus_text(registry);
+  obs::publish_sim_stats(stats, registry);
+  EXPECT_EQ(obs::prometheus_text(registry), text) << "a second publish must overwrite";
+
+  std::map<std::string, std::uint64_t> counters;
+  const obs::MetricSnapshot* latency = nullptr;
+  const std::vector<obs::MetricSnapshot> snapshot = registry.snapshot();
+  for (const obs::MetricSnapshot& m : snapshot) {
+    if (m.type == obs::MetricSnapshot::Type::kCounter) counters[m.name] = m.counter_value;
+    if (m.name == "ttdc_sim_latency_slots") latency = &m;
+  }
+  EXPECT_EQ(counters.size(), expected.size());
+  for (const auto& [name, value] : expected) {
+    const std::string exposed = "ttdc_sim_" + name + "_total";
+    ASSERT_EQ(counters.count(exposed), 1u) << exposed;
+    EXPECT_EQ(counters[exposed], value) << exposed;
+    EXPECT_EQ(text.find("\nttdc_sim_" + name + " "), std::string::npos)
+        << name << " is exposed twice";
+  }
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->type, obs::MetricSnapshot::Type::kHistogram);
+  EXPECT_EQ(latency->bounds.size(), 13u);
+  EXPECT_EQ(latency->count, stats.latency.count());
+  EXPECT_GT(latency->count, 0u);
 }
 
 TEST(FaultWorld, FaultInstantsLandInFlightRecord) {

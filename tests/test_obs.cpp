@@ -14,15 +14,11 @@
 #include <string>
 #include <vector>
 
-#include "combinatorics/constructions.hpp"
-#include "core/builders.hpp"
-#include "net/topology.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
-#include "sim/mac.hpp"
-#include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::obs {
@@ -199,31 +195,8 @@ TEST(Metrics, PrometheusEscapeHelpIsIdempotentOnCleanText) {
 }
 
 // ---------------------------------------------------------------------------
-// Live hot-path metrics in the simulator.
-
-TEST(SimMetrics, RegistryCountersMatchFinalStats) {
-  MetricsRegistry registry;
-  const core::Schedule s = core::non_sleeping_from_family(comb::tdma_family(5));
-  sim::DutyCycledScheduleMac mac(s);
-  sim::BernoulliTraffic traffic(5, 0.04);
-  sim::SimConfig config;
-  config.seed = 21;
-  config.metrics = &registry;
-  sim::Simulator sim(net::ring_graph(5), mac, traffic, config);
-  sim.run(5000);
-
-  const auto& st = sim.stats();
-  ASSERT_GT(st.delivered, 0u);
-  EXPECT_EQ(registry.counter("ttdc_sim_generated_total").value(), st.generated);
-  EXPECT_EQ(registry.counter("ttdc_sim_transmissions_total").value(), st.transmissions);
-  EXPECT_EQ(registry.counter("ttdc_sim_delivered_total").value(), st.delivered);
-  EXPECT_EQ(registry.counter("ttdc_sim_collisions_total").value(), st.collisions);
-  for (const auto& snap : registry.snapshot()) {
-    if (snap.name == "ttdc_sim_latency_slots") {
-      EXPECT_EQ(snap.count, st.latency.count());
-    }
-  }
-}
+// Publishing SimStats into a registry (test_fault.cpp checks every counter
+// on the fault storm).
 
 TEST(SimMetrics, PublishSimStatsExportsDerivedGauges) {
   MetricsRegistry registry;
@@ -421,22 +394,6 @@ TEST(BenchReport, JsonSchemaAndFileOutput) {
   buf << in.rdbuf();
   EXPECT_NE(buf.str().find("\"name\":\"unit_test\""), std::string::npos);
   std::remove(path.c_str());
-}
-
-TEST(BenchReport, AddSimStatsAndSnapshot) {
-  BenchReport report("fold");
-  sim::SimStats stats;
-  stats.generated = 10;
-  stats.delivered = 9;
-  report.add_sim_stats("run", stats);
-
-  MetricsRegistry registry;
-  registry.counter("widget_total").inc(4);
-  report.add_snapshot(registry.snapshot(), "snap_");
-
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"run_delivered\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"snap_widget_total\":4"), std::string::npos);
 }
 
 }  // namespace

@@ -53,7 +53,6 @@ CellFn sim_cell(std::size_t rows, std::size_t cols, double rate, std::uint64_t s
     sim::SimConfig cfg;
     cfg.seed = ctx.seed();
     cfg.shared_routing = routing.get();
-    cfg.metrics = ctx.metrics();
     sim::Simulator sim(g, mac, traffic, cfg);
     sim.run(slots);
     ctx.record(sim.stats());

@@ -1,10 +1,11 @@
 // The word-parallel simulator hot path (DESIGN.md §8): golden equivalence
 // between every MAC protocol's batched slot sets and the same MAC driven
-// node-at-a-time through ScalarOnlyMac, the batched MAC slot-set contract,
-// the lazy routing cache, the ring-buffer packet queue, and the
-// zero-allocation steady-state invariant of Simulator::step() with dense
-// and with population-following slot sets (verified with a global
-// operator-new counting hook).
+// node-at-a-time through ScalarOnlyMac (also across topology moves that
+// take queued heads' routes away and give them back), the batched MAC
+// slot-set contract, the lazy routing cache, the ring-buffer packet
+// queue, and the zero-allocation steady-state invariant of
+// Simulator::step() with dense and with population-following slot sets
+// (verified with a global operator-new counting hook).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "core/construct.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/opaque_traffic.hpp"
@@ -190,6 +192,63 @@ TEST(HotPathGolden, TopologyChurnKeepsPathsAligned) {
   const SimStats a = run(true);
   const SimStats b = run(false);
   expect_identical_stats(a, b);
+}
+
+// set_graph rechecks the route of every backlogged queue head. Cutting the
+// ring strands the heads queued on the cut-off arc; mending it gives the
+// heads that stalled there, flagged unroutable, their route back. Batched
+// phase 1 visits only eligible and unroutable-head nodes, so a head whose
+// flag went stale at the move would be dropped at its holder's next
+// transmit slot, not in the slot after the move where the node-at-a-time
+// path, which offers every backlogged node each slot, drops it. Both paths
+// must emit the identical event stream, and the mirrors must audit clean.
+TEST(HotPathGolden, TopologyMoveRechecksQueuedHeadRoutes) {
+  const Schedule s = duty_schedule();
+  const net::Graph ring = net::ring_graph(kN);
+  net::Graph cut(kN);  // the ring without {9, 10} and {20, 21}: 10..20 lose sink 0
+  for (std::size_t v = 0; v < kN; ++v) {
+    if (v != 9 && v != 20) cut.add_edge(v, (v + 1) % kN);
+  }
+  const auto backlogged_on_arc = [](const Simulator& sim) {
+    std::size_t count = 0;
+    for (std::size_t v = 10; v <= 20; ++v) count += sim.queue_size(v) > 0 ? 1 : 0;
+    return count;
+  };
+  for (const bool drop : {true, false}) {
+    SCOPED_TRACE(drop ? "unroutable heads dropped" : "unroutable heads stall");
+    const auto run = [&](bool scalar_only, obs::FlightRecorder& recorder) {
+      DutyCycledScheduleMac mac(s);
+      ScalarOnlyMac scalar_mac(mac);
+      LookaheadConvergecastTraffic traffic(kN, 0, 0.005, 0x5E7);
+      SimConfig config{.seed = 113, .drop_unroutable = drop};
+      config.recorder = &recorder;
+      Simulator sim(ring, scalar_only ? static_cast<MacProtocol&>(scalar_mac) : mac, traffic,
+                    config);
+      sim.run(501);
+      EXPECT_GT(backlogged_on_arc(sim), 0u) << "no queued head to strand";
+      sim.set_graph(cut);
+      sim.audit_invariants();
+      sim.run(300);
+      if (!drop) {
+        EXPECT_GT(backlogged_on_arc(sim), 0u) << "no flagged head to reroute";
+      }
+      sim.set_graph(ring);
+      sim.audit_invariants();
+      sim.run(300);
+      sim.audit_invariants();
+      return sim.stats();
+    };
+    obs::FlightRecorder scalar_events(1 << 17);
+    obs::FlightRecorder batched_events(1 << 17);
+    const SimStats scalar = run(true, scalar_events);
+    const SimStats batched = run(false, batched_events);
+    expect_identical_stats(scalar, batched);
+    if (drop) {
+      EXPECT_GT(batched.queue_drops, 0u);
+    }
+    ASSERT_FALSE(batched_events.wrapped());
+    EXPECT_TRUE(scalar_events.events() == batched_events.events());
+  }
 }
 
 // ------------------------------------------------------- slot-set contract
