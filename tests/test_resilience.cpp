@@ -140,6 +140,15 @@ TEST(CampaignJournal, EntryRoundTripIsExact) {
   EXPECT_EQ(back.metrics[0].second, e.metrics[0].second);  // bit equality
 }
 
+// The whole line, byte for byte: a reordered or dropped field must fail
+// here, not only in a resumed campaign's aggregate.
+TEST(CampaignJournal, EntryLineIsPinned) {
+  EXPECT_EQ(CampaignJournal::serialize_entry(representative_entry()),
+            "cell 7 2 0 0  S 400 123 119 300 345 17 0 0 0 0 250 1 3 0 0 0 9 0 0 "
+            "L 5 9 2 2 40 1 V 2 1 2 3 4 5 6 7 8 O 2 10 20 W 2 3 4 "
+            "M 2 14 delivery_ratio 0.96747967479674801 17 duty cycle (mean) 0.33333333333333331");
+}
+
 TEST(CampaignJournal, QuarantinedEntryCarriesErrorBytes) {
   JournalEntry e;
   e.index = 3;
