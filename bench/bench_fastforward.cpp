@@ -7,7 +7,8 @@
 // skips. Gates:
 //
 //   * fastforward_speedup >= 10x: on vs off wall-clock on the
-//     sparse-traffic run (stats asserted bit-identical before timing);
+//     sparse-traffic run (SimStats asserted equal, every field, before
+//     timing);
 //   * disarmed_overhead <= 2%: on a workload with an arrival in every
 //     frame, the armed skip must cost within 2% of the reference — skipping
 //     never costs more than stepping.
@@ -108,23 +109,6 @@ RunResult run_once(const World& world, bool skip, double rate, std::uint64_t war
   return {sim.stats(), sim.charged_span_stats(), static_cast<double>(timed) / secs};
 }
 
-/// Golden tripwire before timing anything: the skip must count the same
-/// world as stepping every slot, bit for bit. (The full cross-MAC matrix
-/// lives in tests/test_fastforward.cpp.)
-bool stats_agree(const sim::SimStats& a, const sim::SimStats& b) {
-  return a.slots_run == b.slots_run && a.generated == b.generated &&
-         a.delivered == b.delivered && a.hop_successes == b.hop_successes &&
-         a.transmissions == b.transmissions && a.collisions == b.collisions &&
-         a.receiver_asleep == b.receiver_asleep &&
-         a.queue_drops == b.queue_drops &&
-         a.latency.count() == b.latency.count() &&
-         a.latency.samples() == b.latency.samples() &&
-         a.state_slots == b.state_slots &&
-         a.delivered_by_origin == b.delivered_by_origin &&
-         a.wake_transitions == b.wake_transitions &&
-         a.first_death_slot == b.first_death_slot && a.deaths == b.deaths;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,11 +145,14 @@ int main(int argc, char** argv) {
   const double sparse_rate =
       per_node_rate(kSparseGapFrames * static_cast<double>(period));
 
-  // Golden tripwire on the exact timed workload (warmup + timed window).
+  // Golden tripwire on the exact timed workload (warmup + timed window):
+  // the skip must count the same world as stepping every slot, every
+  // SimStats field (SimStats::operator==). The full cross-MAC matrix lives
+  // in tests/test_fastforward.cpp.
   {
     const RunResult off = run_once(world, false, sparse_rate, warmup, timed);
     const RunResult on = run_once(world, true, sparse_rate, warmup, timed);
-    if (!stats_agree(off.stats, on.stats)) {
+    if (off.stats != on.stats) {
       std::cout << "GOLDEN MISMATCH: skipping changed the stats\n";
       ok = false;
     }

@@ -21,8 +21,9 @@
 //     armed-empty overhead at <2%, with a disarmed/disarmed noise canary
 //     that skips the gate (policy of bench_obs_recorder) when the host is
 //     too loaded to resolve 2%. Armed-empty and disarmed runs must also
-//     produce bit-identical SimStats — arming the machinery without faults
-//     may cost nanoseconds, never a different result.
+//     produce bit-identical SimStats, every field (SimStats::operator==) —
+//     arming the machinery without faults may cost nanoseconds, never a
+//     different result.
 //
 // The committed baseline (bench/baselines/BENCH_fault_resilience.baseline
 // .json) carries fault_empty_plan_speedup (~1.0) for run_benches.sh
@@ -90,22 +91,6 @@ std::unique_ptr<sim::MacProtocol> make_mac(const std::string& kind,
   if (kind == "uncoord") return std::make_unique<sim::UncoordinatedSleepMac>(kN, 0.4, 0.2);
   if (kind == "smac") return std::make_unique<sim::CommonActivePeriodMac>(kN, 20, 5, 0.2);
   return std::make_unique<sim::ColoringTdmaMac>(g);
-}
-
-/// Field-by-field SimStats equality (the bit-identity contract).
-bool stats_identical(const sim::SimStats& a, const sim::SimStats& b) {
-  return a.slots_run == b.slots_run && a.generated == b.generated &&
-         a.delivered == b.delivered && a.hop_successes == b.hop_successes &&
-         a.transmissions == b.transmissions && a.collisions == b.collisions &&
-         a.receiver_asleep == b.receiver_asleep && a.channel_losses == b.channel_losses &&
-         a.sync_losses == b.sync_losses && a.queue_drops == b.queue_drops &&
-         a.deaths == b.deaths && a.first_death_slot == b.first_death_slot &&
-         a.fault_crashes == b.fault_crashes && a.fault_recoveries == b.fault_recoveries &&
-         a.fault_battery_spikes == b.fault_battery_spikes &&
-         a.fault_jam_bursts == b.fault_jam_bursts && a.burst_losses == b.burst_losses &&
-         a.drift_losses == b.drift_losses && a.latency.count() == b.latency.count() &&
-         a.latency.max() == b.latency.max() &&
-         a.state_slots == b.state_slots && a.delivered_by_origin == b.delivered_by_origin;
 }
 
 enum class CostMode { kDisarmed, kDisarmedAgain, kArmedEmpty };
@@ -257,7 +242,7 @@ int main(int argc, char** argv) {
   sim::SimStats disarmed_stats, empty_stats;
   cost_rate_once(g, duty, CostMode::kDisarmed, timed_slots, &disarmed_stats);
   cost_rate_once(g, duty, CostMode::kArmedEmpty, timed_slots, &empty_stats);
-  const bool identical = stats_identical(disarmed_stats, empty_stats);
+  const bool identical = disarmed_stats == empty_stats;  // every field
 
   std::cout << "\nfault machinery cost (best of " << pairs << " reps per mode)\n"
             << "  no plan:          " << off << " slots/s\n"

@@ -14,10 +14,11 @@
 // ever slows a rep down, so the max of several reps estimates the
 // uncontended rate.
 //
-// Before anything at a size is timed, its stats are asserted equal to the
-// same MAC behind ScalarOnlyMac (tests/support/), so a rate is never bought
-// with a behaviour change (the full cross-MAC golden matrix lives in
-// tests/test_megascale.cpp). Emits BENCH_megascale.json.
+// Before anything at a size is timed, its SimStats are asserted equal,
+// every field (SimStats::operator==), to the same MAC behind ScalarOnlyMac
+// (tests/support/), so a rate is never bought with a behaviour change (the
+// full cross-MAC golden matrix lives in tests/test_megascale.cpp). Emits
+// BENCH_megascale.json.
 //
 // --smoke: small sizes, few reps, no gate failures — the CI Release job
 // runs this to prove the megascale path stays alive without paying for a
@@ -117,8 +118,9 @@ double slot_rate_once(const net::Graph& world, std::size_t frame, std::uint64_t 
 }
 
 /// Equality tripwire before timing anything: the MAC's slot sets and the
-/// same MAC behind ScalarOnlyMac must count the same world. (The thorough
-/// matrix is tests/test_megascale.cpp.)
+/// same MAC behind ScalarOnlyMac must produce the same SimStats, every
+/// field (SimStats::operator==). (The thorough matrix is
+/// tests/test_megascale.cpp.)
 bool stats_agree(const net::Graph& world) {
   const auto run = [&](bool scalar_only) {
     const std::size_t n = world.num_nodes();
@@ -130,13 +132,7 @@ bool stats_agree(const net::Graph& world) {
     sim.run(2000);
     return sim.stats();
   };
-  const sim::SimStats scalar = run(true);
-  const sim::SimStats batched = run(false);
-  return scalar.delivered == batched.delivered && scalar.collisions == batched.collisions &&
-         scalar.transmissions == batched.transmissions &&
-         scalar.hop_successes == batched.hop_successes &&
-         scalar.receiver_asleep == batched.receiver_asleep &&
-         scalar.queue_drops == batched.queue_drops;
+  return run(true) == run(false);
 }
 
 std::uint64_t timed_slots(std::size_t n, bool smoke) {

@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/flight_query.hpp"
-
 namespace ttdc::obs {
 
 namespace {
@@ -116,9 +114,10 @@ void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
   const auto count = [&](const std::string& name, std::uint64_t value) {
     registry.counter(prefix + "_" + name + "_total", "SimStats::" + name).set(value);
   };
-  count("slots_run", stats.slots_run);
-  for (const StreamCounter& c : kStreamCounters) count(c.name, stats.*c.field);
-  count("deaths", stats.deaths);
+  // A summed field is a count; first_death_slot (min-merged) is a slot.
+  for (const sim::CounterField& c : sim::kCounterFields) {
+    if (c.merge == sim::MergeRule::kSum) count(c.name, stats.*c.field);
+  }
 
   // Every sample is a whole number of slots, so the double sum is exact and
   // the histogram does not depend on the order percentile() leaves behind.

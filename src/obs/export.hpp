@@ -34,8 +34,8 @@ namespace ttdc::obs {
 
 /// The one bridge from SimStats to a registry, called at read time (after
 /// run(); a campaign publishes CampaignResult::aggregate): every counter
-/// once as the counter `<prefix>_<name>_total` (slots_run, the
-/// kStreamCounters, deaths), the derived ratios and latency summaries as
+/// once as the counter `<prefix>_<name>_total` (every summed row of
+/// sim::kCounterFields), the derived ratios and latency summaries as
 /// gauges, and the latency samples as the `<prefix>_latency_slots`
 /// histogram. A later call overwrites what an earlier one wrote.
 void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,

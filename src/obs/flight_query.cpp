@@ -400,7 +400,7 @@ std::vector<std::string> FlightLog::self_check(const sim::SimStats& live) const 
                            std::to_string(actual));
     }
   };
-  for (const StreamCounter& c : kStreamCounters) {
+  for (const sim::CounterField& c : kStreamCounters) {
     expect(c.name, rebuilt.*c.field, live.*c.field);
   }
   // Live per-origin counts sum to live.delivered, so a delivery from an

@@ -7,7 +7,9 @@
 // complete stream rebuilds, cross-checked against the live run.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -73,29 +75,15 @@ struct PacketHistory {
   std::uint64_t collisions = 0;
 };
 
-/// A SimStats counter that a complete flight stream rebuilds.
-struct StreamCounter {
-  const char* name;
-  std::uint64_t sim::SimStats::*field;
-};
-/// Every event-derived SimStats counter, in SimStats declaration order.
-inline constexpr std::array<StreamCounter, 15> kStreamCounters = {{
-    {"generated", &sim::SimStats::generated},
-    {"delivered", &sim::SimStats::delivered},
-    {"hop_successes", &sim::SimStats::hop_successes},
-    {"transmissions", &sim::SimStats::transmissions},
-    {"collisions", &sim::SimStats::collisions},
-    {"receiver_asleep", &sim::SimStats::receiver_asleep},
-    {"channel_losses", &sim::SimStats::channel_losses},
-    {"sync_losses", &sim::SimStats::sync_losses},
-    {"queue_drops", &sim::SimStats::queue_drops},
-    {"fault_crashes", &sim::SimStats::fault_crashes},
-    {"fault_recoveries", &sim::SimStats::fault_recoveries},
-    {"fault_battery_spikes", &sim::SimStats::fault_battery_spikes},
-    {"fault_jam_bursts", &sim::SimStats::fault_jam_bursts},
-    {"burst_losses", &sim::SimStats::burst_losses},
-    {"drift_losses", &sim::SimStats::drift_losses},
-}};
+/// Every SimStats counter a complete flight stream rebuilds: the
+/// stream-marked rows of sim::kCounterFields, in declaration order.
+inline constexpr auto kStreamCounters = [] {
+  constexpr auto kCount = static_cast<std::size_t>(
+      std::ranges::count_if(sim::kCounterFields, &sim::CounterField::stream));
+  std::array<sim::CounterField, kCount> out{};
+  std::ranges::copy_if(sim::kCounterFields, out.begin(), &sim::CounterField::stream);
+  return out;
+}();
 
 /// Immutable index over a flight-event stream (from a live ring or a
 /// parsed dump). Construction is O(events log packets); queries are cheap.

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/report.hpp"
+
 namespace ttdc::obs {
 
 namespace {
@@ -15,28 +17,6 @@ namespace {
 constexpr int kSpanPid = 1;
 constexpr int kPacketPid = 2;
 constexpr int kNodePid = 3;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Formats a microsecond timestamp: integral when whole, else 3 decimals.
 std::string fmt_us(double us) {
@@ -70,7 +50,7 @@ class EventWriter {
 void emit_process_name(EventWriter& w, int pid, const std::string& name) {
   std::ostringstream os;
   os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-     << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+     << ",\"tid\":0,\"args\":{\"name\":" << json_string(name) << "}}";
   w.emit(os.str());
 }
 
@@ -87,7 +67,7 @@ void emit_packet_tracks(EventWriter& w, const FlightLog& log, const PerfettoOpti
     };
     {
       auto os = common("b", h.first_slot);
-      os << ",\"name\":\"" << json_escape(track_name) << "\"}";
+      os << ",\"name\":" << json_string(track_name) << "}";
       w.emit(os.str());
     }
     for (const FlightEvent& e : h.events) {
@@ -109,7 +89,7 @@ void emit_packet_tracks(EventWriter& w, const FlightLog& log, const PerfettoOpti
     }
     {
       auto os = common("e", h.last_slot);
-      os << ",\"name\":\"" << json_escape(track_name) << "\"}";
+      os << ",\"name\":" << json_string(track_name) << "}";
       w.emit(os.str());
     }
   }
@@ -145,11 +125,11 @@ void emit_span_flame(EventWriter& w, const Profiler& profiler) {
     const double ts = stack.empty() ? root_cursor_us : stack.back().child_cursor_us;
     const double dur = s.total_seconds * 1e6;
     std::ostringstream os;
-    os << "{\"ph\":\"X\",\"cat\":\"prof\",\"name\":\"" << json_escape(s.name)
-       << "\",\"pid\":" << kSpanPid << ",\"tid\":0,\"ts\":" << fmt_us(ts)
+    os << "{\"ph\":\"X\",\"cat\":\"prof\",\"name\":" << json_string(s.name)
+       << ",\"pid\":" << kSpanPid << ",\"tid\":0,\"ts\":" << fmt_us(ts)
        << ",\"dur\":" << fmt_us(dur) << ",\"args\":{\"calls\":" << s.calls
-       << ",\"self_us\":" << fmt_us(s.self_seconds * 1e6) << ",\"path\":\""
-       << json_escape(s.path) << "\"}}";
+       << ",\"self_us\":" << fmt_us(s.self_seconds * 1e6) << ",\"path\":"
+       << json_string(s.path) << "}}";
     w.emit(os.str());
     if (stack.empty()) {
       root_cursor_us += dur;

@@ -146,13 +146,9 @@ std::string CampaignJournal::serialize_entry(const JournalEntry& e) {
   os << "cell " << e.index << ' ' << e.attempts << ' ' << (e.quarantined ? 1 : 0) << ' '
      << e.error.size() << ' ' << e.error;
   const sim::SimStats& s = e.stats;
-  os << " S " << s.slots_run << ' ' << s.generated << ' ' << s.delivered << ' '
-     << s.hop_successes << ' ' << s.transmissions << ' ' << s.collisions << ' '
-     << s.receiver_asleep << ' ' << s.channel_losses << ' ' << s.sync_losses << ' '
-     << s.queue_drops << ' ' << s.first_death_slot << ' ' << s.deaths << ' '
-     << s.fault_crashes << ' ' << s.fault_recoveries << ' ' << s.fault_battery_spikes
-     << ' ' << s.fault_jam_bursts << ' ' << s.burst_losses << ' ' << s.drift_losses
-     << ' ' << (s.partial ? 1 : 0);
+  os << " S";
+  for (const sim::CounterField& c : sim::kCounterFields) os << ' ' << s.*c.field;
+  os << ' ' << (s.partial ? 1 : 0);
   os << " L";
   put_u64s(os, s.latency.samples());
   os << " V " << s.state_slots.size();
@@ -186,16 +182,12 @@ bool CampaignJournal::parse_entry(const std::string& line, JournalEntry& out) {
   out.quarantined = quarantined != 0;
 
   sim::SimStats& s = out.stats;
-  std::uint64_t partial = 0;
-  if (!sc.expect("S") || !sc.u64(s.slots_run) || !sc.u64(s.generated) ||
-      !sc.u64(s.delivered) || !sc.u64(s.hop_successes) || !sc.u64(s.transmissions) ||
-      !sc.u64(s.collisions) || !sc.u64(s.receiver_asleep) || !sc.u64(s.channel_losses) ||
-      !sc.u64(s.sync_losses) || !sc.u64(s.queue_drops) || !sc.u64(s.first_death_slot) ||
-      !sc.u64(s.deaths) || !sc.u64(s.fault_crashes) || !sc.u64(s.fault_recoveries) ||
-      !sc.u64(s.fault_battery_spikes) || !sc.u64(s.fault_jam_bursts) ||
-      !sc.u64(s.burst_losses) || !sc.u64(s.drift_losses) || !sc.u64(partial, 1)) {
-    return false;
+  if (!sc.expect("S")) return false;
+  for (const sim::CounterField& c : sim::kCounterFields) {
+    if (!sc.u64(s.*c.field)) return false;
   }
+  std::uint64_t partial = 0;
+  if (!sc.u64(partial, 1)) return false;
   s.partial = partial != 0;
 
   std::vector<std::uint64_t> samples;

@@ -25,7 +25,7 @@
 // Format (one token stream per line, '\n'-terminated):
 //   ttdc-journal v1 <master_seed> <num_cells> <names_digest> crc <hex>
 //   cell <index> <attempts> <quarantined> <error-len> <error bytes>
-//        S <19 scalar counters> <partial>
+//        S <sim::kCounterFields, in order> <partial>
 //        L <count> <samples...>
 //        V <rows> <4*rows state-slot counters>
 //        O <count> <delivered_by_origin...>

@@ -206,7 +206,10 @@ std::string sanitize_for_filename(const std::string& name) {
 std::string outlier_reason(const FlightCaptureOptions& opt, const sim::SimStats& stats) {
   std::ostringstream os;
   if (opt.latency_p99_threshold > 0.0) {
-    const double p99 = static_cast<double>(stats.latency.percentile(99));
+    // percentile() reorders the samples it reads, and `stats` is the cell's
+    // record: query a copy.
+    const sim::LatencyStats latency = stats.latency;
+    const double p99 = static_cast<double>(latency.percentile(99));
     if (p99 > opt.latency_p99_threshold) {
       os << "p99 latency " << p99 << " > " << opt.latency_p99_threshold;
       return os.str();
@@ -313,25 +316,24 @@ std::string CampaignResult::aggregate_json() const {
     os << "}}";
   }
   const sim::SimStats& a = aggregate;
-  os << "],\"aggregate\":{"
-     << "\"slots_run\":" << a.slots_run << ",\"generated\":" << a.generated
-     << ",\"delivered\":" << a.delivered << ",\"hop_successes\":" << a.hop_successes
-     << ",\"transmissions\":" << a.transmissions << ",\"collisions\":" << a.collisions
-     << ",\"receiver_asleep\":" << a.receiver_asleep
-     << ",\"channel_losses\":" << a.channel_losses << ",\"sync_losses\":" << a.sync_losses
-     << ",\"queue_drops\":" << a.queue_drops << ",\"deaths\":" << a.deaths
-     << ",\"first_death_slot\":";
-  if (a.first_death_slot == ~std::uint64_t{0}) {
-    os << "null";
-  } else {
-    os << a.first_death_slot;
+  os << "],\"aggregate\":{";
+  // The key order predates kCounterFields and its bytes are pinned: deaths
+  // comes before first_death_slot, which reads null while nobody has died.
+  const char* sep = "";
+  for (const sim::CounterField& c : sim::kCounterFields) {
+    if (c.field == &sim::SimStats::first_death_slot) continue;  // follows deaths
+    os << sep << '"' << c.name << "\":" << a.*c.field;
+    sep = ",";
+    if (c.field == &sim::SimStats::deaths) {
+      os << ",\"first_death_slot\":";
+      if (a.first_death_slot == ~std::uint64_t{0}) {
+        os << "null";
+      } else {
+        os << a.first_death_slot;
+      }
+    }
   }
-  os << ",\"fault_crashes\":" << a.fault_crashes
-     << ",\"fault_recoveries\":" << a.fault_recoveries
-     << ",\"fault_battery_spikes\":" << a.fault_battery_spikes
-     << ",\"fault_jam_bursts\":" << a.fault_jam_bursts
-     << ",\"burst_losses\":" << a.burst_losses << ",\"drift_losses\":" << a.drift_losses
-     << ",\"partial\":" << (a.partial ? "true" : "false")
+  os << ",\"partial\":" << (a.partial ? "true" : "false")
      << ",\"latency\":{\"count\":" << a.latency.count()
      << ",\"mean\":" << obs::json_scalar(a.latency.mean())
      << ",\"p50\":" << a.latency.percentile(50) << ",\"p95\":" << a.latency.percentile(95)

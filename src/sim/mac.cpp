@@ -56,8 +56,9 @@ bool DutyCycledScheduleMac::fill_slot_sets(util::SlotSet& receivers,
                                            util::SlotSet& transmitters) const {
   TTDC_PROF_SCOPE("mac.fill_slot_sets.duty_cycled");
   if (schedule_.num_nodes() != receivers.size()) {
-    // Schedule built over a different universe than the simulated graph:
-    // keep the scalar path, which indexes per node and stays in bounds.
+    // Schedule built over more nodes than the simulated graph (the
+    // Simulator rejects one over fewer): keep the scalar path, which
+    // queries only the graph's node ids, all inside the schedule's sets.
     return MacProtocol::fill_slot_sets(receivers, transmitters);
   }
   receivers.copy_from(schedule_.receivers(frame_slot_));

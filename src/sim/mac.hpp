@@ -128,7 +128,7 @@ class DutyCycledScheduleMac final : public MacProtocol {
  private:
   // fill_slot_sets() copies the schedule's own SlotSets, adopting their
   // representation: sparse when the slot's active population is sparse
-  // (the megascale regime), dense when the simulator pins its sets.
+  // (the megascale regime), dense otherwise.
   const core::Schedule& schedule_;
   bool aware_;
   std::size_t frame_slot_ = 0;

@@ -48,6 +48,13 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
   min_credit_ = to_units(config_.battery_mj);
   dead_ = util::SlotSet(n);
   death_slot_.assign(n, kNeverDied);
+  // A schedule over more nodes than the graph runs per node (see run());
+  // one over fewer would leave nodes outside its sets, and the MAC's
+  // per-node queries would read past them.
+  if (const core::Schedule* schedule = mac_.periodic_schedule()) {
+    TTDC_ASSERT(schedule->num_nodes() >= n, "MAC's periodic schedule covers ",
+                schedule->num_nodes(), " nodes, the graph has ", n);
+  }
   routing_view_ = config_.shared_routing != nullptr ? config_.shared_routing : &routing_;
   if (config_.shared_routing != nullptr) {
     TTDC_ASSERT(config_.shared_routing->cached_destinations() == n,

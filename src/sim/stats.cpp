@@ -67,16 +67,11 @@ void add_padded(std::vector<std::uint64_t>& into, const std::vector<std::uint64_
 }  // namespace
 
 void SimStats::merge(const SimStats& other) {
-  slots_run += other.slots_run;
-  generated += other.generated;
-  delivered += other.delivered;
-  hop_successes += other.hop_successes;
-  transmissions += other.transmissions;
-  collisions += other.collisions;
-  receiver_asleep += other.receiver_asleep;
-  channel_losses += other.channel_losses;
-  sync_losses += other.sync_losses;
-  queue_drops += other.queue_drops;
+  for (const CounterField& c : kCounterFields) {
+    std::uint64_t& into = this->*c.field;
+    const std::uint64_t from = other.*c.field;
+    into = c.merge == MergeRule::kMin ? std::min(into, from) : into + from;
+  }
   latency.merge(other.latency);
   if (other.state_slots.size() > state_slots.size()) {
     state_slots.resize(other.state_slots.size(), {0, 0, 0, 0});
@@ -86,14 +81,6 @@ void SimStats::merge(const SimStats& other) {
   }
   add_padded(delivered_by_origin, other.delivered_by_origin);
   add_padded(wake_transitions, other.wake_transitions);
-  first_death_slot = std::min(first_death_slot, other.first_death_slot);
-  deaths += other.deaths;
-  fault_crashes += other.fault_crashes;
-  fault_recoveries += other.fault_recoveries;
-  fault_battery_spikes += other.fault_battery_spikes;
-  fault_jam_bursts += other.fault_jam_bursts;
-  burst_losses += other.burst_losses;
-  drift_losses += other.drift_losses;
   partial = partial || other.partial;
 }
 

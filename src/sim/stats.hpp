@@ -48,11 +48,16 @@ class LatencyStats {
   /// percentile() reorders them in place, so serialize before querying.
   [[nodiscard]] const std::vector<std::uint64_t>& samples() const { return samples_; }
 
+  /// Same samples in the same stored order (compare before percentile()).
+  bool operator==(const LatencyStats&) const = default;
+
  private:
   // mutable: percentile() reorders (never resizes) the samples in place.
   mutable std::vector<std::uint64_t> samples_;
 };
 
+/// A run's counts. Each scalar counter also needs its row in
+/// kCounterFields (below).
 struct SimStats {
   std::uint64_t slots_run = 0;
   std::uint64_t generated = 0;
@@ -112,17 +117,59 @@ struct SimStats {
   /// Energy per delivered packet (mJ); infinity when nothing was delivered.
   [[nodiscard]] double energy_per_delivery_mj(const EnergyModel& model) const;
 
-  /// Folds `other` into this: scalar counters add, latency shards
+  /// Folds `other` into this: each kCounterFields counter by its rule
+  /// (first_death_slot takes the min, the rest add), latency shards
   /// concatenate (see LatencyStats::merge), per-node vectors add
   /// element-wise (shorter vectors are zero-extended, so stats from
-  /// different network sizes still aggregate), first_death_slot takes the
-  /// min and deaths add. merge is associative, and for a fixed merge order
-  /// the result is bit-identical regardless of which thread produced each
-  /// shard — the property the campaign runner's lock-free accumulation
-  /// depends on.
+  /// different network sizes still aggregate) and partial is sticky. merge
+  /// is associative, and for a fixed merge order the result is
+  /// bit-identical regardless of which thread produced each shard — the
+  /// property the campaign runner's lock-free accumulation depends on.
   void merge(const SimStats& other);
 
   [[nodiscard]] std::string summary(const EnergyModel& model) const;
+
+  /// Bit identity: every field, latency samples in stored order.
+  bool operator==(const SimStats&) const = default;
 };
+
+/// How SimStats::merge folds a counter across shards.
+enum class MergeRule : std::uint8_t {
+  kSum,  ///< a count: shards add
+  kMin,  ///< a slot: the earliest shard wins; ~0 (the identity) means none
+};
+
+/// One scalar SimStats counter.
+struct CounterField {
+  const char* name;
+  std::uint64_t SimStats::*field;
+  MergeRule merge;
+  bool stream;  ///< a complete flight stream rebuilds it (obs::FlightLog)
+};
+
+/// SimStats' scalar counters, in declaration order: the one list that
+/// merge(), the campaign journal, aggregate_json(), publish_sim_stats,
+/// obs::kStreamCounters and the golden-equality helpers walk. Adding a
+/// counter means one line here plus the code that counts it.
+inline constexpr auto kCounterFields = std::to_array<CounterField>({
+    {"slots_run", &SimStats::slots_run, MergeRule::kSum, false},
+    {"generated", &SimStats::generated, MergeRule::kSum, true},
+    {"delivered", &SimStats::delivered, MergeRule::kSum, true},
+    {"hop_successes", &SimStats::hop_successes, MergeRule::kSum, true},
+    {"transmissions", &SimStats::transmissions, MergeRule::kSum, true},
+    {"collisions", &SimStats::collisions, MergeRule::kSum, true},
+    {"receiver_asleep", &SimStats::receiver_asleep, MergeRule::kSum, true},
+    {"channel_losses", &SimStats::channel_losses, MergeRule::kSum, true},
+    {"sync_losses", &SimStats::sync_losses, MergeRule::kSum, true},
+    {"queue_drops", &SimStats::queue_drops, MergeRule::kSum, true},
+    {"first_death_slot", &SimStats::first_death_slot, MergeRule::kMin, false},
+    {"deaths", &SimStats::deaths, MergeRule::kSum, false},
+    {"fault_crashes", &SimStats::fault_crashes, MergeRule::kSum, true},
+    {"fault_recoveries", &SimStats::fault_recoveries, MergeRule::kSum, true},
+    {"fault_battery_spikes", &SimStats::fault_battery_spikes, MergeRule::kSum, true},
+    {"fault_jam_bursts", &SimStats::fault_jam_bursts, MergeRule::kSum, true},
+    {"burst_losses", &SimStats::burst_losses, MergeRule::kSum, true},
+    {"drift_losses", &SimStats::drift_losses, MergeRule::kSum, true},
+});
 
 }  // namespace ttdc::sim

@@ -483,7 +483,7 @@ TEST(FaultWorld, PublishSimStatsCountsEveryCounterOnce) {
   const SimStats stats = run_storm(full_storm(), false);
   std::vector<std::pair<std::string, std::uint64_t>> expected = {
       {"slots_run", stats.slots_run}, {"deaths", stats.deaths}};
-  for (const obs::StreamCounter& c : obs::kStreamCounters) {
+  for (const auto& c : obs::kStreamCounters) {
     expected.emplace_back(c.name, stats.*c.field);
   }
   ASSERT_EQ(expected.size(), 17u);

@@ -520,6 +520,46 @@ TEST(CampaignFlightCapture, DumpsOutlierCellsAtBarrier) {
   }
 }
 
+// Evaluating a trigger must leave the cell's record as the cell wrote it:
+// the p99 trigger's percentile() reorders the samples it reads.
+TEST(CampaignFlightCapture, LatencyTriggerLeavesCellStatsUntouched) {
+  util::Xoshiro256 rng(6);
+  const net::Graph g = net::random_bounded_degree_graph(20, 3, 40, rng);
+  const auto run = [&g](bool capture_on) {
+    runner::CampaignOptions options;
+    options.master_seed = 78;
+    if (capture_on) {
+      runner::FlightCaptureOptions capture;
+      capture.dir = testing::TempDir();
+      capture.latency_p99_threshold = 1.0;  // every cell with a delivery trips it
+      options.flight_capture = capture;
+    }
+    runner::Campaign campaign(std::move(options));
+    for (const double rate : {0.01, 0.02}) {
+      campaign.add("aloha_rate_" + std::to_string(rate), [&g, rate](runner::CellContext& ctx) {
+        sim::SlottedAlohaMac mac(g.num_nodes(), 0.3);
+        sim::BernoulliTraffic traffic(g.num_nodes(), rate);
+        sim::SimConfig config;
+        config.seed = ctx.seed();
+        config.recorder = ctx.flight_recorder();
+        sim::Simulator sim(g, mac, traffic, config);
+        sim.run(2000);
+        ctx.record(sim.stats());
+      });
+    }
+    return campaign.run_serial();
+  };
+  const runner::CampaignResult plain = run(false);
+  const runner::CampaignResult captured = run(true);
+  ASSERT_EQ(captured.flight_dumps.size(), 2u) << "the p99 trigger did not trip";
+  for (const auto& dump : captured.flight_dumps) std::remove(dump.path.c_str());
+  ASSERT_EQ(captured.cells.size(), plain.cells.size());
+  for (std::size_t i = 0; i < plain.cells.size(); ++i) {
+    EXPECT_GT(plain.cells[i].stats.latency.count(), 100u);
+    EXPECT_TRUE(captured.cells[i].stats == plain.cells[i].stats) << plain.cells[i].name;
+  }
+}
+
 /// A one-cell campaign whose cell always trips min_delivery_ratio.
 runner::Campaign starved_campaign(const std::string& dir, int* ran) {
   runner::CampaignOptions options;

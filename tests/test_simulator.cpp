@@ -10,6 +10,8 @@
 #include "core/node_slots.hpp"
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace ttdc::sim {
 namespace {
@@ -275,6 +277,27 @@ TEST(Simulator, ConvergecastDeliversToSink) {
   // The base here is TDMA (best plan for n=16, D=4), so every constructed
   // slot has a single transmitter: collisions are structurally impossible.
   EXPECT_EQ(sim.stats().collisions, 0u);
+}
+
+// A periodic schedule over fewer nodes than the graph is rejected before
+// the first slot, in Release too (TTDC_ASSERT is always on): the MAC's
+// per-node queries would read past the schedule's sets. One over more
+// nodes keeps the per-node path.
+TEST(Simulator, RejectsAScheduleOverFewerNodesThanTheGraph) {
+  check::ScopedThrowOnViolation guard;
+  util::Xoshiro256 rng(18);
+  const Schedule small = core::random_alpha_schedule(10, 12, 2, 3, false, rng);
+  DutyCycledScheduleMac small_mac(small);
+  ConvergecastTraffic traffic(200, 0, 0.05);
+  EXPECT_THROW(Simulator(net::path_graph(200), small_mac, traffic, {.seed = 18}),
+               check::ContractViolation);
+
+  const Schedule large = core::random_alpha_schedule(300, 12, 40, 80, false, rng);
+  DutyCycledScheduleMac large_mac(large);
+  Simulator sim(net::path_graph(200), large_mac, traffic, {.seed = 18});
+  sim.run(1000);
+  EXPECT_EQ(sim.stats().slots_run, 1000u);
+  EXPECT_GT(sim.stats().transmissions, 0u);
 }
 
 TEST(Simulator, StatsSummaryRenders) {
