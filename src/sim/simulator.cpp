@@ -735,7 +735,9 @@ void Simulator::skip_sender_free(std::uint64_t stop) {
   if (unroutable_head_.count() > unroutable_head_.intersection_count(dead_)) return;
   if (backlogged_.count() > backlogged_.intersection_count(dead_)) {
     // The scan tests each T[i] member against plain bits: a few loads per
-    // slot, the whole cost of a skipped slot.
+    // tested set, the whole cost of a skipped slot. Consecutive slots that
+    // name one pooled T set (the k_R slots of a Construct row share T̄_a)
+    // are tested once.
     senders_.reset_all();
     backlogged_.for_each([&](std::size_t v) {
       if (!dead_.test(v)) senders_.set(v);
@@ -744,9 +746,10 @@ void Simulator::skip_sender_free(std::uint64_t stop) {
     const std::span<const std::uint32_t> index = charging_->transmit_index();
     std::uint64_t t = now_;
     for (; t < until; ++t) {
+      const auto i = static_cast<std::size_t>(t - frame_start_);
+      if (t > now_ && index[i] == index[i - 1]) continue;
       bool sends = false;
-      pool[index[t - frame_start_]].for_each(
-          [&](std::size_t v) { sends = sends || senders_.test(v); });
+      pool[index[i]].for_each([&](std::size_t v) { sends = sends || senders_.test(v); });
       if (sends) break;
     }
     until = t;
@@ -896,7 +899,7 @@ void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t
   const auto scheduled_cost = [&](std::int64_t listen, std::int64_t wakes) {
     return listen * (b_listen_ - b_sleep_) + wakes * b_wakeup_;
   };
-  const FrameTotals& totals = frame_totals_;
+  const core::FrameCounts& totals = frame_totals_.counts;
   // Node by node over the whole frame. A transmit slot costs at most its
   // surcharge plus one wakeup; when that is negative (sleep dearer than
   // transmit) the cheapest case is no transmission at all, hence the clamp
@@ -993,7 +996,7 @@ void Simulator::settle_frame() {
   if (cut <= period - cut) {
     // The run prefix is the shorter side: take back the frame totals, then
     // charge the prefix's listening at 0..cut-1 and wakes at 1..cut-1.
-    const FrameTotals& totals = frame_totals_;
+    const core::FrameCounts& totals = frame_totals_.counts;
     for (std::size_t v = 0; v < schedule.num_nodes(); ++v) {
       if (alive(v)) adjust(v, -1, totals.listen[v], totals.wakes[v]);
     }
@@ -1062,30 +1065,7 @@ void Simulator::charge_transmitters() {
 
 void Simulator::count_frame_totals(const core::Schedule& schedule) {
   TTDC_PROF_SCOPE("sim.frame.totals");
-  const std::size_t n = schedule.num_nodes();
-  const std::size_t frame = schedule.frame_length();
-  FrameTotals& totals = frame_totals_;
-  totals.listen.assign(n, 0);
-  totals.wakes.assign(n, 0);
-  totals.transmit.assign(n, 0);
-  const auto add_to = [](std::vector<std::uint32_t>& out) {
-    return [&out](std::size_t v, std::uint32_t weight) { out[v] += weight; };
-  };
-  // The scratch is transient: a run that never cuts a frame keeps nothing
-  // beyond the totals.
-  {
-    std::vector<std::uint32_t> multiplicity(largest_pool(schedule), 0);
-    std::vector<std::uint32_t> pools;
-    pools.reserve(multiplicity.size());
-    count_pool(schedule.receive_pool(), schedule.receive_index(), multiplicity, pools,
-               add_to(totals.listen));
-    count_pool(schedule.transmit_pool(), schedule.transmit_index(), multiplicity, pools,
-               add_to(totals.transmit));
-  }
-  std::vector<std::uint64_t> pairs;
-  pairs.reserve(frame);
-  count_wakes(schedule, 0, frame, pairs, add_to(totals.wakes));
-  totals.schedule = &schedule;
+  frame_totals_ = {.schedule = &schedule, .counts = core::frame_counts(schedule)};
 }
 
 void Simulator::settle_sleep_deaths(std::int64_t paid) {

@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/frame_counts.hpp"
 #include "net/graph.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/fastforward.hpp"
@@ -273,7 +274,7 @@ class Simulator {
   template <typename Add>
   void count_span(const core::Schedule& schedule, std::size_t first, std::size_t end,
                   std::size_t after, Add&& add);
-  /// Per-node counts over one whole frame of `schedule` (see FrameTotals).
+  /// Per-node counts over one whole frame of `schedule` (core::frame_counts).
   void count_frame_totals(const core::Schedule& schedule);
   void kill_node(std::size_t v);
   /// Sleep drain every live node has paid over `slots` slots, in battery
@@ -453,16 +454,13 @@ class Simulator {
   std::int64_t b_wakeup_ = 0;
 
   // Charged spans. A periodic <T, R> makes each node's scheduled activity
-  // over a stretch of frame slots a closed form, counted over the
-  // schedule's pooled sets, each distinct set visited once with its
-  // multiplicity. A whole frame's counts are kept per node: counted once
-  // per simulator, at the first whole frame offered for charging, so
+  // over a stretch of frame slots a closed form. A whole frame's counts are
+  // kept per node (core::frame_counts, block by block): counted once per
+  // simulator, at the first whole frame offered for charging, so
   // constructors stay cheap.
   struct FrameTotals {
     const core::Schedule* schedule = nullptr;  // the schedule counted, null before
-    std::vector<std::uint32_t> listen;    // #{i : v ∈ R[i]}
-    std::vector<std::uint32_t> wakes;     // #{i ≥ 1 : v ∈ R[i], v ∉ R[i-1]}
-    std::vector<std::uint32_t> transmit;  // #{i : v ∈ T[i]}
+    core::FrameCounts counts;
   };
   FrameTotals frame_totals_;
   // A partial span is charged straight from its distinct pooled sets, and

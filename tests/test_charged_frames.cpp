@@ -29,12 +29,14 @@
 #include "core/builders.hpp"
 #include "core/construct.hpp"
 #include "core/node_slots.hpp"
+#include "core/throughput.hpp"
 #include "net/topology.hpp"
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "support/drain_model.hpp"
 #include "support/opaque_traffic.hpp"
+#include "support/reference_frame_counts.hpp"
 #include "support/scalar_only_mac.hpp"
 #include "support/stats_equal.hpp"
 #include "util/slot_set.hpp"
@@ -466,6 +468,7 @@ struct Scenario {
   bool observe = false;
   std::uint64_t slots = 0;
   std::uint64_t seed = 0;
+  core::DivisionPolicy division = core::DivisionPolicy::kContiguous;  // Construct's
 
   [[nodiscard]] std::string describe() const {
     std::ostringstream os;
@@ -473,7 +476,8 @@ struct Scenario {
        << " aware=" << aware << " lookahead=" << lookahead << " rate=" << rate
        << " energy=" << energy << " battery_mj=" << battery_mj << " opaque=" << opaque
        << " split=" << split << " observe=" << observe << " slots=" << slots
-       << " seed=" << seed;
+       << " seed=" << seed
+       << " balanced=" << (division == core::DivisionPolicy::kBalanced);
     return os.str();
   }
 };
@@ -485,16 +489,35 @@ EnergyModel energy_model(int which) {
   return e;
 }
 
-const Schedule& cached_schedule(std::size_t n, std::size_t d, std::size_t at, std::size_t ar) {
-  static std::map<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>,
-                  std::unique_ptr<Schedule>>
-      cache;
-  auto& slot = cache[{n, d, at, ar}];
+const Schedule& cached_base(std::size_t n, std::size_t d) {
+  static std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<Schedule>> cache;
+  auto& slot = cache[{n, d}];
   if (slot == nullptr) {
-    slot = std::make_unique<Schedule>(core::construct_duty_cycled(
-        core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, d), n)), d, at, ar));
+    slot = std::make_unique<Schedule>(
+        core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, d), n)));
   }
   return *slot;
+}
+
+const Schedule& cached_schedule(const Scenario& sc) {
+  static std::map<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                             core::DivisionPolicy>,
+                  std::unique_ptr<Schedule>>
+      cache;
+  auto& slot = cache[{sc.n, sc.degree, sc.alpha_t, sc.alpha_r, sc.division}];
+  if (slot == nullptr) {
+    slot = std::make_unique<Schedule>(core::construct_duty_cycled(
+        cached_base(sc.n, sc.degree), sc.degree, sc.alpha_t, sc.alpha_r,
+        {.division = sc.division}));
+  }
+  return *slot;
+}
+
+/// The kinds of block the scenario's Construct output holds.
+core::ConstructBlocks scenario_blocks(const Scenario& sc) {
+  return core::construct_blocks(cached_base(sc.n, sc.degree),
+                                core::optimal_transmitters_alpha(sc.n, sc.degree, sc.alpha_t),
+                                sc.alpha_r);
 }
 
 constexpr std::uint64_t kLargeEvery = 50;
@@ -524,6 +547,15 @@ Scenario draw_scenario(std::uint64_t seed) {
         pick(std::max<std::uint64_t>(1, sc.n / 5), std::max<std::uint64_t>(1, sc.n / 2));
     sc.alpha_r = std::min(sc.alpha_r, sc.n - sc.alpha_t);
   }
+  // The draws above keep αR at most n/2, below every base receive side, so
+  // one scenario in eight raises it past the smallest one and Construct
+  // pads (Figure 2, line 8). The coins come from a stream of their own, so
+  // a scenario they leave alone keeps every draw.
+  util::Xoshiro256 pad_rng(seed ^ 0x9add1e5ull);
+  const std::size_t smallest_r = sc.n - cached_base(sc.n, sc.degree).max_transmitters();
+  if (pad_rng.below(8) == 0 && smallest_r < sc.n - sc.alpha_t) {
+    sc.alpha_r = smallest_r + 1 + pad_rng.below(sc.n - sc.alpha_t - smallest_r);
+  }
   sc.aware = rng.bernoulli(0.5);
   sc.lookahead = rng.bernoulli(0.5);
   const double rates[] = {0.0, 0.002, 0.01, 0.05};
@@ -531,8 +563,10 @@ Scenario draw_scenario(std::uint64_t seed) {
   sc.energy = static_cast<int>(rng.below(3));
   sc.opaque = !rng.bernoulli(0.5);
   sc.split = static_cast<int>(rng.below(4));
-  const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
-  const std::uint64_t frame = s.frame_length();
+  // Theorem 7's frame length, which the division (drawn below) keeps.
+  const std::uint64_t frame = core::constructed_frame_length(
+      cached_base(sc.n, sc.degree),
+      core::optimal_transmitters_alpha(sc.n, sc.degree, sc.alpha_t), sc.alpha_r);
   const std::uint64_t frames = sc.n > util::SlotSet::kDenseUniverse ? 1
                                : frame > 400                         ? 2
                                                                      : pick(2, 4);
@@ -547,7 +581,10 @@ Scenario draw_scenario(std::uint64_t seed) {
     const double fraction = 0.3 + 1.2 * rng.uniform01();
     sc.battery_mj = std::round(fraction * per_slot * static_cast<double>(sc.slots) * 1e3) / 1e3;
   }
-  sc.observe = rng.bernoulli(0.5);  // drawn last: the draws above keep their values
+  // Drawn last, so the draws above keep their values.
+  sc.observe = rng.bernoulli(0.5);
+  sc.division =
+      rng.bernoulli(0.5) ? core::DivisionPolicy::kBalanced : core::DivisionPolicy::kContiguous;
   return sc;
 }
 
@@ -570,7 +607,7 @@ struct ScenarioKinds {
 /// Asserts the scenario's outcome equals the oracle's, after every call
 /// when the scenario observes and at the end otherwise.
 ScenarioKinds expect_scenario_matches(const Scenario& sc) {
-  const Schedule& s = cached_schedule(sc.n, sc.degree, sc.alpha_t, sc.alpha_r);
+  const Schedule& s = cached_schedule(sc);
   SimConfig config{.seed = sc.seed};
   config.energy = energy_model(sc.energy);
   config.battery_mj = sc.battery_mj;
@@ -627,12 +664,19 @@ TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   // Ragged splits (2 and 3) cut frames into partial spans or leave them
   // open; those with deaths exercise the no-death bounds. Runs with bare
   // lookahead traffic skip sender-free slots; unobserved runs carry open
-  // frames across calls, observed ones settle them.
+  // frames across calls, observed ones settle them. Both divisions run,
+  // over padded base slots and over ones split into k_R ≥ 2 windows, so the
+  // frame totals come from walked and from closed-form blocks.
   std::size_t with_deaths = 0, ragged_with_deaths = 0, large = 0;
   std::size_t skipped = 0, open_across = 0, settled = 0;
+  std::size_t padded = 0, divided = 0, balanced = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
     SCOPED_TRACE(sc.describe());
+    const core::ConstructBlocks blocks = scenario_blocks(sc);
+    padded += blocks.padded ? 1 : 0;
+    divided += blocks.max_windows >= 2 ? 1 : 0;
+    balanced += sc.division == core::DivisionPolicy::kBalanced ? 1 : 0;
     const ScenarioKinds kinds = expect_scenario_matches(sc);
     const bool deaths = kinds.deaths > 0;
     with_deaths += deaths ? 1 : 0;
@@ -649,6 +693,9 @@ TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   EXPECT_GT(skipped, kCases / 10);
   EXPECT_GT(open_across, kCases / 10);
   EXPECT_GT(settled, kCases / 10);
+  EXPECT_GT(padded, kCases / 40);
+  EXPECT_GT(divided, kCases / 2);
+  EXPECT_GT(balanced, kCases / 4);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "lexer.hpp"
 
 #include <cctype>
+#include <string_view>
 
 namespace ttdc::lint {
 
@@ -138,7 +139,7 @@ bool match_seq(const std::vector<Token>& tokens, std::size_t i,
 std::size_t find_matching(const std::vector<Token>& tokens, std::size_t open_index) {
   if (open_index >= tokens.size()) return tokens.size();
   const std::string& open = tokens[open_index].text;
-  std::string close;
+  std::string_view close;
   if (open == "(") {
     close = ")";
   } else if (open == "{") {
