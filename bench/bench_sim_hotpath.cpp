@@ -12,8 +12,11 @@
 // An informational ladder, n<N>_saturated_batched_*, records the batched
 // rate under SaturatedFlows (every node backlogged toward a neighbour), and
 // another, n<N>_run1_batched_*, the batched rate when the timed window is
-// driven as run(1) calls, so that every slot is a one-slot span: a span
-// cost that grows with n shows there (DESIGN.md §8).
+// driven as run(1) calls. Nothing observes between those calls, so each one
+// continues the frame the previous call left open (DESIGN.md §8): the row
+// measures a run() call's overhead on an open frame, and charges no
+// partial span. One-slot spans arise only after an observer (stats() and
+// the like) or set_graph() closes the frame.
 // Emits BENCH_sim_hotpath.json (consumed by scripts/run_benches.sh
 // --perf-check for regression tracking against the committed baseline).
 #include <algorithm>
@@ -135,7 +138,7 @@ int main() {
       sat_batched_rates.push_back(
           slot_rate_once(g, duty, /*scalar_only=*/false, /*saturated=*/true));
     }
-    // One-slot spans: batched only (max over reps).
+    // run(1) calls on open frames: batched only (max over reps).
     std::vector<double> run1_batched_rates;
     for (int rep = 0; rep < kRun1Reps; ++rep) {
       run1_batched_rates.push_back(slot_rate_once(g, duty, /*scalar_only=*/false,

@@ -161,20 +161,6 @@ double Schedule::duty_cycle() const {
          (static_cast<double>(num_nodes_) * static_cast<double>(frame_length()));
 }
 
-std::vector<double> Schedule::per_node_duty_cycle() const {
-  std::vector<std::size_t> active(num_nodes_, 0);
-  const auto count = [&](std::size_t x) { ++active[x]; };
-  for (std::size_t i = 0; i < frame_length(); ++i) {
-    transmitters(i).for_each(count);
-    receivers(i).for_each(count);
-  }
-  std::vector<double> out(num_nodes_);
-  for (std::size_t x = 0; x < num_nodes_; ++x) {
-    out[x] = static_cast<double>(active[x]) / static_cast<double>(frame_length());
-  }
-  return out;
-}
-
 std::string Schedule::to_string() const {
   std::ostringstream os;
   os << "Schedule(n=" << num_nodes_ << ", L=" << frame_length() << ")\n";

@@ -120,10 +120,6 @@ class Schedule {
   /// the network-wide duty cycle in [0, 1]; 1.0 for non-sleeping schedules.
   [[nodiscard]] double duty_cycle() const;
 
-  /// Per-node fraction of active slots, |tran(x)| + |recv(x)| over L,
-  /// counted in one pass over the slot sets.
-  [[nodiscard]] std::vector<double> per_node_duty_cycle() const;
-
   /// Human-readable slot listing (for examples and error messages).
   [[nodiscard]] std::string to_string() const;
 

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -770,94 +769,6 @@ void Simulator::skip_sender_free(std::uint64_t stop) {
   }
 }
 
-namespace {
-
-/// Weights each distinct pooled set that `index` names by the number of
-/// entries naming it and calls add(v, weight) for each of its members.
-/// `multiplicity` covers the pool and is zero on entry and on exit;
-/// `pools` is scratch with capacity for the distinct sets named.
-template <typename Add>
-void count_pool(std::span<const util::SlotSet> pool, std::span<const std::uint32_t> index,
-                std::vector<std::uint32_t>& multiplicity, std::vector<std::uint32_t>& pools,
-                Add&& add) {
-  pools.clear();
-  for (const std::uint32_t p : index) {
-    if (multiplicity[p]++ == 0) pools.push_back(p);
-  }
-  for (const std::uint32_t p : pools) {
-    const std::uint32_t weight = multiplicity[p];
-    multiplicity[p] = 0;
-    pool[p].for_each([&](std::size_t v) { add(v, weight); });
-  }
-}
-
-/// Calls add(v, weight) for the scheduled wakes at frame slots first+1 ..
-/// end-1: each distinct (R[i-1], R[i]) pair of pool indices once, sorted so
-/// equal pairs are adjacent, for the members of R[i] \ R[i-1] (word by word
-/// for a dense R[i]: 1.5-2x faster than a membership test per member on the
-/// bench/e2e recipe). `pairs` is scratch with capacity for end - first
-/// entries.
-template <typename Add>
-void count_wakes(const core::Schedule& schedule, std::size_t first, std::size_t end,
-                 std::vector<std::uint64_t>& pairs, Add&& add) {
-  const std::span<const util::SlotSet> r_pool = schedule.receive_pool();
-  const std::span<const std::uint32_t> r_of = schedule.receive_index();
-  pairs.clear();
-  for (std::size_t i = first + 1; i < end; ++i) {
-    if (r_of[i - 1] != r_of[i]) {
-      pairs.push_back(std::uint64_t{r_of[i - 1]} << 32 | r_of[i]);
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  constexpr std::size_t kBits = util::DynamicBitset::kWordBits;
-  const std::size_t words = (schedule.num_nodes() + kBits - 1) / kBits;
-  for (std::size_t k = 0; k < pairs.size();) {
-    std::size_t run = k + 1;
-    while (run < pairs.size() && pairs[run] == pairs[k]) ++run;
-    const auto weight = static_cast<std::uint32_t>(run - k);
-    const util::SlotSet& before = r_pool[pairs[k] >> 32];
-    const util::SlotSet& after = r_pool[pairs[k] & 0xffffffffu];
-    if (!after.is_dense()) {
-      after.for_each([&](std::size_t v) {
-        if (!before.test(v)) add(v, weight);
-      });
-    } else {
-      for (std::size_t w = 0; w < words; ++w) {
-        util::SlotSet::Word bits = after.word(w) & ~before.word(w);
-        while (bits != 0) {
-          add(w * kBits + static_cast<std::size_t>(std::countr_zero(bits)), weight);
-          bits &= bits - 1;
-        }
-      }
-    }
-    k = run;
-  }
-}
-
-std::size_t largest_pool(const core::Schedule& schedule) {
-  return std::max(schedule.receive_pool().size(), schedule.transmit_pool().size());
-}
-
-}  // namespace
-
-template <typename Add>
-void Simulator::count_span(const core::Schedule& schedule, std::size_t first, std::size_t end,
-                           std::size_t after, Add&& add) {
-  SpanScratch& scratch = span_;
-  const std::size_t period = schedule.frame_length();
-  if (scratch.multiplicity.size() < largest_pool(schedule) || scratch.pairs.capacity() < period) {
-    // Sized once to the bounds, so no later span allocates.
-    scratch.multiplicity.assign(largest_pool(schedule), 0);
-    scratch.pools.reserve(std::min<std::size_t>(period, scratch.multiplicity.size()));
-    scratch.pairs.reserve(period);
-  }
-  count_pool(schedule.receive_pool(), schedule.receive_index().subspan(first, end - first),
-             scratch.multiplicity, scratch.pools,
-             [&](std::size_t v, std::uint32_t weight) { add(v, weight, 0); });
-  count_wakes(schedule, after, end, scratch.pairs,
-              [&](std::size_t v, std::uint32_t weight) { add(v, 0, weight); });
-}
-
 void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t stop) {
   TTDC_PROF_SCOPE("sim.frame.charge");
   charging_ = nullptr;
@@ -889,8 +800,8 @@ void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t
             (slot_worst == 0 ||
              (min_credit_ - paid - 1) / slot_worst >= static_cast<std::int64_t>(through - now_)));
   };
-  // Slot a's wakes, taken against prev_awake_; the totals and the pair
-  // count hold the scheduled wakes at a+1..b-1.
+  // Slot a's wakes, taken against prev_awake_; the counts charged below
+  // hold the scheduled wakes at a+1..b-1.
   woke_.copy_from(schedule.receivers(first));
   woke_.subtract(prev_awake_);
   woke_.subtract(dead_);
@@ -930,10 +841,10 @@ void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t
   }
   if (!whole && !closed_form(stop)) return;
   const std::size_t end = whole ? period : first + static_cast<std::size_t>(stop - now_);
-  // The bound is the lowest credit any write leaves, so it lies at or below
-  // every charged node's final credit. A whole frame writes each live node
-  // once and then its slot-a wake, which only lowers it, so there the bound
-  // is exactly the lowest live credit.
+  // The bound is the lowest credit any write leaves. Every live node is
+  // written once and then its slot-a wake, which only lowers it, so the
+  // bound is exactly the lowest live credit. A whole frame takes it as
+  // min_credit_; a partial span only lowers min_credit_ to it.
   std::int64_t bound = std::numeric_limits<std::int64_t>::max();
   const auto charge = [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
     stats_.state_slots[v][kListenIdx] += listen;
@@ -943,20 +854,10 @@ void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t
       bound = std::min(bound, battery_[v]);
     }
   };
-  if (whole) {
-    // Every live node from the frame totals, so the bound is over all of
-    // them.
-    for (std::size_t v = 0; v < n; ++v) {
-      if (alive(v)) charge(v, totals.listen[v], totals.wakes[v]);
-    }
-  } else {
-    // Straight from the span's distinct pooled sets, each member charged
-    // with its set's multiplicity: work in proportion to the sets and their
-    // members, never to n.
-    count_span(schedule, first, end, first,
-               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
-                 if (alive(v)) charge(v, listen, wakes);
-               });
+  // Every live node, from the frame totals or from the span's own count.
+  const core::FrameCounts& counts = whole ? totals : counter_.count(schedule, first, end);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (alive(v)) charge(v, counts.listen[v], counts.wakes[v]);
   }
   woke_.for_each([&](std::size_t v) { charge(v, 0, 1); });
   if (battery_armed) min_credit_ = whole ? bound : std::min(min_credit_, bound);
@@ -970,53 +871,38 @@ void Simulator::begin_charged_span(const core::Schedule& schedule, std::uint64_t
 void Simulator::settle_frame() {
   TTDC_PROF_SCOPE("sim.frame.settle");
   const core::Schedule& schedule = *charging_;
-  const std::size_t period = schedule.frame_length();
-  // The open frame ran [0, cut), 0 < cut < L: the partial span the call
-  // boundary cuts charges listening at 0..cut-1 and scheduled wakes at
-  // 1..cut-1 where the open frame charged 0..L-1 and 1..L-1 (slot 0's wake
-  // is common to both), and nobody died in it, so every live node is
-  // charged in both.
+  // The open frame ran [0, cut), 0 < cut < L, and charged the frame totals:
+  // listening at 0..L-1 and scheduled wakes at 1..L-1. The partial span the
+  // call boundary cuts charges listening at 0..cut-1 and wakes at 1..cut-1
+  // (slot 0's wake is common to both), and nobody died in it, so every live
+  // node moves by the difference, in one pass.
   const auto cut = static_cast<std::size_t>(now_ - frame_start_);
+  const core::FrameCounts& run = counter_.count(schedule, 0, cut);
+  const core::FrameCounts& totals = frame_totals_.counts;
   const bool battery_armed = config_.battery_mj > 0.0;
-  const bool any_dead = dead_.any();
-  const auto alive = [&](std::size_t v) { return !any_dead || !dead_.test(v); };
-  // Moves node v by `sign` (+1 charge, -1 refund) times the counts; the
-  // min-credit bound follows every write, so it stays below every live
+  // Moves node v by `listen` slots and `wakes` wakes (negative: a refund);
+  // the min-credit bound follows every write, so it stays below every live
   // credit when a refund lowers one (sleep dearer than listening).
-  const auto adjust = [&](std::size_t v, std::int64_t sign, std::uint32_t listen,
-                        std::uint32_t wakes) {
-    stats_.state_slots[v][kListenIdx] += static_cast<std::uint64_t>(sign * listen);
-    stats_.wake_transitions[v] += static_cast<std::uint64_t>(sign * wakes);
+  const auto adjust = [&](std::size_t v, std::int64_t listen, std::int64_t wakes) {
+    stats_.state_slots[v][kListenIdx] += static_cast<std::uint64_t>(listen);
+    stats_.wake_transitions[v] += static_cast<std::uint64_t>(wakes);
     if (battery_armed) {
-      battery_[v] -= sign * (static_cast<std::int64_t>(listen) * (b_listen_ - b_sleep_) +
-                             static_cast<std::int64_t>(wakes) * b_wakeup_);
+      battery_[v] -= listen * (b_listen_ - b_sleep_) + wakes * b_wakeup_;
       min_credit_ = std::min(min_credit_, battery_[v]);
     }
   };
-  if (cut <= period - cut) {
-    // The run prefix is the shorter side: take back the frame totals, then
-    // charge the prefix's listening at 0..cut-1 and wakes at 1..cut-1.
-    const core::FrameCounts& totals = frame_totals_.counts;
-    for (std::size_t v = 0; v < schedule.num_nodes(); ++v) {
-      if (alive(v)) adjust(v, -1, totals.listen[v], totals.wakes[v]);
-    }
-    count_span(schedule, 0, cut, 0,
-               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
-                 if (alive(v)) adjust(v, +1, listen, wakes);
-               });
-  } else {
-    // Refund the unrun suffix: listening at cut..L-1, wakes at cut..L-1.
-    count_span(schedule, cut, period, cut - 1,
-               [&](std::size_t v, std::uint32_t listen, std::uint32_t wakes) {
-                 if (alive(v)) adjust(v, -1, listen, wakes);
-               });
+  const bool any_dead = dead_.any();
+  for (std::size_t v = 0; v < schedule.num_nodes(); ++v) {
+    if (any_dead && dead_.test(v)) continue;
+    adjust(v, std::int64_t{run.listen[v]} - totals.listen[v],
+           std::int64_t{run.wakes[v]} - totals.wakes[v]);
   }
   // A transmitter at cut-1 in R[cut] cancelled its scheduled wake at cut,
-  // which the span ending at cut-1 never does; the charge above took that
+  // which the span ending at cut-1 never does; the pass above took that
   // wake back, so it is owed again.
   const util::SlotSet& next = schedule.receivers(cut);
   for (const std::size_t v : prev_tx_nodes_) {
-    if (next.test(v)) adjust(v, +1, 0, 1);
+    if (next.test(v)) adjust(v, 0, 1);
   }
   // charge_transmitters' state after the span's last slot.
   prev_awake_.copy_from(schedule.receivers(cut - 1));
@@ -1065,7 +951,8 @@ void Simulator::charge_transmitters() {
 
 void Simulator::count_frame_totals(const core::Schedule& schedule) {
   TTDC_PROF_SCOPE("sim.frame.totals");
-  frame_totals_ = {.schedule = &schedule, .counts = core::frame_counts(schedule)};
+  frame_totals_.counts = counter_.count(schedule, 0, schedule.frame_length());
+  frame_totals_.schedule = &schedule;
 }
 
 void Simulator::settle_sleep_deaths(std::int64_t paid) {

@@ -262,19 +262,12 @@ class Simulator {
     if (charging_ != nullptr) const_cast<Simulator*>(this)->settle_frame();
   }
   /// Turns the open frame [frame_start_, frame end), charged through its
-  /// end, into the partial span [frame_start_, now_) charged alone:
-  /// refunds the unrun suffix or, when that is the longer side, takes back
-  /// the frame totals and charges the run prefix, so an observer pays at
-  /// most a partial span's charge plus O(n).
+  /// end, into the partial span [frame_start_, now_) charged alone: moves
+  /// every live node by the run prefix's counts minus the frame totals, in
+  /// one signed pass, so an observer pays at most one stretch count plus
+  /// O(n).
   void settle_frame();
-  /// Calls add(v, listen, wakes) for the scheduled listening at frame
-  /// slots first..end-1 and the scheduled wakes at after+1..end-1 of
-  /// `schedule`, each distinct pooled set once with its multiplicity, in
-  /// the partial-span scratch span_ (sized once to the schedule's bounds).
-  template <typename Add>
-  void count_span(const core::Schedule& schedule, std::size_t first, std::size_t end,
-                  std::size_t after, Add&& add);
-  /// Per-node counts over one whole frame of `schedule` (core::frame_counts).
+  /// Per-node counts over one whole frame of `schedule`, through counter_.
   void count_frame_totals(const core::Schedule& schedule);
   void kill_node(std::size_t v);
   /// Sleep drain every live node has paid over `slots` slots, in battery
@@ -454,26 +447,18 @@ class Simulator {
   std::int64_t b_wakeup_ = 0;
 
   // Charged spans. A periodic <T, R> makes each node's scheduled activity
-  // over a stretch of frame slots a closed form. A whole frame's counts are
-  // kept per node (core::frame_counts, block by block): counted once per
-  // simulator, at the first whole frame offered for charging, so
-  // constructors stay cheap.
+  // over a stretch of frame slots a closed form, which counter_ counts block
+  // by block (core::FrameCounter). A whole frame's counts are kept per node:
+  // counted once per simulator, at the first whole frame offered for
+  // charging, so constructors stay cheap. A partial span and an open
+  // frame's settle count their stretch in counter_, which that first count
+  // sized, so no later one allocates.
+  core::FrameCounter counter_;
   struct FrameTotals {
     const core::Schedule* schedule = nullptr;  // the schedule counted, null before
     core::FrameCounts counts;
   };
   FrameTotals frame_totals_;
-  // A partial span is charged straight from its distinct pooled sets, and
-  // so is an open frame's settle. The scratch is sized once to its bounds
-  // (the pool sizes and the frame length) at the first partial span or
-  // settle, so no later one allocates and a run that never cuts a frame
-  // never allocates it.
-  struct SpanScratch {
-    std::vector<std::uint32_t> multiplicity;  // per pool index; zero between spans
-    std::vector<std::uint32_t> pools;         // pool indices the span's slots use
-    std::vector<std::uint64_t> pairs;         // (R[i-1], R[i]) pool-index pairs
-  };
-  SpanScratch span_;
   // Non-null inside a charged span, and between run() calls while a frame
   // is open: a span from a frame boundary charged through the frame's end
   // (span_last_ = L - 1) that the call stopped short of.

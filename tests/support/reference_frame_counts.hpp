@@ -1,13 +1,14 @@
-// Reference whole-frame counts: the differential oracle for
-// core::frame_counts (DESIGN.md §8).
+// Reference stretch counts: the differential oracle for core::FrameCounter
+// and core::frame_counts (DESIGN.md §8).
 //
-// reference_frame_counts() walks the pools: every distinct pooled set
-// once, each member credited with the number of slots that name the set,
-// and every distinct (R[i−1], R[i]) pair of pool indices once, each member
-// of R[i] \ R[i−1] credited with the number of slots at which the pair
-// occurs. It reads the schedule as L unrelated slots, so it knows nothing
-// of rows, blocks or coverage. construct_blocks() names the kinds of block
-// a Construct output holds, so a test can assert that it covers each.
+// reference_frame_counts() walks the pools over the stretch's slots: every
+// distinct pooled set they name once, each member credited with the number
+// of the stretch's slots that name the set, and every distinct
+// (R[i−1], R[i]) pair of pool indices at i = first+1 .. end−1 once, each
+// member of R[i] \ R[i−1] credited with the number of those slots at which
+// the pair occurs. It reads the schedule as unrelated slots, so it knows
+// nothing of rows, blocks or coverage. construct_blocks() names the kinds of
+// block a Construct output holds, so a test can assert that it covers each.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +25,10 @@
 
 namespace ttdc::core {
 
-inline FrameCounts reference_frame_counts(const Schedule& schedule) {
+/// The counts of frame slots [first, end) of `schedule`: listening and
+/// transmitting at first..end−1, wakes at first+1..end−1.
+inline FrameCounts reference_frame_counts(const Schedule& schedule, std::size_t first,
+                                          std::size_t end) {
   const std::size_t n = schedule.num_nodes();
   FrameCounts out{.listen = std::vector<std::uint32_t>(n, 0),
                   .wakes = std::vector<std::uint32_t>(n, 0),
@@ -34,15 +38,15 @@ inline FrameCounts reference_frame_counts(const Schedule& schedule) {
     for (const std::uint32_t p : index) ++slots_naming[p];
     return slots_naming;
   };
-  for (const auto& [p, weight] : weigh(schedule.receive_index())) {
+  for (const auto& [p, weight] : weigh(schedule.receive_index().subspan(first, end - first))) {
     schedule.receive_pool()[p].for_each([&](std::size_t v) { out.listen[v] += weight; });
   }
-  for (const auto& [p, weight] : weigh(schedule.transmit_index())) {
+  for (const auto& [p, weight] : weigh(schedule.transmit_index().subspan(first, end - first))) {
     schedule.transmit_pool()[p].for_each([&](std::size_t v) { out.transmit[v] += weight; });
   }
   const std::span<const std::uint32_t> r_of = schedule.receive_index();
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> pairs;
-  for (std::size_t i = 1; i < r_of.size(); ++i) {
+  for (std::size_t i = first + 1; i < end; ++i) {
     if (r_of[i - 1] != r_of[i]) ++pairs[{r_of[i - 1], r_of[i]}];
   }
   for (const auto& [pair, weight] : pairs) {

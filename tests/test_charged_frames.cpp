@@ -602,6 +602,7 @@ struct ScenarioKinds {
   bool skipped = false;        // a charged span skipped slots
   bool open_across = false;    // a frame stayed open across an unobserved call
   bool settled = false;        // an observer settled an open frame mid-run
+  bool partial = false;        // an observed call charged a mid-frame partial span
 };
 
 /// Asserts the scenario's outcome equals the oracle's, after every call
@@ -626,6 +627,7 @@ ScenarioKinds expect_scenario_matches(const Scenario& sc) {
   Simulator sim(graph, mac, *traffic, config);
   const std::uint64_t frame = s.frame_length();
   util::Xoshiro256 split_rng(sc.seed ^ 0x5b17);
+  ScenarioKinds kinds;
   std::uint64_t last_start = 0;
   while (sim.now() < sc.slots) {
     std::uint64_t chunk = sc.slots - sim.now();
@@ -634,7 +636,15 @@ ScenarioKinds expect_scenario_matches(const Scenario& sc) {
     if (sc.split == 3) chunk = 1 + split_rng.below(7);
     chunk = std::min(chunk, sc.slots - sim.now());
     last_start = sim.now();
+    const std::uint64_t charged_before = sim.charged_span_stats().charged;
     sim.run(chunk);
+    // Observed, a call after the first finds no frame open, so one that
+    // starts mid-frame, stays inside that frame and charges a span charged
+    // the partial span it covers.
+    kinds.partial = kinds.partial ||
+                    (sc.observe && last_start % frame != 0 &&
+                     (last_start + chunk - 1) / frame == last_start / frame &&
+                     sim.charged_span_stats().charged > charged_before);
     if (sc.observe && sim.now() < sc.slots) {
       // Each snapshot audits both simulators after its stats() settled.
       oracle_sim.run(chunk);
@@ -642,7 +652,6 @@ ScenarioKinds expect_scenario_matches(const Scenario& sc) {
       if (::testing::Test::HasFailure()) break;
     }
   }
-  ScenarioKinds kinds;
   kinds.settled = sim.charged_span_stats().settled > 0;
   // Unobserved, a final call that starts and ends inside one frame cannot
   // open it (only a span from a frame boundary does), so a frame the end
@@ -664,11 +673,12 @@ TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   // Ragged splits (2 and 3) cut frames into partial spans or leave them
   // open; those with deaths exercise the no-death bounds. Runs with bare
   // lookahead traffic skip sender-free slots; unobserved runs carry open
-  // frames across calls, observed ones settle them. Both divisions run,
+  // frames across calls, observed ones settle them and charge the
+  // mid-frame partial spans their next calls start. Both divisions run,
   // over padded base slots and over ones split into k_R ≥ 2 windows, so the
   // frame totals come from walked and from closed-form blocks.
   std::size_t with_deaths = 0, ragged_with_deaths = 0, large = 0;
-  std::size_t skipped = 0, open_across = 0, settled = 0;
+  std::size_t skipped = 0, open_across = 0, settled = 0, partial = 0;
   std::size_t padded = 0, divided = 0, balanced = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const Scenario sc = draw_scenario(0xc4a26ed0000ull + c);
@@ -685,6 +695,7 @@ TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
     skipped += kinds.skipped ? 1 : 0;
     open_across += kinds.open_across ? 1 : 0;
     settled += kinds.settled && sc.observe ? 1 : 0;
+    partial += kinds.partial ? 1 : 0;
     if (::testing::Test::HasFailure()) break;  // one reproducible seed is enough
   }
   EXPECT_GT(with_deaths, kCases / 10);
@@ -693,6 +704,7 @@ TEST(ChargedFrames, RandomizedDifferentialAgainstScalarOnlyMac) {
   EXPECT_GT(skipped, kCases / 10);
   EXPECT_GT(open_across, kCases / 10);
   EXPECT_GT(settled, kCases / 10);
+  EXPECT_GT(partial, kCases / 10);
   EXPECT_GT(padded, kCases / 40);
   EXPECT_GT(divided, kCases / 2);
   EXPECT_GT(balanced, kCases / 4);

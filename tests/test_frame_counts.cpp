@@ -1,10 +1,14 @@
-// core::frame_counts (DESIGN.md §8): a schedule's per-node whole-frame
-// counts read block by block, held to the pool walk of
-// tests/support/reference_frame_counts.hpp. Construct's output under both
-// division policies, from line-8 padded base slots to k_R ≥ 3 windows,
-// dense and sparse; the bench/e2e `metro` recipe; schedules with one set
-// per slot; and pooled schedules built block by block, whose blocks cover
-// V or leave nodes out, with repeated, nested and overlapping windows.
+// core::FrameCounter and core::frame_counts (DESIGN.md §8): a schedule's
+// per-node counts over a stretch of its frame, read block by block, held to
+// the pool walk of tests/support/reference_frame_counts.hpp. Construct's
+// output under both division policies, from line-8 padded base slots to
+// k_R ≥ 3 windows, dense and sparse; the bench/e2e `metro` recipe;
+// schedules with one set per slot; and pooled schedules built block by
+// block, whose blocks cover V or leave nodes out, with repeated, nested and
+// overlapping windows. The random draws are counted over the whole frame
+// and over stretches that start and end inside rows, at row seams and at
+// block seams, one-slot ones included, by one counter reused across
+// stretches and node counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +16,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "combinatorics/params.hpp"
@@ -33,12 +38,83 @@ Schedule base_schedule(std::size_t n, std::size_t d) {
   return non_sleeping_from_family(comb::build_plan(comb::best_plan(n, d), n));
 }
 
-void expect_matches_pool_walk(const Schedule& s) {
-  const FrameCounts expected = reference_frame_counts(s);
-  const FrameCounts got = frame_counts(s);
+void expect_same_counts(const FrameCounts& got, const FrameCounts& expected) {
   EXPECT_EQ(got.listen, expected.listen);
   EXPECT_EQ(got.wakes, expected.wakes);
   EXPECT_EQ(got.transmit, expected.transmit);
+}
+
+void expect_matches_pool_walk(const Schedule& s) {
+  expect_same_counts(frame_counts(s), reference_frame_counts(s, 0, s.frame_length()));
+}
+
+/// Where a stretch end can lie: inside a row, at a seam between two rows of
+/// one block, or at a block seam (the frame's ends count as block seams).
+enum Seam : std::size_t { kInsideRow, kRowSeam, kBlockSeam, kSeamKinds };
+
+/// The seam kind of each position 0..L, by the rows and blocks that
+/// FrameCounter reads over the whole frame.
+std::vector<Seam> seams_of(const Schedule& s) {
+  const std::size_t frame = s.frame_length();
+  const auto t_of = s.transmit_index();
+  const auto r_of = s.receive_index();
+  std::vector<Seam> seams(frame + 1, kInsideRow);
+  seams[0] = seams[frame] = kBlockSeam;
+  std::size_t row = 0;  // the start of the row before p
+  for (std::size_t p = 1; p < frame; ++p) {
+    if (t_of[p] == t_of[p - 1]) continue;
+    std::size_t next = p;
+    while (next < frame && t_of[next] == t_of[p]) ++next;
+    const bool same_block = next - p == p - row &&
+                            std::equal(r_of.begin() + p, r_of.begin() + next, r_of.begin() + row);
+    seams[p] = same_block ? kRowSeam : kBlockSeam;
+    row = p;
+  }
+  return seams;
+}
+
+/// The drawn stretches expect_stretches_match_pool_walk() counted, by the
+/// seam kind of their starts and ends (the frame's ends left out).
+struct StretchKinds {
+  std::size_t starts[kSeamKinds] = {};
+  std::size_t ends[kSeamKinds] = {};
+};
+
+/// Holds `counter` to the pool walk over [0, L), one one-slot stretch and
+/// six stretches whose ends are drawn by seam kind.
+void expect_stretches_match_pool_walk(const Schedule& s, FrameCounter& counter,
+                                      util::Xoshiro256& rng, StretchKinds& kinds) {
+  const std::size_t frame = s.frame_length();
+  const std::vector<Seam> seams = seams_of(s);
+  std::vector<std::size_t> at[kSeamKinds];
+  for (std::size_t p = 0; p <= frame; ++p) at[seams[p]].push_back(p);
+  const auto expect_stretch = [&](std::size_t first, std::size_t end) {
+    SCOPED_TRACE("stretch [" + std::to_string(first) + ", " + std::to_string(end) + ")");
+    expect_same_counts(counter.count(s, first, end), reference_frame_counts(s, first, end));
+  };
+  expect_stretch(0, frame);
+  const std::size_t slot = rng.below(frame);
+  expect_stretch(slot, slot + 1);
+  const auto draw = [&] {
+    const std::vector<std::size_t>& pool = at[rng.below(kSeamKinds)];
+    return pool.empty() ? rng.below(frame + 1) : pool[rng.below(pool.size())];
+  };
+  for (int k = 0; k < 6; ++k) {
+    std::size_t first = draw(), end = draw();
+    if (first == end) continue;
+    if (first > end) std::swap(first, end);
+    if (first > 0) ++kinds.starts[seams[first]];
+    if (end < frame) ++kinds.ends[seams[end]];
+    expect_stretch(first, end);
+  }
+}
+
+void expect_stretch_coverage(const StretchKinds& kinds, std::size_t cases) {
+  for (const Seam seam : {kInsideRow, kRowSeam, kBlockSeam}) {
+    SCOPED_TRACE("seam kind " + std::to_string(seam));
+    EXPECT_GT(kinds.starts[seam], cases / 2);
+    EXPECT_GT(kinds.ends[seam], cases / 2);
+  }
 }
 
 TEST(FrameCounts, RandomConstructMatchesPoolWalk) {
@@ -46,6 +122,9 @@ TEST(FrameCounts, RandomConstructMatchesPoolWalk) {
   std::size_t padded = 0, wide = 0, stacked = 0, large = 0;
   std::size_t policies[2] = {0, 0};
   util::Xoshiro256 rng(0xf4a3e5c0u);
+  util::Xoshiro256 stretch_rng(0x57e7c4u);  // a stream of its own keeps the draws below
+  FrameCounter counter;
+  StretchKinds kinds;
   const auto pick = [&](std::uint64_t lo, std::uint64_t hi) { return lo + rng.below(hi - lo + 1); };
   for (int c = 0; c < kCases; ++c) {
     std::size_t n = 0, d = 0, alpha_t = 0, alpha_r = 0;
@@ -77,6 +156,7 @@ TEST(FrameCounts, RandomConstructMatchesPoolWalk) {
                  " balanced=" + std::to_string(policy == DivisionPolicy::kBalanced));
     const Schedule s = construct_duty_cycled(base, d, alpha_t, alpha_r, {.division = policy});
     expect_matches_pool_walk(s);
+    expect_stretches_match_pool_walk(s, counter, stretch_rng, kinds);
     const ConstructBlocks blocks =
         construct_blocks(base, optimal_transmitters_alpha(n, d, alpha_t), alpha_r);
     padded += blocks.padded ? 1 : 0;
@@ -90,6 +170,7 @@ TEST(FrameCounts, RandomConstructMatchesPoolWalk) {
   EXPECT_GT(large, kCases / 20u);
   EXPECT_GT(policies[0], kCases / 4u);
   EXPECT_GT(policies[1], kCases / 4u);
+  expect_stretch_coverage(kinds, kCases);
 }
 
 // The bench/e2e `metro` recipe: 247 base slots, none padded, each with
@@ -145,11 +226,19 @@ TEST(FrameCounts, PooledRowsThatDoNotCoverVAreWalked) {
   const Schedule s(n, {set_of(n, {0}), set_of(n, {1})}, {0, 0, 1, 1},
                    {set_of(n, {2, 3}), set_of(n, {4, 5})}, {0, 1, 0, 1});
   const FrameCounts counts = frame_counts(s);
-  EXPECT_EQ(counts, reference_frame_counts(s));
+  EXPECT_EQ(counts, reference_frame_counts(s, 0, 4));
   EXPECT_EQ(counts.listen, (std::vector<std::uint32_t>{0, 0, 2, 2, 2, 2, 0, 0}));
   // Slots 1, 2 and 3 switch windows; slot 0 wakes nobody.
   EXPECT_EQ(counts.wakes, (std::vector<std::uint32_t>{0, 0, 1, 1, 2, 2, 0, 0}));
   EXPECT_EQ(counts.transmit, (std::vector<std::uint32_t>{2, 2, 0, 0, 0, 0, 0, 0}));
+  // The stretch [1, 4) starts inside the first row: slots 2 and 3 switch
+  // windows, and slot 1 wakes nobody.
+  FrameCounter counter;
+  const FrameCounts& tail = counter.count(s, 1, 4);
+  EXPECT_EQ(tail, reference_frame_counts(s, 1, 4));
+  EXPECT_EQ(tail.listen, (std::vector<std::uint32_t>{0, 0, 1, 1, 2, 2, 0, 0}));
+  EXPECT_EQ(tail.wakes, (std::vector<std::uint32_t>{0, 0, 1, 1, 1, 1, 0, 0}));
+  EXPECT_EQ(tail.transmit, (std::vector<std::uint32_t>{1, 2, 0, 0, 0, 0, 0, 0}));
 }
 
 /// A pooled schedule built block by block: each block splits V into a
@@ -208,13 +297,20 @@ Schedule random_pooled_schedule(std::size_t n, util::Xoshiro256& rng) {
 }
 
 TEST(FrameCounts, RandomPooledBlocksMatchPoolWalk) {
+  constexpr std::size_t kCases = 400;
   util::Xoshiro256 rng(0xb10c5u);
-  for (int c = 0; c < 400; ++c) {
+  util::Xoshiro256 stretch_rng(0x57e7c5u);  // a stream of its own keeps the draws below
+  FrameCounter counter;
+  StretchKinds kinds;
+  for (std::size_t c = 0; c < kCases; ++c) {
     const std::size_t n = c % 8 == 0 ? 257 + rng.below(200) : 1 + rng.below(150);
     SCOPED_TRACE("case " + std::to_string(c) + " n=" + std::to_string(n));
-    expect_matches_pool_walk(random_pooled_schedule(n, rng));
+    const Schedule s = random_pooled_schedule(n, rng);
+    expect_matches_pool_walk(s);
+    expect_stretches_match_pool_walk(s, counter, stretch_rng, kinds);
     if (::testing::Test::HasFailure()) break;
   }
+  expect_stretch_coverage(kinds, kCases);
 }
 
 }  // namespace

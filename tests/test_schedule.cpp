@@ -6,6 +6,7 @@
 
 #include "combinatorics/constructions.hpp"
 #include "core/builders.hpp"
+#include "core/frame_counts.hpp"
 #include "core/node_slots.hpp"
 #include "util/rng.hpp"
 
@@ -186,13 +187,14 @@ TEST(Schedule, GuaranteedSlotsShrinkWithLargerNeighborhood) {
 }
 
 TEST(Schedule, PerNodeDutyCycle) {
-  const Schedule s = tiny_schedule();
-  const auto duty = s.per_node_duty_cycle();
-  // Node 0: tran {0}, recv {2} -> 2/3. Node 3: tran {2}, recv {1} -> 2/3.
-  EXPECT_DOUBLE_EQ(duty[0], 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(duty[3], 2.0 / 3.0);
-  // Node 1: tran {1}, recv {0, 2} -> 1.
-  EXPECT_DOUBLE_EQ(duty[1], 1.0);
+  // A node is active in its listen and transmit slots of the frame.
+  const FrameCounts counts = frame_counts(tiny_schedule());
+  const auto active = [&](std::size_t v) { return counts.listen[v] + counts.transmit[v]; };
+  // Node 0: tran {0}, recv {2} -> 2 of 3. Node 3: tran {2}, recv {1} -> 2.
+  EXPECT_EQ(active(0), 2u);
+  EXPECT_EQ(active(3), 2u);
+  // Node 1: tran {1}, recv {0, 2} -> 3.
+  EXPECT_EQ(active(1), 3u);
 }
 
 TEST(Schedule, FromFamilyTransposesMembership) {

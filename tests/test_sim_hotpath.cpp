@@ -407,8 +407,9 @@ TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
   // per cycle (settling a frame some calls continued) and with stats()
   // after every call, after a warm-up that observes nothing: the
   // simulator's sets are sized to their bounds at construction and its
-  // span scratch at the first partial span or settle, so no window depends
-  // on which populations the warm-up happened to reach.
+  // stretch counter at the first frame charged from a frame boundary,
+  // before any partial span or settle can use it, so no window depends on
+  // which populations the warm-up happened to reach.
   enum class Load { kConvergecast, kSaturated, kSparseLookahead, kSparseOpaque };
   enum class Observe { kNever, kPerCycle, kEvery };
   for (const auto& [n, alpha_r] : {std::pair<std::size_t, std::size_t>{kN, kN / 3}, {300, 12}}) {
